@@ -34,10 +34,6 @@ from ..ir.ninevalued import LogicVec, lane_ones
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
-from .eval import (
-    _int_binary, _logic_binary, int_shift, logic_compare, logic_level,
-    logic_neg, logic_shift,
-)
 from .interp import (
     Cell, CellRef, Design, EntityInstance, LaneProcessInstance,
     ProcessInstance,
@@ -46,9 +42,11 @@ from .lanes import (
     evaluate_lanes, intrinsic_lanes, lane_default, lane_kernel,
     path_of_lanes, u1, uindex, uindex_int,
 )
+from .optable import GLOBALS as _TABLE_GLOBALS
+from .optable import emit as _emit_op
 from .values import (
     SimulationError, default_value, extract_path, insert_path, lane_widen,
-    mask, pack_array, to_signed,
+    mask, pack_array,
 )
 
 _EPSILON = TimeValue(0, 0, 1)
@@ -119,10 +117,6 @@ def _rt_insf(agg, value, index):
     return agg[:index] + (value,) + agg[index + 1:]
 
 
-def _rt_divmod(op, a, b, width):
-    return _int_binary(op, a, b, width)
-
-
 def _rt_resolve(value):
     """Resolve a binding through ``con`` merging, once, at bind time."""
     if isinstance(value, SignalInstance):
@@ -142,13 +136,6 @@ _BASE_GLOBALS = {
     "_extf": _rt_extf,
     "_insf": _rt_insf,
     "_idx": _rt_index,
-    "_ibin": _int_binary,
-    "_lbin": _logic_binary,
-    "_lneg": logic_neg,
-    "_lvl": logic_level,
-    "_lshift": logic_shift,
-    "_ishift": int_shift,
-    "_tosigned": to_signed,
     "_extract": extract_path,
     "_insert": insert_path,
     "_parr": pack_array,
@@ -156,28 +143,7 @@ _BASE_GLOBALS = {
     "LogicVec": LogicVec,
     "TimeValue": TimeValue,
     "SimulationError": SimulationError,
-}
-
-_INLINE_INT_OPS = {
-    "add": "({a} + {b}) & {m}",
-    "sub": "({a} - {b}) & {m}",
-    "mul": "({a} * {b}) & {m}",
-    "and": "{a} & {b}",
-    "or": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-}
-
-_INLINE_CMP = {
-    "eq": "1 if {a} == {b} else 0",
-    "neq": "1 if {a} != {b} else 0",
-    "ult": "1 if {a} < {b} else 0",
-    "ugt": "1 if {a} > {b} else 0",
-    "ule": "1 if {a} <= {b} else 0",
-    "uge": "1 if {a} >= {b} else 0",
-    "slt": "1 if _tosigned({a}, {w}) < _tosigned({b}, {w}) else 0",
-    "sgt": "1 if _tosigned({a}, {w}) > _tosigned({b}, {w}) else 0",
-    "sle": "1 if _tosigned({a}, {w}) <= _tosigned({b}, {w}) else 0",
-    "sge": "1 if _tosigned({a}, {w}) >= _tosigned({b}, {w}) else 0",
+    **_TABLE_GLOBALS,
 }
 
 # Opcodes with no side effects: eligible for bind-time hoisting in
@@ -306,67 +272,6 @@ class UnitCompiler:
 
         if op == "const":
             return self.const_expr(inst)
-        if op in _INLINE_INT_OPS or op in ("udiv", "sdiv", "umod", "smod",
-                                           "urem", "srem"):
-            a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                # Table ops dispatch straight to the packed methods; only
-                # lN arithmetic (two-valued fast path or degrade-to-X)
-                # goes through the shared helper.
-                if op == "and":
-                    return f"{a}.and_({b})"
-                if op == "or":
-                    return f"{a}.or_({b})"
-                if op == "xor":
-                    return f"{a}.xor({b})"
-                return f"_lbin({op!r}, {a}, {b})"
-            w = inst.type.width
-            if op in _INLINE_INT_OPS:
-                return _INLINE_INT_OPS[op].format(a=a, b=b, m=hex(mask(w)))
-            return f"_ibin({op!r}, {a}, {b}, {w})"
-        if op in _INLINE_CMP:
-            a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                return (f"_lcmp({op!r}, {a}, {b})")
-            if ops[0].type.is_int:
-                w = ops[0].type.width
-                return _INLINE_CMP[op].format(a=a, b=b, w=w)
-            # Aggregates / enums / time: plain equality.
-            if op == "eq":
-                return f"1 if {a} == {b} else 0"
-            return f"1 if {a} != {b} else 0"
-        if op == "not":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.not_()"
-            return f"(~{n(ops[0])}) & {hex(mask(inst.type.width))}"
-        if op == "neg":
-            if ops[0].type.is_logic:
-                return f"_lneg({n(ops[0])})"
-            return f"(-{n(ops[0])}) & {hex(mask(inst.type.width))}"
-        if op in ("shl", "shr"):
-            # Unknown bits (X/Z) in either operand propagate: all-X result
-            # on lN values, a SimulationError on iN (no unknown encoding).
-            a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                return f"_lshift({op!r}, {a}, {b})"
-            if ops[1].type.is_logic:
-                return f"_ishift({op!r}, {a}, {b}, {inst.type.width})"
-            if op == "shl":
-                return f"({a} << {b}) & {hex(mask(inst.type.width))}"
-            return f"{a} >> {b}"
-        if op == "zext":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.zext({inst.type.width})"
-            return n(ops[0])
-        if op == "sext":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.sext({inst.type.width})"
-            return (f"_tosigned({n(ops[0])}, {ops[0].type.width}) & "
-                    f"{hex(mask(inst.type.width))}")
-        if op == "trunc":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.trunc({inst.type.width})"
-            return f"{n(ops[0])} & {hex(mask(inst.type.width))}"
         if op == "array":
             if inst.attrs.get("splat"):
                 expr = f"({n(ops[0])},) * {inst.type.length}"
@@ -383,7 +288,7 @@ class UnitCompiler:
             return self._extf_expr(inst)
         if op == "insf":
             return self._insf_expr(inst)
-        if op == "exts":
+        if op == "exts" and not (ops[0].type.is_int or ops[0].type.is_logic):
             return self._exts_expr(inst)
         if op == "inss":
             return self._inss_expr(inst)
@@ -391,16 +296,13 @@ class UnitCompiler:
             if id(ops[0]) in self._elided:
                 f_val, t_val = ops[0].operands
                 return f"({n(t_val)} if {n(ops[1])} else {n(f_val)})"
-            arr, sel = n(ops[0]), n(ops[1])
-            if ops[1].type.is_logic:
-                sel = f"_idx({sel})"
-            length = ops[0].type.length
-            if length == 2 and ops[1].type.is_int and \
+            if ops[0].type.length == 2 and ops[1].type.is_int and \
                     ops[1].type.width == 1:
                 # i1 selector over two choices needs no clamping.
-                return f"{arr}[{sel}]"
-            return f"{arr}[{sel} if {sel} < {length} else {length - 1}]"
-        raise SimulationError(f"blaze: cannot compile pure op {op}")
+                return f"{n(ops[0])}[{n(ops[1])}]"
+        # Every other pure op is one (opcode, value class) table entry.
+        return _emit_op(op, [n(o) for o in ops], [o.type for o in ops],
+                        inst.type, inst.attrs.get("offset"))
 
     def _expr_lanes(self, inst):
         """RHS expression for a pure instruction over lane-widened values.
@@ -543,20 +445,12 @@ class UnitCompiler:
 
     def _exts_expr(self, inst):
         base = inst.operands[0]
-        n = self.name
-        offset = inst.attrs["offset"]
-        length = inst.attrs["length"]
-        if base.type.is_signal:
-            step = self._slice_step(inst)
-            return f"_sigproj({n(base)}, {step!r})"
-        if base.type.is_pointer:
-            step = self._slice_step(inst)
-            return f"_cellproj({n(base)}, {step!r})"
-        inner = base.type
-        if inner.is_int:
-            return f"({n(base)} >> {offset}) & {hex(mask(length))}"
         step = self._slice_step(inst)
-        return f"_extract({n(base)}, ({step!r},))"
+        if base.type.is_signal:
+            return f"_sigproj({self.name(base)}, {step!r})"
+        if base.type.is_pointer:
+            return f"_cellproj({self.name(base)}, {step!r})"
+        return f"_extract({self.name(base)}, ({step!r},))"   # an array
 
     def _inss_expr(self, inst):
         base, value = inst.operands[0], inst.operands[1]
@@ -585,9 +479,6 @@ class UnitCompiler:
             tk = self.runtime_const(tuple(o.type for o in inst.operands))
             return f"call({inst.callee!r}, ({args}{tail}), {tk})"
         return f"call({inst.callee!r}, ({args}{tail}))"
-
-
-_BASE_GLOBALS["_lcmp"] = logic_compare
 
 
 class ProcessCompiler(UnitCompiler):
@@ -924,30 +815,9 @@ class EntityCompiler(UnitCompiler):
         for i, t in enumerate(triggers):
             slot = base + i
             cur = n(t["trigger"])
-            mode = t["mode"]
-            if t["trigger"].type.is_logic:
-                # Mirrors plan._reg_step: rise needs the previous X01
-                # level to be 0 (the iN rule) or unknown (X -> 1 is a
-                # rising edge per IEEE 1800); 'both' compares exact
-                # values.
-                tests = {
-                    "rise": f"_lvl({cur}) == 1 and "
-                            f"_lvl(S[{slot}]) in (0, -1)",
-                    "fall": f"_lvl({cur}) == 0 and "
-                            f"_lvl(S[{slot}]) in (1, -1)",
-                    "both": f"S[{slot}] != {cur}",
-                    "high": f"_lvl({cur}) == 1",
-                    "low": f"_lvl({cur}) == 0",
-                }
-            else:
-                tests = {
-                    "rise": f"S[{slot}] == 0 and {cur} == 1",
-                    "fall": f"S[{slot}] == 1 and {cur} == 0",
-                    "both": f"S[{slot}] != {cur}",
-                    "high": f"{cur} == 1",
-                    "low": f"{cur} == 0",
-                }
-            cond = tests[mode]
+            # The edge test is a table entry over (now, previous).
+            cond = _emit_op(t["mode"], [cur, f"S[{slot}]"],
+                            [t["trigger"].type])
             if t["cond"] is not None:
                 cond = f"({cond}) and {n(t['cond'])}"
             delay = n(t["delay"]) if t["delay"] is not None else eps

@@ -12,11 +12,14 @@ Two halves:
   specialized ``_settle_d<k>(V)`` per clock domain, each returning the
   list of net slots it changed.  The module is self-contained given the
   blaze runtime helper namespace and carries its own identity
-  (``KEY``/``N_NETS``/``ENGINE_VERSION``) for validation.
+  (``KEY``/``N_NETS``/``CODEGEN``) for validation.
 
 Generated modules are cached on disk, content-addressed by the sha256
 of the module's bitcode (:func:`repro.ir.bitcode.write_module`) plus
-the top name and an engine-version salt — the levelization itself is
+the top name and a code-generator salt, :data:`CODEGEN`: the digest of
+the opcode table the cell templates are emitted from
+(:data:`repro.sim.optable.DIGEST`), so a cone cached by an older code
+generator is never reloaded.  The levelization itself is
 deterministic (stable slot numbering, heap-ordered Kahn), so the same
 bitcode always regenerates the same source.  A warm run skips code
 generation entirely; a corrupted, stale, or truncated entry fails
@@ -37,10 +40,8 @@ from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
 from .blaze import _BASE_GLOBALS, UnitCompiler
 from .eval import path_of
+from .optable import DIGEST as CODEGEN
 from .values import SimulationError
-
-#: Bump to invalidate every cached cone (cache keys carry the salt).
-ENGINE_VERSION = 1
 
 
 class TemplateError(Exception):
@@ -196,7 +197,7 @@ def generate_source(plan, key):
     buf = []
     buf.append("# Levelized cone generated by repro.sim.compiled.")
     buf.append("# Safe to delete; regenerated on the next cold run.")
-    buf.append(f"ENGINE_VERSION = {ENGINE_VERSION}")
+    buf.append(f"CODEGEN = {CODEGEN!r}")
     buf.append(f"KEY = {key!r}")
     buf.append(f"N_NETS = {len(plan.slot_sigs)}")
     buf.append(f"N_GATES = {len(plan.gates)}")
@@ -233,11 +234,11 @@ def default_cache_dir():
 
 
 def cone_cache_key(module, top):
-    """sha256 over the module bitcode, the top, and the version salt."""
+    """sha256 over the module bitcode, the top, and the codegen salt."""
     from ..ir.bitcode import write_module
 
     digest = hashlib.sha256()
-    digest.update(f"levelized:{ENGINE_VERSION}:{top}:".encode())
+    digest.update(f"levelized:{CODEGEN}:{top}:".encode())
     digest.update(write_module(module))
     return digest.hexdigest()
 
@@ -249,7 +250,7 @@ def _load(source, key, n_nets):
         exec(compile(source, "<levelized-cone>", "exec"), ns)
     except Exception:
         return None
-    if (ns.get("ENGINE_VERSION") != ENGINE_VERSION
+    if (ns.get("CODEGEN") != CODEGEN
             or ns.get("KEY") != key
             or ns.get("N_NETS") != n_nets
             or not callable(ns.get("_settle_all"))

@@ -178,18 +178,20 @@ def logic_shift(op, a, amount):
     amount = shift_amount(amount)
     if amount is None or a._unk:
         return LogicVec.filled("X", a.width)
-    if op == "shl":
-        return LogicVec.from_int(a._val << amount, a.width)
-    return LogicVec.from_int(a._val >> amount, a.width)
+    return LogicVec.from_int(int_shift(op, a._val, amount, a.width), a.width)
 
 
 def int_shift(op, a, amount, width):
-    """Shift an ``iN`` value; an unknown amount has no iN encoding."""
+    """Shift an ``iN`` value; an unknown amount has no iN encoding.
+
+    An amount of at least the width shifts every bit out: the result is
+    0 without building the ``2**amount``-bit intermediate.
+    """
     amount = shift_amount(amount)
     if amount is None:
         raise SimulationError(f"{op}: shift amount is unknown (X)")
     if op == "shl":
-        return (a << amount) & mask(width)
+        return (a << amount) & mask(width) if amount < width else 0
     return a >> amount
 
 
@@ -322,13 +324,17 @@ def _eval_inss(inst, operands):
     return insert_path(agg, (path_of(inst),), value)
 
 
-def _eval_mux(inst, operands):
-    choices, sel = operands
+def mux_select(choices, sel):
+    """The mux choice at ``sel``, clamped to the last; X is an error."""
     if isinstance(sel, LogicVec):
         if not sel.is_two_valued:
             raise SimulationError("mux selector is unknown (X)")
         sel = sel.to_int()
     return choices[min(sel, len(choices) - 1)]
+
+
+def _eval_mux(inst, operands):
+    return mux_select(*operands)
 
 
 #: Per-opcode evaluator functions ``fn(inst, operands) -> value``.

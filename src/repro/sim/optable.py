@@ -1,0 +1,246 @@
+"""The compiled engines' opcode table: one emitted form per value class.
+
+Every pure op the blaze code generator emits — and, through
+:func:`repro.sim.compiled.build_template`, every levelized cell — comes
+from :data:`TABLE`, keyed by ``(opcode, value class)``.  The value class
+names the runtime representation of the operands: ``iN`` (a masked
+``int``, as are ``nN`` enum values), ``lN`` (a plane-packed
+:class:`~repro.ir.LogicVec`) or ``agg``
+(any other value, compared with plain ``==``).  A key whose operands
+differ in class joins the per-operand classes: ``"lN,iN"`` shifts an
+``lN`` value by an ``iN`` amount, ``"agg,lN"`` is a mux over an ``lN``
+selector.
+
+Each opcode's two-valued semantics is written *once*, as an expression
+over the operands' integer values (:data:`_TWO_VALUED`).  That
+expression is the ``iN`` form, inlined at the use site.  For a class
+with an ``lN`` operand the same expression becomes the fast path of a
+generated module-level helper (``_add_ll``, ``_shl_li``, ...): guarded
+on the ``lN`` operands' ``_unk`` planes, it computes on their ``_val``
+planes and builds the result with ``LogicVec._make(w, ..., 0, 0, 0)``.
+When the guard fails the helper returns what :mod:`repro.sim.eval`
+computes — its fallback is the call ``eval.py`` makes for the same op —
+so unknown-value semantics live in one place and ``eval.py`` stays the
+executable spec.  Ops that keep drive strength (``zext``, ``sext``,
+``trunc``, ``exts``) also guard on the ``_weak`` plane, so ``L``/``H``
+bits take the exact fallback.
+
+Emitted forms use only literals and the names in :data:`GLOBALS`, which
+is what lets a levelized cone be cached on disk and reloaded.
+:data:`DIGEST` fingerprints the whole table (emitted forms and helper
+sources); the cone cache salts its keys with it.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import string
+
+from ..ir.ninevalued import LogicVec
+from .eval import (
+    _int_binary, _logic_binary, int_shift, logic_compare, logic_level,
+    logic_neg, logic_shift, mux_select,
+)
+from .values import SimulationError, mask
+
+_DIVISION = ("udiv", "sdiv", "umod", "smod", "urem", "srem")
+_COMPARES = ("eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle",
+             "sge")
+
+#: Two-valued semantics over integer operand values ``{a}``/``{b}``.
+#: Width constants: ``{w}`` result width, ``{m}`` its mask, ``{s}`` the
+#: first operand's sign bit, ``{pad}`` the bits ``sext`` adds, ``{off}``
+#: the ``exts`` offset, ``{n}``/``{last}`` a mux's choice count and
+#: last index.  Edge tests read ``{a}`` as the trigger now and ``{b}``
+#: as its previous value.
+_TWO_VALUED = {
+    "add": "({a} + {b}) & {m}",
+    "sub": "({a} - {b}) & {m}",
+    "mul": "({a} * {b}) & {m}",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "not": "~{a} & {m}",
+    "neg": "-{a} & {m}",
+    "eq": "1 if {a} == {b} else 0",
+    "neq": "1 if {a} != {b} else 0",
+    "ult": "1 if {a} < {b} else 0",
+    "ugt": "1 if {a} > {b} else 0",
+    "ule": "1 if {a} <= {b} else 0",
+    "uge": "1 if {a} >= {b} else 0",
+    # Flipping the sign bit maps two's-complement order onto unsigned.
+    "slt": "1 if {a} ^ {s} < {b} ^ {s} else 0",
+    "sgt": "1 if {a} ^ {s} > {b} ^ {s} else 0",
+    "sle": "1 if {a} ^ {s} <= {b} ^ {s} else 0",
+    "sge": "1 if {a} ^ {s} >= {b} ^ {s} else 0",
+    # An amount >= the width shifts every bit out; testing it first
+    # never builds the 2**amount-bit intermediate.
+    "shl": "({a} << {b}) & {m} if {b} < {w} else 0",
+    "shr": "{a} >> {b}",
+    "zext": "{a}",
+    "sext": "{a} | {pad} if {a} & {s} else {a}",
+    "trunc": "{a} & {m}",
+    "exts": "({a} >> {off}) & {m}",
+    "mux": "{a}[{b} if {b} < {n} else {last}]",
+    "rise": "{b} == 0 and {a} == 1",
+    "fall": "{b} == 1 and {a} == 0",
+    "high": "{a} == 1",
+    "low": "{a} == 0",
+}
+for _op in _DIVISION:
+    _TWO_VALUED[_op] = f"_ibin({_op!r}, {{a}}, {{b}}, {{w}})"
+
+#: opcode -> {value class with an lN operand: fallback}.  Each fallback
+#: is the call eval.py makes for the op (or the LogicVec method it calls).
+_FALLBACK = {
+    "not": {"lN": "{a}.not_()"},
+    "neg": {"lN": "_lneg({a})"},
+    "zext": {"lN": "{a}.zext({w})"},
+    "sext": {"lN": "{a}.sext({w})"},
+    "trunc": {"lN": "{a}.trunc({w})"},
+    "exts": {"lN": "{a}.slice_({off}, {w})"},
+    "mux": {"agg,lN": "_mux({a}, {b})"},
+    "rise": {"lN": "_lvl({a}) == 1 and _lvl({b}) in (0, -1)"},
+    "fall": {"lN": "_lvl({a}) == 0 and _lvl({b}) in (1, -1)"},
+    "high": {"lN": "_lvl({a}) == 1"},
+    "low": {"lN": "_lvl({a}) == 0"},
+}
+for _op in ("add", "sub", "mul", "and", "or", "xor") + _DIVISION:
+    _FALLBACK[_op] = {"lN": f"_lbin({_op!r}, {{a}}, {{b}})"}
+for _op in _COMPARES:
+    _FALLBACK[_op] = {"lN": f"_lcmp({_op!r}, {{a}}, {{b}})"}
+for _op in ("shl", "shr"):
+    _FALLBACK[_op] = {
+        "lN": f"_lshift({_op!r}, {{a}}, {{b}})",
+        "lN,iN": f"_lshift({_op!r}, {{a}}, {{b}})",
+        "iN,lN": f"_ishift({_op!r}, {{a}}, {{b}}, {{w}})",
+    }
+del _op
+
+#: Ops whose result keeps each bit's drive strength (an L stays L).
+_KEEPS_STRENGTH = frozenset({"zext", "sext", "trunc", "exts"})
+#: Ops whose result is an i1 flag, a chosen element or a bool, never a
+#: vector of the first operand's class.
+_RAW_RESULT = frozenset(_COMPARES + ("mux", "rise", "fall", "high", "low"))
+
+_LETTER = {"iN": "i", "lN": "l", "agg": "a"}
+
+
+def _fields(template):
+    return [f for _, f, _, _ in string.Formatter().parse(template) if f]
+
+
+def _helper(op, cls):
+    """Name, source and call form of the guarded helper for (op, cls)."""
+    fast = _TWO_VALUED[op]
+    fallback = _FALLBACK[op][cls]
+    classes = cls.split(",")
+    if len(classes) == 1 and "{b}" in fast:
+        classes *= 2
+    names = ["a", "b"][:len(classes)]
+    wrap = op not in _RAW_RESULT and classes[0] == "lN"
+    params = list(names)
+    for field in _fields(fast) + _fields(fallback) + (["w"] if wrap else []):
+        if field not in params:
+            params.append(field)
+    same = {p: p for p in params}
+    guard = " | ".join(
+        f"{x}._unk | {x}._weak" if op in _KEEPS_STRENGTH else f"{x}._unk"
+        for x, c in zip(names, classes) if c == "lN")
+    body = fast.format(**{**same, **{
+        x: f"{x}._val" for x, c in zip(names, classes) if c == "lN"}})
+    if wrap:
+        body = f"_mk(w, ({body}), 0, 0, 0)"
+    name = f"_{op}_{''.join(_LETTER[c] for c in classes)}"
+    source = (f"def {name}({', '.join(params)}):\n"
+              f"    if {guard}:\n"
+              f"        return {fallback.format(**same)}\n"
+              f"    return {body}\n")
+    call = f"{name}({', '.join('{' + p + '}' for p in params)})"
+    return name, source, call
+
+
+def _build():
+    table, sources = {}, {}
+    for op, fast in _TWO_VALUED.items():
+        table[op, "agg,iN" if op == "mux" else "iN"] = fast
+        for cls in _FALLBACK[op]:
+            name, sources[name], table[op, cls] = _helper(op, cls)
+    # Aggregates (and times) only compare for equality.
+    table["eq", "agg"] = _TWO_VALUED["eq"]
+    table["neq", "agg"] = _TWO_VALUED["neq"]
+    # A 'both' edge fires on any change of the exact value (X -> 0
+    # counts), so it is plain inequality in every class.
+    table["both", "iN"] = table["both", "lN"] = "{b} != {a}"
+    return table, sources
+
+
+#: (opcode, value class) -> emitted form: a ``str.format`` template over
+#: operand expressions ``{a}``/``{b}`` and the width constants.
+TABLE, _SOURCES = _build()
+
+#: Every name an emitted form may reference: the generated helpers and
+#: the runtime function the inline division forms call.
+GLOBALS = {"_ibin": _int_binary}
+_namespace = {
+    "_mk": LogicVec._make, "_ibin": _int_binary, "_lbin": _logic_binary,
+    "_lcmp": logic_compare, "_lneg": logic_neg, "_lshift": logic_shift,
+    "_ishift": int_shift, "_lvl": logic_level, "_mux": mux_select,
+}
+for _name, _source in sorted(_SOURCES.items()):
+    exec(compile(_source, f"<optable:{_name}>", "exec"), _namespace)
+    GLOBALS[_name] = _namespace[_name]
+del _name, _source
+
+#: sha256 over every emitted form and helper source, computed at import.
+DIGEST = hashlib.sha256(
+    repr((sorted(TABLE.items()), sorted(_SOURCES.items()))).encode()
+).hexdigest()
+
+
+def signature(types):
+    """The table's value-class key for a sequence of operand types."""
+    classes = ["iN" if t.is_int or t.is_enum else
+               "lN" if t.is_logic else "agg" for t in types]
+    if len(set(classes)) == 1:
+        return classes[0]
+    return ",".join(classes)
+
+
+#: Width constants from (result type, operand types, exts offset).
+_CONSTANTS = {
+    "w": lambda result, types, offset: str(result.width),
+    "m": lambda result, types, offset: hex(mask(result.width)),
+    "s": lambda result, types, offset: hex(1 << (types[0].width - 1)),
+    "pad": lambda result, types, offset: hex(mask(result.width)
+                                             ^ mask(types[0].width)),
+    "off": lambda result, types, offset: str(offset),
+    "n": lambda result, types, offset: str(types[0].length),
+    "last": lambda result, types, offset: str(types[0].length - 1),
+}
+
+
+@functools.lru_cache(maxsize=4096)
+def _form(op, types, result, offset):
+    cls = signature(types)
+    template = TABLE.get((op, cls))
+    if template is None:
+        raise SimulationError(f"blaze: cannot compile {op} on {cls} values")
+    # Constants filled in; the operands become positional fields.
+    fields = {"a": "{0}", "b": "{1}"}
+    for field in _fields(template):
+        if field in _CONSTANTS:
+            fields[field] = _CONSTANTS[field](result, types, offset)
+    return template.format(**fields)
+
+
+def emit(op, operands, types, result=None, offset=None):
+    """The source expression for ``op`` over operand expressions.
+
+    ``types`` are the operand types, which pick the entry; the result
+    type and an ``exts`` offset supply its width constants.  The edge
+    tests (``rise``, ``fall``, ``high``, ``low``, ``both``) pass the
+    trigger's current and previous value and the trigger type only.
+    """
+    return _form(op, tuple(types), result, offset).format(*operands)

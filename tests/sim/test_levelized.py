@@ -8,11 +8,13 @@ event-driven fallbacks, the multi-driver diagnosis, and the on-disk
 compile cache (cold/warm/corrupted/stale).
 """
 
+import re
+
 import pytest
 
 from repro.ir import parse_module
-from repro.sim import SimulationError, simulate
-from repro.sim.compiled import ENGINE_VERSION, cone_cache_key
+from repro.sim import SimulationError, compiled, simulate
+from repro.sim.compiled import CODEGEN, cone_cache_key
 from repro.sim.levelize import elaborate_levelized
 
 # A transparent-high latch cell: the storage cell techmap emits for a
@@ -367,15 +369,35 @@ def test_corrupted_cache_entry_recompiles(tmp_path):
     assert "not (((valid" not in entry.read_text()
 
 
-def test_stale_engine_version_recompiles(tmp_path):
+def test_stale_codegen_recompiles(tmp_path):
     _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
     entry = _cache_file(_TOGGLE, tmp_path)
     stale = entry.read_text().replace(
-        f"ENGINE_VERSION = {ENGINE_VERSION}", "ENGINE_VERSION = 0")
+        f"CODEGEN = {CODEGEN!r}", f"CODEGEN = {'0' * 64!r}")
+    assert stale != entry.read_text()
     entry.write_text(stale)
     res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
     assert res.stats["cache_errors"] == 1
     assert res.stats["cache_misses"] == 1
+
+
+def test_cone_from_an_older_table_is_never_loaded(tmp_path, monkeypatch):
+    # The salt is the opcode table's digest, so a cone cached by another
+    # table sits under another key -- even one naming a helper the
+    # current table no longer defines, which would raise NameError
+    # mid-simulation if it were loaded.
+    old_table = "0" * 64
+    monkeypatch.setattr(compiled, "CODEGEN", old_table)
+    _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
+    old_entry = _cache_file(_TOGGLE, tmp_path)
+    old_entry.write_text(re.sub(
+        r"t = (.*)", r"t = _removed_helper(\1)", old_entry.read_text()))
+    monkeypatch.setattr(compiled, "CODEGEN", CODEGEN)
+    assert _cache_file(_TOGGLE, tmp_path) != old_entry
+    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
+    assert res.stats["cache_hits"] == 0
+    assert res.stats["cache_misses"] == 1
+    assert res.stats["cache_errors"] == 0
 
 
 def test_analysis_mode_skips_codegen(tmp_path):

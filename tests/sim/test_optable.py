@@ -1,0 +1,276 @@
+"""Every opcode-table entry against the executable spec, ``eval.evaluate``.
+
+Each (opcode, value class) entry of :data:`repro.sim.optable.TABLE` is
+compiled twice per width -- as a blaze process (probe the operands,
+apply the op, drive the result) and as a levelized cell template spliced
+into a settle function -- and both must return exactly what
+``evaluate`` returns, or raise the same error, on random operands over
+all nine states: forcing two-valued, two-valued with ``L``/``H`` bits
+(``unk == 0`` but ``weak != 0``), one unknown bit, and anything.
+"""
+
+import random
+
+import pytest
+
+from repro.ir.builder import Builder
+from repro.ir.instructions import Instruction
+from repro.ir.ninevalued import VALUES, LogicVec
+from repro.ir.types import (
+    array_type, enum_type, int_type, logic_type, signal_type,
+)
+from repro.ir.units import Entity, Process
+from repro.sim import optable
+from repro.sim.blaze import _BASE_GLOBALS, ProcessCompiler
+from repro.sim.compiled import _emit_settle, build_template
+from repro.sim.eval import evaluate, int_shift, logic_level, logic_shift
+from repro.sim.values import SimulationError, mask, pack_array
+
+WIDTHS = (1, 8, 64, 65, 130)
+EDGES = ("rise", "fall", "high", "low", "both")
+_BINARY = ("add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
+           "srem", "and", "or", "xor")
+_COMPARES = ("eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle",
+             "sge")
+_UNKNOWN = "UXZW-"
+
+
+def _ty(cls, width):
+    return logic_type(width) if cls == "lN" else int_type(width)
+
+
+def _cases(width):
+    """(opcode, result type, operand types, attrs) covering every entry."""
+    for cls in ("iN", "lN"):
+        t = _ty(cls, width)
+        for op in _BINARY:
+            yield op, t, (t, t), None
+        for op in _COMPARES:
+            yield op, int_type(1), (t, t), None
+        for op in ("not", "neg"):
+            yield op, t, (t,), None
+        for op in ("zext", "sext"):
+            yield op, _ty(cls, width + 9), (t,), None
+        yield "trunc", _ty(cls, max(1, width - 5)), (t,), None
+        for off in sorted({0, width // 3}):
+            length = max(1, width - off - 1)
+            yield "exts", _ty(cls, length), (t,), \
+                {"offset": off, "length": length}
+        yield "mux", t, (array_type(3, t), _ty(cls, 2)), None
+        # Amounts are at least 8 bits wide so w and > w fit at w = 1.
+        for amount in ("iN", "lN"):
+            for op in ("shl", "shr"):
+                yield op, t, (t, _ty(amount, max(width, 8))), None
+    agg = array_type(2, int_type(width))
+    for op in ("eq", "neq"):
+        yield op, int_type(1), (agg, agg), None
+        # nN enum values are plain ints and share the iN entries.
+        yield op, int_type(1), (enum_type(5), enum_type(5)), None
+    yield "mux", int_type(width), (array_type(3, int_type(width)),
+                                   enum_type(5)), None
+
+
+def _case_id(case):
+    op, _, types, attrs = case
+    key = f"{op}-{optable.signature(types)}"
+    if attrs:
+        key += f"-{attrs['offset']}"
+    return key
+
+
+# -- operand values -------------------------------------------------------------
+
+
+def _logic(rng, width, kind):
+    if kind == "forcing":
+        bits = [rng.choice("01") for _ in range(width)]
+    elif kind == "weak":
+        bits = [rng.choice("01LH") for _ in range(width)]
+        bits[rng.randrange(width)] = rng.choice("LH")
+    elif kind == "one_unknown":
+        bits = [rng.choice("01") for _ in range(width)]
+        bits[rng.randrange(width)] = rng.choice(_UNKNOWN)
+    else:
+        bits = [rng.choice(VALUES) for _ in range(width)]
+    return LogicVec("".join(bits))
+
+
+def _int(rng, width):
+    return rng.choice([0, 1, mask(width), 1 << (width - 1),
+                       rng.getrandbits(width), rng.getrandbits(width)])
+
+
+def _value(rng, ty, kind):
+    if ty.is_int:
+        return _int(rng, ty.width)
+    if ty.is_enum:
+        return rng.randrange(ty.states)
+    if ty.is_logic:
+        return _logic(rng, ty.width, kind)
+    elements = tuple(_value(rng, ty.element, kind) for _ in range(ty.length))
+    return pack_array(elements)
+
+
+def _amounts(ty, width):
+    """Shift amounts 0, w-1, w, >= w (2**40 where it fits) and X."""
+    top = 1 << 40 if ty.width > 40 else mask(ty.width)
+    amounts = [0, width - 1, width, top]
+    if ty.is_logic:
+        return [LogicVec.from_int(a, ty.width) for a in amounts] + \
+            [LogicVec.filled("X", ty.width)]
+    return amounts
+
+
+def _operand_sets(case, width):
+    op, _, types, _ = case
+    rng = random.Random(f"{_case_id(case)}/{width}")
+    kinds = ("forcing", "weak", "one_unknown", "any")
+    sets = [tuple(_value(rng, t, kind) for t in types)
+            for kind in kinds for _ in range(8)]
+    if op in ("shl", "shr"):
+        sets += [(_value(rng, types[0], kind), amount)
+                 for amount in _amounts(types[1], width)
+                 for kind in kinds]
+    if op == "mux":
+        sel = types[1]
+        picks = [LogicVec.from_int(i, 2) if sel.is_logic else i
+                 for i in range(4)]
+        sets += [(_value(rng, types[0], "weak"), p) for p in picks]
+    return sets
+
+
+# -- the two compiled forms ------------------------------------------------------
+
+
+def _body(unit, block, case):
+    op, result, _, attrs = case
+    b = Builder.at_end(block)
+    probes = tuple(b.prb(arg) for arg in unit.inputs)
+    inst = b.insert(Instruction(op, result, probes, attrs))
+    b.drv(unit.outputs[0], inst, b.const_time("0s"))
+    return b, inst
+
+
+def _unit_args(case):
+    _, result, types, _ = case
+    return ([signal_type(t) for t in types], ["a", "b"][:len(types)],
+            [signal_type(result)], ["y"])
+
+
+def blaze_process(case):
+    """Run the op as a compiled blaze process; returns (fn, inst)."""
+    proc = Process("p", *_unit_args(case))
+    b, inst = _body(proc, proc.create_block("entry"), case)
+    b.halt()
+    unit = ProcessCompiler(proc).compile_process()
+    # Bind each input to its index; the probe hook reads the operand.
+    bindings = [None] * len(unit.slots)
+    for k, arg in enumerate(proc.args):
+        bindings[unit.slots[id(arg)]] = k
+
+    def run(values):
+        driven = []
+        gen = unit.fn(tuple(bindings), values.__getitem__,
+                      lambda sig, value, delay: driven.append(value),
+                      None, None)
+        with pytest.raises(StopIteration):
+            next(gen)
+        return driven[0]
+    return run, inst
+
+
+def levelized_cell(case):
+    """Run the op as a levelized cell template in a settle function."""
+    cell = Entity("cell", *_unit_args(case))
+    _body(cell, cell.body, case)
+    template = build_template(cell)
+    n = template.n_inputs
+    buf = []
+    _emit_settle(buf, "settle", [(template, list(range(n)), n)])
+    namespace = dict(_BASE_GLOBALS)
+    exec("\n".join(buf), namespace)
+
+    def run(values):
+        slots = list(values) + [object()]
+        namespace["settle"](slots)
+        return slots[n]
+    return run
+
+
+def _outcome(fn, values):
+    try:
+        result = fn(values)
+    except SimulationError as exc:
+        return ("raises", str(exc))
+    return (type(result).__name__, result)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_every_entry_matches_eval(width):
+    seen = set()
+    for case in _cases(width):
+        key = (case[0], optable.signature(case[2]))
+        assert key in optable.TABLE
+        seen.add(key)
+        process, inst = blaze_process(case)
+        cell = levelized_cell(case)
+        for values in _operand_sets(case, width):
+            want = _outcome(lambda v: evaluate(inst, list(v)), values)
+            assert _outcome(process, values) == want, (case, values)
+            assert _outcome(cell, values) == want, (case, values)
+    edges = {(op, cls) for op in EDGES for cls in ("iN", "lN")}
+    assert seen | edges == set(optable.TABLE)
+
+
+def _reference_edge(mode, cur, prev):
+    """The interpreter's reg trigger rule (plan._reg_step)."""
+    if mode == "both":
+        return prev != cur
+    now, before = logic_level(cur), logic_level(prev)
+    if mode == "rise":
+        return now == 1 and before in (0, -1)
+    if mode == "fall":
+        return now == 0 and before in (1, -1)
+    return now == (1 if mode == "high" else 0)
+
+
+@pytest.mark.parametrize("mode", EDGES)
+def test_edge_entries_match_the_interpreter_rule(mode):
+    rng = random.Random(mode)
+    samples = [LogicVec(c) for c in VALUES]
+    samples += [_logic(rng, 3, kind) for kind in ("forcing", "weak", "any")
+                for _ in range(6)]
+    for cls, values in (("lN", samples), ("iN", [0, 1, 2, 5])):
+        test = compile(optable.emit(mode, ["cur", "prev"], [_ty(cls, 1)]),
+                       mode, "eval")
+        for cur in values:
+            for prev in values:
+                if cls == "lN" and cur.width != prev.width:
+                    continue
+                got = eval(test, dict(_BASE_GLOBALS),
+                           {"cur": cur, "prev": prev})
+                assert bool(got) == _reference_edge(mode, cur, prev), \
+                    (mode, cur, prev)
+
+
+def test_shift_by_2_pow_40_builds_no_huge_intermediate():
+    assert int_shift("shl", 5, 1 << 40, 64) == 0
+    assert int_shift("shr", 5, 1 << 40, 64) == 0
+    value = LogicVec.from_int(5, 64)
+    amount = LogicVec.from_int(1 << 40, 64)
+    assert logic_shift("shl", value, amount) == LogicVec.from_int(0, 64)
+    for cls in ("iN", "lN"):
+        t = _ty(cls, 64)
+        case = ("shl", t, (t, t), None)
+        process, inst = blaze_process(case)
+        operands = [5, 1 << 40] if cls == "iN" else [value, amount]
+        zero = 0 if cls == "iN" else LogicVec.from_int(0, 64)
+        assert evaluate(inst, operands) == zero
+        assert process(operands) == zero
+        assert levelized_cell(case)(operands) == zero
+
+
+def test_unknown_entries_are_reported():
+    agg = array_type(2, int_type(8))
+    with pytest.raises(SimulationError, match="cannot compile ult on agg"):
+        optable.emit("ult", ["a", "b"], [agg, agg])
