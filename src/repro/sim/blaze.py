@@ -44,6 +44,7 @@ from .lanes import (
 )
 from .optable import GLOBALS as _TABLE_GLOBALS
 from .optable import emit as _emit_op
+from .plan import fused_mux_arrays, promotable_cells
 from .values import (
     SimulationError, default_value, extract_path, insert_path, lane_widen,
     mask, pack_array,
@@ -195,40 +196,7 @@ class UnitCompiler:
         # Mux/array fusion folds the selector into Python control flow;
         # in lane mode selection is per-lane *data*, so keep the array
         # and let the evaluator handle it value-wise.
-        self._elided = set() if lanes > 1 else self._elidable_mux_arrays()
-
-    def _all_instructions(self):
-        unit = self.unit
-        if unit.is_entity:
-            return list(unit.body)
-        return [inst for block in unit.blocks
-                for inst in block.instructions]
-
-    def _elidable_mux_arrays(self):
-        """2-element ``array`` insts consumed by exactly one i1 ``mux``.
-
-        ``c ? a : b`` lowers to ``mux [b, a], c``; when the pair is
-        private, the tuple build is fused into a Python conditional
-        expression (the instcombine LLVM would do for Blaze).
-        """
-        instructions = self._all_instructions()
-        uses = {}
-        for inst in instructions:
-            for operand in inst.operands:
-                key = id(operand)
-                uses[key] = uses.get(key, 0) + 1
-        elided = set()
-        for inst in instructions:
-            if inst.opcode != "mux":
-                continue
-            arr, sel = inst.operands
-            if (getattr(arr, "opcode", None) == "array"
-                    and not arr.attrs.get("splat")
-                    and len(arr.operands) == 2
-                    and sel.type.is_int and sel.type.width == 1
-                    and uses.get(id(arr)) == 1):
-                elided.add(id(arr))
-        return elided
+        self._elided = set() if lanes > 1 else fused_mux_arrays(unit)
 
     # -- naming ------------------------------------------------------------
 
@@ -484,33 +452,16 @@ class UnitCompiler:
 class ProcessCompiler(UnitCompiler):
     """Compile a process (or function) body into a Python function.
 
-    ``var``/``alloc`` cells whose pointer never escapes (only ever the
-    pointer operand of ``ld``/``st``/``free``) are promoted to plain
+    ``var``/``alloc`` cells whose pointer never escapes
+    (:func:`~repro.sim.plan.promotable_cells`) are promoted to plain
     Python locals — the mem2reg optimization LLVM would perform for the
     paper's Blaze.
     """
 
-    def _find_promotable_cells(self):
-        cells = set()
-        for block in self.unit.blocks:
-            for inst in block.instructions:
-                if inst.opcode in ("var", "alloc"):
-                    cells.add(id(inst))
-        if not cells:
-            return cells
-        for block in self.unit.blocks:
-            for inst in block.instructions:
-                op = inst.opcode
-                for pos, operand in enumerate(inst.operands):
-                    if id(operand) in cells and op != "free" and \
-                            not (pos == 0 and op in ("ld", "st")):
-                        cells.discard(id(operand))
-        return cells
-
     def compile_process(self):
         unit = self.unit
         code = self.code
-        self._promoted = self._find_promotable_cells()
+        self._promoted = promotable_cells(unit)
         block_index = {id(b): i for i, b in enumerate(unit.blocks)}
         code.line("def __process__(B, probe, drive, call, intrinsic):")
         code.indent += 1
@@ -534,7 +485,7 @@ class ProcessCompiler(UnitCompiler):
     def compile_function(self):
         unit = self.unit
         code = self.code
-        self._promoted = self._find_promotable_cells()
+        self._promoted = promotable_cells(unit)
         block_index = {id(b): i for i, b in enumerate(unit.blocks)}
         code.line("def __function__(B, call, intrinsic):")
         code.indent += 1

@@ -1,14 +1,18 @@
 """LLHD-Sim: the reference interpreter.
 
-Deliberately the *simplest possible* simulator of the LLHD instruction set
-(paper, section 6.1): units are executed by walking their instructions.
-Since PR 2 the walk is *predecoded*: each unit is lowered once into a plan
-of per-instruction step closures (:mod:`repro.sim.plan`), so the hot loop
-no longer re-matches opcode strings or rebuilds operand lists — but values
-still flow through an interpreted environment, instruction by instruction.
-The compiled simulator (:mod:`repro.sim.blaze`) shares this module's
-elaboration and the kernel, and replaces the instruction walk with
-generated Python code.
+The simplest simulator of the LLHD instruction set (paper, section 6.1):
+units are executed by walking their instructions, and values flow
+through an environment dict, one instruction at a time.  The walk is
+*predecoded*: each unit is lowered once into a plan of per-instruction
+step closures (:mod:`repro.sim.plan`).  Each pure op's step is built
+from its entry in the opcode table the compiled engines emit from
+(:mod:`repro.sim.optable`), so interp and blaze share one definition of
+every op, and :mod:`repro.sim.eval` stays the spec both are tested
+against (and what the elaboration walk below evaluates with).  A
+process or function's constants are seeded into its environment once
+instead of running as steps.  The compiled simulator
+(:mod:`repro.sim.blaze`) shares this module's elaboration and the
+kernel, and replaces the instruction walk with generated Python code.
 
 Elaboration instantiates the design hierarchy: every ``sig`` becomes a
 :class:`~repro.sim.engine.SignalInstance`, every ``inst`` recursively
@@ -76,9 +80,9 @@ class Design:
         self.activities = []
         self.signal_by_name = {}
         self._order = 0
-        self._proc_plans = {}     # id(unit) -> entry BlockPlan
+        self._proc_plans = {}     # id(unit) -> (entry, constants)
         self._entity_plans = {}   # id(unit) -> tuple of steps
-        self._func_plans = {}     # (id(unit), lanes) -> entry BlockPlan
+        self._func_plans = {}     # (id(unit), lanes) -> (entry, constants)
 
     def next_order(self):
         self._order += 1
@@ -94,7 +98,8 @@ class Design:
         return self.signal_by_name[name]
 
     def proc_plan(self, unit):
-        """The predecoded plan for a process unit (built once per unit).
+        """The predecoded plan for a process unit (built once per unit):
+        ``(entry BlockPlan, hoisted constants)``.
 
         Replicated-mode processes run per lane on lane-projected ports,
         so they use the ordinary *scalar* plan; only vectorized mode
@@ -116,7 +121,7 @@ class Design:
         return plan
 
     def function_plan(self, unit, lanes=1):
-        """The predecoded plan for a function unit.
+        """The predecoded plan for a function unit, as :meth:`proc_plan`.
 
         In replicated mode both variants coexist: process replicas call
         the scalar plan, vectorized entities the lane-widened one.
@@ -201,11 +206,11 @@ class _FunctionInterpreter:
         func = design.module.get(name)
         if func is None or isinstance(func, UnitDecl):
             raise SimulationError(f"call to undefined function @{name}")
-        env = {}
+        bp, consts = design.function_plan(func, lanes)
+        env = dict(consts)
         for arg, value in zip(func.args, args):
             env[id(arg)] = value
         frame = _FunctionFrame(self, f"@{name}", design)
-        bp = design.function_plan(func, lanes)
         budget = self.MAX_STEPS
         executed = 0
         while bp is not None:
@@ -329,9 +334,10 @@ class ProcessInstance:
 
     def _execute(self, kernel):
         bp = self._bp
-        if bp is None:
-            bp = self._bp = self.design.proc_plan(self.unit)
         env = self.env
+        if bp is None:
+            bp, consts = self.design.proc_plan(self.unit)
+            env.update(consts)
         while bp is not None:
             for step in bp.steps:
                 step(env, self)

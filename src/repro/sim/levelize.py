@@ -48,7 +48,7 @@ from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .blaze import BlazeDesign, BlazeEntityInstance
 from .engine import Kernel, SignalInstance, SignalRef
-from .eval import logic_level
+from .optable import edge
 from .plan import _dynamic_index
 from .values import SimulationError, default_value, insert_path
 
@@ -76,7 +76,7 @@ class _SeqCell:
 
     def __init__(self, index, triggers, prev, path_proto, root_slot, obs):
         self.index = index
-        self.triggers = triggers  # (mode, data, trig, cond, delay, logic)
+        self.triggers = triggers  # (edge test, data, trig, cond, delay)
         self.prev = prev
         self.path_proto = path_proto
         self.root_slot = root_slot
@@ -86,38 +86,12 @@ class _SeqCell:
         """Returns ``(path, data, delay)`` for a fire, else None."""
         prev_list = self.prev
         fire = None
-        for i, (mode, data_slot, trig_slot, cond_slot, delay,
-                is_logic) in enumerate(self.triggers):
+        for i, (fires, data_slot, trig_slot, cond_slot,
+                delay) in enumerate(self.triggers):
             cur = V[trig_slot]
             prev = prev_list[i]
             prev_list[i] = cur
-            if fire is not None:
-                continue
-            if is_logic:
-                if mode == "rise":
-                    hit = logic_level(cur) == 1 and \
-                        logic_level(prev) in (0, -1)
-                elif mode == "fall":
-                    hit = logic_level(cur) == 0 and \
-                        logic_level(prev) in (1, -1)
-                elif mode == "both":
-                    hit = prev != cur
-                elif mode == "high":
-                    hit = logic_level(cur) == 1
-                else:
-                    hit = logic_level(cur) == 0
-            else:
-                if mode == "rise":
-                    hit = prev == 0 and cur == 1
-                elif mode == "fall":
-                    hit = prev == 1 and cur == 0
-                elif mode == "both":
-                    hit = prev != cur
-                elif mode == "high":
-                    hit = cur == 1
-                else:
-                    hit = cur == 0
-            if not hit:
+            if fire is not None or not fires(cur, prev):
                 continue
             if cond_slot is not None and not V[cond_slot]:
                 continue
@@ -215,9 +189,9 @@ def _build_plan(design):
                 f"levelized: net {slot_sigs[root_slot].name} is driven by "
                 f"both a combinational cell and a storage cell")
         triggers = tuple(
-            (mode, port_slots[data], port_slots[trig],
-             None if cond is None else port_slots[cond], delay,
-             unit.args[trig].type.element.is_logic)
+            (edge(mode, unit.args[trig].type.element), port_slots[data],
+             port_slots[trig], None if cond is None else port_slots[cond],
+             delay)
             for mode, data, trig, cond, delay in form.triggers)
         prev = [slot_sigs[t[2]].value for t in triggers]
         proto = _path_proto(unit.outputs[0].type.element, form.steps,

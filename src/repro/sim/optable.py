@@ -1,8 +1,11 @@
-"""The compiled engines' opcode table: one emitted form per value class.
+"""The engines' opcode table: one emitted form per value class.
 
 Every pure op the blaze code generator emits — and, through
 :func:`repro.sim.compiled.build_template`, every levelized cell — comes
-from :data:`TABLE`, keyed by ``(opcode, value class)``.  The value class
+from :data:`TABLE`, keyed by ``(opcode, value class)``; the interpreter
+compiles its steps from the same entries (:func:`entry` hands it the
+width constants as ints), and its ``reg`` edge tests are :func:`edge`
+predicates compiled from the edge entries.  The value class
 names the runtime representation of the operands: ``iN`` (a masked
 ``int``, as are ``nN`` enum values), ``lN`` (a plane-packed
 :class:`~repro.ir.LogicVec`) or ``agg``
@@ -210,29 +213,45 @@ def signature(types):
 
 #: Width constants from (result type, operand types, exts offset).
 _CONSTANTS = {
-    "w": lambda result, types, offset: str(result.width),
-    "m": lambda result, types, offset: hex(mask(result.width)),
-    "s": lambda result, types, offset: hex(1 << (types[0].width - 1)),
-    "pad": lambda result, types, offset: hex(mask(result.width)
-                                             ^ mask(types[0].width)),
-    "off": lambda result, types, offset: str(offset),
-    "n": lambda result, types, offset: str(types[0].length),
-    "last": lambda result, types, offset: str(types[0].length - 1),
+    "w": lambda result, types, offset: result.width,
+    "m": lambda result, types, offset: mask(result.width),
+    "s": lambda result, types, offset: 1 << (types[0].width - 1),
+    "pad": lambda result, types, offset: (mask(result.width)
+                                          ^ mask(types[0].width)),
+    "off": lambda result, types, offset: offset,
+    "n": lambda result, types, offset: types[0].length,
+    "last": lambda result, types, offset: types[0].length - 1,
 }
+#: Constants emitted as hex literals (bit masks); the rest print decimal.
+_HEX = frozenset({"m", "s", "pad"})
+
+
+def entry(op, types, result=None, offset=None):
+    """The table key for ``op`` over operand ``types`` and its constants.
+
+    Returns ``((op, value class), {name: int})`` with the width constants
+    the entry's form uses, or None when the table has no entry.
+    """
+    key = (op, signature(types))
+    template = TABLE.get(key)
+    if template is None:
+        return None
+    return key, {field: _CONSTANTS[field](result, types, offset)
+                 for field in _fields(template) if field in _CONSTANTS}
 
 
 @functools.lru_cache(maxsize=4096)
 def _form(op, types, result, offset):
-    cls = signature(types)
-    template = TABLE.get((op, cls))
-    if template is None:
-        raise SimulationError(f"blaze: cannot compile {op} on {cls} values")
+    found = entry(op, types, result, offset)
+    if found is None:
+        raise SimulationError(
+            f"optable: cannot compile {op} on {signature(types)} values")
+    key, constants = found
     # Constants filled in; the operands become positional fields.
     fields = {"a": "{0}", "b": "{1}"}
-    for field in _fields(template):
-        if field in _CONSTANTS:
-            fields[field] = _CONSTANTS[field](result, types, offset)
-    return template.format(**fields)
+    for field, value in constants.items():
+        fields[field] = hex(value) if field in _HEX else str(value)
+    return TABLE[key].format(**fields)
 
 
 def emit(op, operands, types, result=None, offset=None):
@@ -244,3 +263,15 @@ def emit(op, operands, types, result=None, offset=None):
     trigger's current and previous value and the trigger type only.
     """
     return _form(op, tuple(types), result, offset).format(*operands)
+
+
+@functools.lru_cache(maxsize=None)
+def edge(mode, ty):
+    """The ``reg`` trigger test for ``mode`` on a ``ty`` trigger.
+
+    Compiled once per (mode, trigger type) from the same edge entry
+    blaze inlines: ``test(now, previous)`` is true when the trigger fires.
+    """
+    form = emit(mode, ["now", "prev"], [ty])
+    return eval(compile(f"lambda now, prev: {form}", f"<optable:{mode}>",
+                        "eval"), dict(GLOBALS))

@@ -1,13 +1,23 @@
 """Predecoded execution plans for the reference interpreter.
 
-The interpreter's original hot loop re-dispatched on each instruction's
-opcode string, rebuilt operand lists through ``inst.operands``, and
-re-resolved projection paths on every activation.  This module predecodes
-each unit *once* into a plan of small step closures:
+Each unit is predecoded *once* into a plan of small step closures, so
+the hot loop neither re-dispatches on opcode strings nor rebuilds
+operand lists:
 
-* every non-terminator instruction becomes one ``step(env, act)``
-  closure with its operand environment keys, evaluator, masks, and
-  projection paths resolved at plan-build time;
+* a pure instruction with an entry in the opcode table
+  (:mod:`repro.sim.optable`, the table blaze emits from) runs a step
+  generated from that entry.  Each entry is compiled once per Python
+  process into a step factory; the factory binds one instruction's
+  ``env`` keys and width constants, so every width shares the one
+  ``compile()``.  Ops without an entry (aggregates, signal and pointer
+  projections) call their :mod:`repro.sim.eval` evaluator, and ``reg``
+  edge tests call the table's :func:`~repro.sim.optable.edge`;
+* blaze's two local rewrites apply too, through the same analyses: a
+  private two-choice ``array`` + i1 ``mux`` becomes one conditional
+  step (:func:`fused_mux_arrays`), and a cell whose pointer never
+  escapes is a plain ``env`` value (:func:`promotable_cells`);
+* a process or function's ``const`` results leave the step lists: the
+  plan returns them for the activity to seed into ``env`` once;
 * every terminator becomes a ``term(env, act)`` closure that
   applies the phi parallel copies for the taken edge and returns the next
   :class:`BlockPlan` (or ``None`` when the activity suspends or halts);
@@ -15,29 +25,30 @@ each unit *once* into a plan of small step closures:
 
 Plans capture unit-level statics (instruction identities, constants,
 types) plus the design's kernel, so one plan is shared by every
-elaborated instance of the unit in a design —
-the per-instance state stays in the activity's ``env`` dict, exactly as
-before.  This is still an interpreter (values flow through ``env``, no
-Python code is generated); it is the classic predecoded-bytecode layout.
+elaborated instance of the unit in a design; the per-instance state
+stays in the activity's ``env`` dict.  Only the steps are generated:
+values still flow through ``env`` one instruction at a time, the
+predecoded-bytecode layout of an interpreter.  Lane-mode (batch) plans
+keep their own step builders below.
 """
 
 from __future__ import annotations
 
+import functools
+
 from ..ir.ninevalued import LogicVec, lane_ones
 from ..ir.values import TimeValue
 from .engine import SignalInstance, SignalRef
-from .eval import (
-    EVALUATORS, _logic_binary, logic_compare, logic_level, logic_shift,
-    path_of,
-)
+from .eval import EVALUATORS, path_of
 from .lanes import (
     LaneDivergence, drive_cond_lanes, evaluate_lanes, lane_path,
     path_of_lanes, u1, uindex, uindex_int,
 )
 from .lanes import edge_mask as lane_edge_mask
+from .optable import GLOBALS, TABLE, edge, entry
 from .values import (
     SimulationError, extract_path, insert_path, lane_extract, lane_widen,
-    mask, to_signed,
+    mask,
 )
 
 _EPSILON = TimeValue(0, 0, 1)
@@ -129,192 +140,41 @@ class _Timeout:
 
 # -- step builders -------------------------------------------------------------
 
-def _const_step(inst):
-    key = id(inst)
-    value = inst.attrs["value"]
+@functools.lru_cache(maxsize=None)
+def _step_factory(key, constants):
+    """Compile the table entry ``key`` into a step factory, once.
 
-    def step(env, act):
-        env[key] = value
-    return step
-
-
-def _binary_int_step(inst):
-    """Specialized iN arithmetic/logical/compare steps."""
-    op = inst.opcode
-    key = id(inst)
-    a, b = id(inst.operands[0]), id(inst.operands[1])
-    ty = inst.operands[0].type
-    if op == "add":
-        m = mask(inst.type.width)
-
-        def step(env, act):
-            env[key] = (env[a] + env[b]) & m
-    elif op == "sub":
-        m = mask(inst.type.width)
-
-        def step(env, act):
-            env[key] = (env[a] - env[b]) & m
-    elif op == "mul":
-        m = mask(inst.type.width)
-
-        def step(env, act):
-            env[key] = (env[a] * env[b]) & m
-    elif op == "and":
-        def step(env, act):
-            env[key] = env[a] & env[b]
-    elif op == "or":
-        def step(env, act):
-            env[key] = env[a] | env[b]
-    elif op == "xor":
-        def step(env, act):
-            env[key] = env[a] ^ env[b]
-    elif op == "eq":
-        def step(env, act):
-            env[key] = 1 if env[a] == env[b] else 0
-    elif op == "neq":
-        def step(env, act):
-            env[key] = 1 if env[a] != env[b] else 0
-    elif op == "ult":
-        def step(env, act):
-            env[key] = 1 if env[a] < env[b] else 0
-    elif op == "ugt":
-        def step(env, act):
-            env[key] = 1 if env[a] > env[b] else 0
-    elif op == "ule":
-        def step(env, act):
-            env[key] = 1 if env[a] <= env[b] else 0
-    elif op == "uge":
-        def step(env, act):
-            env[key] = 1 if env[a] >= env[b] else 0
-    elif op in ("slt", "sgt", "sle", "sge"):
-        w = ty.width
-        rel = op[1:]
-
-        def step(env, act):
-            sa = to_signed(env[a], w)
-            sb = to_signed(env[b], w)
-            if rel == "lt":
-                env[key] = 1 if sa < sb else 0
-            elif rel == "gt":
-                env[key] = 1 if sa > sb else 0
-            elif rel == "le":
-                env[key] = 1 if sa <= sb else 0
-            else:
-                env[key] = 1 if sa >= sb else 0
-    else:
-        return None
-    return step
-
-
-_INT_FAST_OPS = frozenset({
-    "add", "sub", "mul", "and", "or", "xor",
-    "slt", "sgt", "sle", "sge",
-})
-_CMP_FAST_OPS = frozenset({"eq", "neq", "ult", "ugt", "ule", "uge"})
-
-
-def _binary_logic_step(inst):
-    """Specialized lN steps: table ops dispatch straight to LogicVec."""
-    op = inst.opcode
-    key = id(inst)
-    a, b = id(inst.operands[0]), id(inst.operands[1])
-    if op == "and":
-        def step(env, act):
-            env[key] = env[a].and_(env[b])
-    elif op == "or":
-        def step(env, act):
-            env[key] = env[a].or_(env[b])
-    elif op == "xor":
-        def step(env, act):
-            env[key] = env[a].xor(env[b])
-    elif op in ("shl", "shr"):
-        def step(env, act):
-            env[key] = logic_shift(op, env[a], env[b])
-    elif op in ("add", "sub", "mul", "udiv", "sdiv", "umod", "smod",
-                "urem", "srem"):
-        def step(env, act):
-            env[key] = _logic_binary(op, env[a], env[b])
-    elif op in ("eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt",
-                "sle", "sge"):
-        def step(env, act):
-            env[key] = logic_compare(op, env[a], env[b])
-    else:
-        return None
-    return step
+    ``factory(dst, *operand keys, *constants)`` returns the step
+    ``env[dst] = <entry's form>``.  The width constants are closure
+    values, so one ``compile()`` serves every width the entry meets.
+    """
+    form = TABLE[key]
+    operands = [x for x in ("a", "b") if "{%s}" % x in form]
+    params = ", ".join(["dst"] + [f"k{x}" for x in operands]
+                       + list(constants))
+    loads = "".join(f"        {x} = env[k{x}]\n" for x in operands)
+    names = {field: field for field in ("a", "b") + constants}
+    source = (f"def factory({params}):\n"
+              f"    def step(env, act):\n{loads}"
+              f"        env[dst] = {form.format(**names)}\n"
+              f"    return step\n")
+    namespace = dict(GLOBALS)
+    exec(compile(source, f"<plan:{key[0]}:{key[1]}>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _pure_step(inst):
-    """A step for a side-effect-free instruction."""
+    """A side-effect-free step: its opcode-table entry, else its evaluator."""
     op = inst.opcode
-    if op == "const":
-        return _const_step(inst)
     key = id(inst)
     ops = inst.operands
     opids = tuple(id(o) for o in ops)
-    if len(ops) == 2:
-        if ops[0].type.is_logic:
-            step = _binary_logic_step(inst)
-            if step is not None:
-                return step
-        elif (op in _INT_FAST_OPS and inst.type.is_int) or \
-                (op in _CMP_FAST_OPS and
-                 (ops[0].type.is_int or op in ("eq", "neq"))):
-            step = _binary_int_step(inst)
-            if step is not None:
-                return step
-    if op == "not" and ops and ops[0].type.is_logic:
-        a = opids[0]
-
-        def step(env, act):
-            env[key] = env[a].not_()
-        return step
-    if op == "not" and inst.type.is_int:
-        a = opids[0]
-        m = mask(inst.type.width)
-
-        def step(env, act):
-            env[key] = (~env[a]) & m
-        return step
-    if op == "trunc" and ops[0].type.is_int:
-        a = opids[0]
-        m = mask(inst.type.width)
-
-        def step(env, act):
-            env[key] = env[a] & m
-        return step
-    if op in ("shl", "shr") and inst.type.is_int and \
-            not ops[1].type.is_logic:
-        a, b = opids
-        m = mask(inst.type.width)
-        if op == "shl":
-            def step(env, act):
-                env[key] = (env[a] << env[b]) & m
-        else:
-            def step(env, act):
-                env[key] = env[a] >> env[b]
-        return step
-    if op == "zext":
-        a = opids[0]
-        if ops[0].type.is_logic:
-            w = inst.type.width
-
-            def step(env, act):
-                env[key] = env[a].zext(w)
-        else:
-            def step(env, act):
-                env[key] = env[a]
-        return step
-    if op in ("sext", "trunc") and ops[0].type.is_logic:
-        a = opids[0]
-        w = inst.type.width
-        if op == "sext":
-            def step(env, act):
-                env[key] = env[a].sext(w)
-        else:
-            def step(env, act):
-                env[key] = env[a].trunc(w)
-        return step
-    # Generic fallback: evaluator resolved once, operands by captured keys.
+    found = entry(op, [o.type for o in ops], inst.type,
+                  inst.attrs.get("offset"))
+    if found is not None:
+        table_key, constants = found
+        factory = _step_factory(table_key, tuple(constants))
+        return factory(key, *opids, *constants.values())
     fn = EVALUATORS.get(op)
     if fn is None:
         raise SimulationError(f"plan: not a pure instruction: {op}")
@@ -334,6 +194,26 @@ def _pure_step(inst):
     return step
 
 
+def _fused_mux_step(inst):
+    """``mux [f, t], c`` over a fused array: ``t if c else f``."""
+    key = id(inst)
+    f_val, t_val = inst.operands[0].operands
+    f, t, c = id(f_val), id(t_val), id(inst.operands[1])
+
+    def step(env, act):
+        env[key] = env[t] if env[c] else env[f]
+    return step
+
+
+def _copy_step(dst, src):
+    """``env[dst] = env[src]``: a promoted cell's var, ld or st."""
+    d, s = id(dst), id(src)
+
+    def step(env, act):
+        env[d] = env[s]
+    return step
+
+
 def _ext_step(inst, kernel):
     """extf/exts over values, signals, and pointers."""
     key = id(inst)
@@ -341,6 +221,8 @@ def _ext_step(inst, kernel):
     bid = id(base)
     base_ty = base.type
     rty = inst.type
+    if inst.opcode == "exts" and (base_ty.is_int or base_ty.is_logic):
+        return _pure_step(inst)
     if inst.opcode == "extf" and inst.attrs.get("index") is None:
         iid = id(inst.operands[1])
         if base_ty.is_signal:
@@ -491,52 +373,22 @@ def _del_step(inst, kernel):
 def _reg_step(inst, kernel):
     key = id(inst)
     sig_id = id(inst.reg_signal())
+    # Each trigger's edge test is the opcode table's entry for its mode.
     trigs = tuple(
-        (t["mode"], id(t["value"]), id(t["trigger"]),
+        (edge(t["mode"], t["trigger"].type), id(t["value"]),
+         id(t["trigger"]),
          id(t["cond"]) if t["cond"] is not None else None,
-         id(t["delay"]) if t["delay"] is not None else None,
-         t["trigger"].type.is_logic)
+         id(t["delay"]) if t["delay"] is not None else None)
         for t in inst.reg_triggers())
 
     def step(env, act):
         prev_list = act.reg_state[key]
         fired = False
-        for i, (mode, vid, tid, cid, did, lg) in enumerate(trigs):
+        for i, (fires, vid, tid, cid, did) in enumerate(trigs):
             cur = env[tid]
             prev = prev_list[i]
             prev_list[i] = cur
-            if fired:
-                continue
-            if lg:
-                # Nine-valued trigger: rise/fall/high/low compare X01
-                # integer levels (-1 for unknowns).  A rising edge needs
-                # the previous level to be 0 — exactly the iN rule — or
-                # unknown, so X -> 1 counts as rise (IEEE 1800, matching
-                # procgen._edge_term); 'both' keeps exact value-change
-                # detection.
-                if mode == "rise":
-                    hit = logic_level(cur) == 1 and \
-                        logic_level(prev) in (0, -1)
-                elif mode == "fall":
-                    hit = logic_level(cur) == 0 and \
-                        logic_level(prev) in (1, -1)
-                elif mode == "both":
-                    hit = prev != cur
-                elif mode == "high":
-                    hit = logic_level(cur) == 1
-                else:
-                    hit = logic_level(cur) == 0
-            elif mode == "rise":
-                hit = prev == 0 and cur == 1
-            elif mode == "fall":
-                hit = prev == 1 and cur == 0
-            elif mode == "both":
-                hit = prev != cur
-            elif mode == "high":
-                hit = cur == 1
-            else:
-                hit = cur == 0
-            if not hit:
+            if fired or not fires(cur, prev):
                 continue
             if cid is not None and not env[cid]:
                 continue
@@ -808,9 +660,16 @@ _STEP_BUILDERS = {
 }
 
 
-def _step_for(inst, allowed, where, kernel, lanes=1, entity=False):
+def _step_for(inst, allowed, where, kernel, lanes=1, entity=False,
+              fused=frozenset(), promoted=frozenset()):
+    """The step for ``inst``, or None when it needs none.
+
+    ``fused`` holds the arrays :func:`fused_mux_arrays` folds into their
+    mux and ``promoted`` the cells :func:`promotable_cells` keeps in
+    ``env`` (both empty in lane mode).
+    """
     op = inst.opcode
-    if op == "free":
+    if op == "free" or id(inst) in fused:
         return None
     builder = _STEP_BUILDERS.get(op)
     if builder is not None:
@@ -823,10 +682,19 @@ def _step_for(inst, allowed, where, kernel, lanes=1, entity=False):
                 return _drv_step_lanes(inst, kernel, lanes, entity)
             if op == "call":
                 return _call_step_lanes(inst, kernel, lanes)
+        # A promoted cell's value lives in env under the cell's own key.
+        if op in ("var", "alloc") and id(inst) in promoted:
+            return _copy_step(inst, inst.operands[0])
+        if op == "ld" and id(inst.operands[0]) in promoted:
+            return _copy_step(inst, inst.operands[0])
+        if op == "st" and id(inst.operands[0]) in promoted:
+            return _copy_step(*inst.operands)
         return builder(inst, kernel)
     if op in EVALUATORS:
         if lanes > 1:
             return _pure_step_lanes(inst, lanes)
+        if op == "mux" and id(inst.operands[0]) in fused:
+            return _fused_mux_step(inst)
         return _pure_step(inst)
     raise SimulationError(f"{where}: '{op}' not allowed here")
 
@@ -956,9 +824,60 @@ _ENTITY_OPS = frozenset({"prb", "drv", "call", "extf", "exts"})
 _FUNC_OPS = frozenset({"var", "alloc", "ld", "st", "call", "extf", "exts"})
 
 
+def fused_mux_arrays(unit):
+    """ids of two-choice ``array`` insts whose one use is an i1 ``mux``.
+
+    ``c ? a : b`` lowers to ``mux [b, a], c``; when the pair is private,
+    blaze and the interpreter fuse it into ``a if c else b`` and never
+    build the array (the instcombine LLVM would do for Blaze).  An
+    ``lN`` selector keeps the mux, whose X selector must raise.
+    """
+    uses = {}
+    for inst in unit.instructions():
+        for operand in inst.operands:
+            uses[id(operand)] = uses.get(id(operand), 0) + 1
+    fused = set()
+    for inst in unit.instructions():
+        if inst.opcode != "mux":
+            continue
+        arr, sel = inst.operands
+        if (getattr(arr, "opcode", None) == "array"
+                and not arr.attrs.get("splat")
+                and len(arr.operands) == 2
+                and sel.type.is_int and sel.type.width == 1
+                and uses.get(id(arr)) == 1):
+            fused.add(id(arr))
+    return fused
+
+
+def promotable_cells(unit):
+    """ids of ``var``/``alloc`` cells whose pointer never escapes.
+
+    A cell that is only ever the pointer operand of ``ld``/``st`` (or
+    freed) needs no cell object: blaze keeps its value in a Python
+    local and the interpreter in ``env`` (the mem2reg LLVM would do for
+    Blaze).
+    """
+    cells = {id(inst) for inst in unit.instructions()
+             if inst.opcode in ("var", "alloc")}
+    if not cells:
+        return cells
+    for inst in unit.instructions():
+        op = inst.opcode
+        for pos, operand in enumerate(inst.operands):
+            if id(operand) in cells and op != "free" and \
+                    not (pos == 0 and op in ("ld", "st")):
+                cells.discard(id(operand))
+    return cells
+
+
 def _build_cfg_plan(unit, allowed, terms, kind, kernel, lanes=1):
     where = f"@{unit.name}"
     plans = {id(b): BlockPlan() for b in unit.blocks}
+    consts = {}
+    fused = promoted = frozenset()
+    if lanes == 1:
+        fused, promoted = fused_mux_arrays(unit), promotable_cells(unit)
     for block in unit.blocks:
         plan = plans[id(block)]
         instructions = block.instructions
@@ -967,7 +886,11 @@ def _build_cfg_plan(unit, allowed, terms, kind, kernel, lanes=1):
         phis = block.phis()
         steps = []
         for inst in instructions[len(phis):-1]:
-            step = _step_for(inst, allowed, where, kernel, lanes)
+            if lanes == 1 and inst.opcode == "const":
+                consts[id(inst)] = inst.attrs["value"]
+                continue
+            step = _step_for(inst, allowed, where, kernel, lanes,
+                             fused=fused, promoted=promoted)
             if step is not None:
                 steps.append(step)
         plan.steps = tuple(steps)
@@ -977,26 +900,30 @@ def _build_cfg_plan(unit, allowed, terms, kind, kernel, lanes=1):
             raise SimulationError(
                 f"{where}: '{term_inst.opcode}' not allowed in {kind}")
         plan.term = builder(term_inst, block, plans, kernel, lanes)
-    return plans[id(unit.entry)]
+    return plans[id(unit.entry)], consts
 
 
 def build_process_plan(unit, kernel, lanes=1):
-    """Predecode a process unit; returns the entry :class:`BlockPlan`.
+    """Predecode a process unit; returns ``(entry BlockPlan, constants)``.
 
     One plan serves every instance of the unit: steps key the environment
-    by instruction identity, which is shared across instances.  With
-    ``lanes`` > 1 the plan executes all K batch lanes per activation
-    (lane-vectorized mode — see :mod:`repro.sim.lanes`).
+    by instruction identity, which is shared across instances.  The
+    scalar plan hoists every ``const`` out of its steps: ``constants``
+    maps their keys to values, seeded once into an instance's ``env``.
+    With ``lanes`` > 1 the plan executes all K batch lanes per
+    activation (lane-vectorized mode — see :mod:`repro.sim.lanes`) and
+    keeps its ``const`` steps.
     """
     return _build_cfg_plan(unit, _PROC_OPS, _TERM_BUILDERS, "a process",
                            kernel, lanes)
 
 
 def build_function_plan(unit, kernel, lanes=1):
-    """Predecode a function body; returns the entry :class:`BlockPlan`.
+    """Predecode a function body; returns ``(entry BlockPlan, constants)``.
 
     Functions run to a ``ret``: the frame object passed as the activity
-    receives the return value in its ``result`` attribute.
+    receives the return value in its ``result`` attribute.  Each call's
+    ``env`` starts as a copy of ``constants``.
     """
     return _build_cfg_plan(
         unit, _FUNC_OPS, {"br": _term_br, "ret": _term_ret}, "a function",
@@ -1007,16 +934,19 @@ def build_entity_plan(unit, kernel, lanes=1, replicate=False):
     """Predecode an entity body's re-activation steps.
 
     Elaboration-only instructions (``sig``, ``inst``, ``con``) are
-    skipped; ``del`` re-drives, ``reg`` detects trigger edges, everything
-    else re-evaluates dataflow.  Entities stay lane-vectorized in *both*
-    batch modes; ``replicate`` only switches ``reg`` to per-lane driver
-    keys (divergent stimulus phases need per-lane drive timelines).
+    skipped, and so are scalar ``const`` steps: the elaboration walk
+    left their values in ``env``.  ``del`` re-drives, ``reg`` detects
+    trigger edges, everything else re-evaluates dataflow.  Entities stay
+    lane-vectorized in *both* batch modes; ``replicate`` only switches
+    ``reg`` to per-lane driver keys (divergent stimulus phases need
+    per-lane drive timelines).
     """
     where = f"@{unit.name}"
+    fused = fused_mux_arrays(unit) if lanes == 1 else frozenset()
     steps = []
     for inst in unit.body:
         op = inst.opcode
-        if op in ("sig", "inst", "con"):
+        if op in ("sig", "inst", "con") or (op == "const" and lanes == 1):
             continue
         if op == "del":
             steps.append(_del_step(inst, kernel))
@@ -1028,7 +958,7 @@ def build_entity_plan(unit, kernel, lanes=1, replicate=False):
                 steps.append(_reg_step(inst, kernel))
         else:
             step = _step_for(inst, _ENTITY_OPS, where, kernel, lanes,
-                             entity=True)
+                             entity=True, fused=fused)
             if step is not None:
                 steps.append(step)
     return tuple(steps)

@@ -1,9 +1,10 @@
 """Every opcode-table entry against the executable spec, ``eval.evaluate``.
 
 Each (opcode, value class) entry of :data:`repro.sim.optable.TABLE` is
-compiled twice per width -- as a blaze process (probe the operands,
-apply the op, drive the result) and as a levelized cell template spliced
-into a settle function -- and both must return exactly what
+built three ways per width -- as a blaze process (probe the operands,
+apply the op, drive the result), as a levelized cell template spliced
+into a settle function, and as the interpreter's plan step run on an
+``env`` holding the operands -- and each must return exactly what
 ``evaluate`` returns, or raise the same error, on random operands over
 all nine states: forcing two-valued, two-valued with ``L``/``H`` bits
 (``unk == 0`` but ``weak != 0``), one unknown bit, and anything.
@@ -24,6 +25,7 @@ from repro.sim import optable
 from repro.sim.blaze import _BASE_GLOBALS, ProcessCompiler
 from repro.sim.compiled import _emit_settle, build_template
 from repro.sim.eval import evaluate, int_shift, logic_level, logic_shift
+from repro.sim.plan import _PROC_OPS, _step_factory, _step_for
 from repro.sim.values import SimulationError, mask, pack_array
 
 WIDTHS = (1, 8, 64, 65, 130)
@@ -139,7 +141,7 @@ def _operand_sets(case, width):
     return sets
 
 
-# -- the two compiled forms ------------------------------------------------------
+# -- the three engines' forms ---------------------------------------------------
 
 
 def _body(unit, block, case):
@@ -197,6 +199,17 @@ def levelized_cell(case):
     return run
 
 
+def plan_step(inst):
+    """Run the op as the interpreter's plan step on an operand env."""
+    step = _step_for(inst, _PROC_OPS, "@p", None)
+
+    def run(values):
+        env = {id(o): v for o, v in zip(inst.operands, values)}
+        step(env, None)
+        return env[id(inst)]
+    return run
+
+
 def _outcome(fn, values):
     try:
         result = fn(values)
@@ -214,16 +227,32 @@ def test_every_entry_matches_eval(width):
         seen.add(key)
         process, inst = blaze_process(case)
         cell = levelized_cell(case)
+        step = plan_step(inst)
         for values in _operand_sets(case, width):
             want = _outcome(lambda v: evaluate(inst, list(v)), values)
             assert _outcome(process, values) == want, (case, values)
             assert _outcome(cell, values) == want, (case, values)
+            assert _outcome(step, values) == want, (case, values)
     edges = {(op, cls) for op in EDGES for cls in ("iN", "lN")}
     assert seen | edges == set(optable.TABLE)
 
 
+def test_plan_steps_compile_once_per_entry():
+    """Every width of an entry shares one compiled step factory."""
+    _step_factory.cache_clear()
+    keys = set()
+    for width in WIDTHS:
+        for case in _cases(width):
+            proc = Process("p", *_unit_args(case))
+            _, inst = _body(proc, proc.create_block("entry"), case)
+            plan_step(inst)
+            keys.add((case[0], optable.signature(case[2])))
+    assert _step_factory.cache_info().currsize == len(keys)
+
+
 def _reference_edge(mode, cur, prev):
-    """The interpreter's reg trigger rule (plan._reg_step)."""
+    """The reg trigger rule, written independently of the table: X -> 1
+    is a rising edge (IEEE 1800) and ``both`` fires on any change."""
     if mode == "both":
         return prev != cur
     now, before = logic_level(cur), logic_level(prev)
@@ -236,6 +265,8 @@ def _reference_edge(mode, cur, prev):
 
 @pytest.mark.parametrize("mode", EDGES)
 def test_edge_entries_match_the_interpreter_rule(mode):
+    """Blaze's inline edge form and the predicate the interpreter and the
+    levelized storage cells call (:func:`optable.edge`)."""
     rng = random.Random(mode)
     samples = [LogicVec(c) for c in VALUES]
     samples += [_logic(rng, 3, kind) for kind in ("forcing", "weak", "any")
@@ -243,14 +274,16 @@ def test_edge_entries_match_the_interpreter_rule(mode):
     for cls, values in (("lN", samples), ("iN", [0, 1, 2, 5])):
         test = compile(optable.emit(mode, ["cur", "prev"], [_ty(cls, 1)]),
                        mode, "eval")
+        fires = optable.edge(mode, _ty(cls, 1))
         for cur in values:
             for prev in values:
                 if cls == "lN" and cur.width != prev.width:
                     continue
+                want = _reference_edge(mode, cur, prev)
                 got = eval(test, dict(_BASE_GLOBALS),
                            {"cur": cur, "prev": prev})
-                assert bool(got) == _reference_edge(mode, cur, prev), \
-                    (mode, cur, prev)
+                assert bool(got) == want, (mode, cur, prev)
+                assert fires(cur, prev) == want, (mode, cur, prev)
 
 
 def test_shift_by_2_pow_40_builds_no_huge_intermediate():
@@ -268,6 +301,7 @@ def test_shift_by_2_pow_40_builds_no_huge_intermediate():
         assert evaluate(inst, operands) == zero
         assert process(operands) == zero
         assert levelized_cell(case)(operands) == zero
+        assert plan_step(inst)(operands) == zero
 
 
 def test_unknown_entries_are_reported():
