@@ -68,9 +68,8 @@ def timed_simulation(name, backend, cycles=None, netlist=False):
 def timed_batch_simulation(name, backend, cycles, lanes):
     """Compile (untimed) then run a K-lane batch (timed).
 
-    Uniform stimulus (no per-lane variants), so the run stays on the
-    vectorized fast path — the configuration whose per-lane marginal
-    cost the batch engine is supposed to collapse.  Same GC hygiene as
+    Uniform stimulus (no per-lane variants), so the batch is one scalar
+    run that serves all K lanes.  Same GC hygiene as
     :func:`timed_simulation`.
     """
     import gc
@@ -176,9 +175,9 @@ def measure_batch(name, backend, cycles, lanes, runs=1, min_wall=0.04):
 
     Same adaptive-cycles, min-of-N two-point slope as
     :func:`measure_backend`; the headline ``per_cycle_us`` is the
-    *per-lane* marginal cost (batched slope divided by K) so the value
-    is directly comparable to — and gated against — the scalar engines'
-    numbers.  The raw batched slope is kept as ``batch_per_cycle_us``.
+    *per-lane* marginal cost (batch slope divided by K).  A uniform
+    batch is one scalar run, so this is the scalar marginal cost divided
+    by K.  The raw batch slope is kept as ``batch_per_cycle_us``.
     """
     t_short, result = timed_batch_simulation(name, backend, cycles, lanes)
     ceiling = cycles * 64
@@ -230,8 +229,8 @@ def run_sim_benchmarks(designs, backends=("interp", "blaze"), runs=1,
     Designs listed in ``batch_designs`` are additionally measured as
     uniform K-lane batches for each K in ``batch_lanes``, recorded
     under ``<batch_backend>@bK`` keys whose ``per_cycle_us`` is the
-    *per-lane* marginal cost; before timing, every demuxed lane of a
-    probe batch must be byte-identical to the scalar run.
+    *per-lane* marginal cost; before timing, every lane of a probe
+    batch must be byte-identical to the scalar run.
     """
     out = {}
     for name in designs:

@@ -375,102 +375,6 @@ class LogicVec:
         return f'LogicVec("{self.bits}")'
 
 
-# -- lane-widened (batched) plane helpers -----------------------------------
-#
-# Batch simulation packs K independent stimulus lanes into one LogicVec of
-# width K*W, lane-strided: lane k occupies bits [k*W, (k+1)*W).  Because
-# every nine-valued table op is a bitwise plane expression, a lane-widened
-# vector runs AND/OR/XOR/NOT/resolve for all K lanes in the same single
-# integer expression a scalar vector uses.  The helpers below are the only
-# lane-aware primitives: replicate (broadcast), extract, insert, uniformity
-# test, and lane-mask expansion.
-
-_LANE_ONES = {}
-
-
-def lane_ones(width, lanes):
-    """The integer with bit ``k*width`` set for every lane k.
-
-    Multiplying a W-bit lane value by this constant replicates it into
-    all K lane positions at once.
-    """
-    key = (width, lanes)
-    ones = _LANE_ONES.get(key)
-    if ones is None:
-        ones = 0
-        for k in range(lanes):
-            ones |= 1 << (k * width)
-        _LANE_ONES[key] = ones
-    return ones
-
-
-def lane_broadcast_planes(width, lanes, val, unk, weak, aux):
-    """Lane-widen scalar planes by replication; returns a LogicVec."""
-    ones = lane_ones(width, lanes)
-    return LogicVec._make(
-        width * lanes, val * ones, unk * ones, weak * ones, aux * ones)
-
-
-def lane_broadcast(value, lanes):
-    """Replicate a scalar ``LogicVec`` into all K lanes of a batched one."""
-    if lanes == 1:
-        return value
-    return lane_broadcast_planes(
-        value._width, lanes, value._val, value._unk, value._weak, value._aux)
-
-
-def lane_slice(value, lane, width):
-    """Extract lane ``lane`` (scalar width ``width``) from a batched vector."""
-    return value.slice_(lane * width, width)
-
-
-def lane_splice(value, lane, scalar):
-    """Write a scalar vector into lane ``lane`` of a batched vector."""
-    return value.splice(lane * scalar._width, scalar)
-
-
-def lane_uniform(value, width, lanes):
-    """True if every lane of a batched vector holds the same scalar value."""
-    if lanes == 1:
-        return True
-    ones = lane_ones(width, lanes)
-    m = (1 << width) - 1
-    return (value._val == (value._val & m) * ones
-            and value._unk == (value._unk & m) * ones
-            and value._weak == (value._weak & m) * ones
-            and value._aux == (value._aux & m) * ones)
-
-
-def expand_lane_mask(lane_mask, width, lanes):
-    """Expand a K-bit lane mask into a K*W-bit per-lane field mask."""
-    if width == 1:
-        return lane_mask
-    field = (1 << width) - 1
-    out = 0
-    m = lane_mask
-    while m:
-        low = m & -m
-        out |= field << ((low.bit_length() - 1) * width)
-        m ^= low
-    return out
-
-
-def lane_blend(old, new, lane_mask, width, lanes):
-    """Per-lane select: lanes set in ``lane_mask`` take ``new``'s value."""
-    if lane_mask == 0:
-        return old
-    if lane_mask == (1 << lanes) - 1:
-        return new
-    mexp = expand_lane_mask(lane_mask, width, lanes)
-    keep = ~mexp
-    return LogicVec._make(
-        old._width,
-        old._val & keep | new._val & mexp,
-        old._unk & keep | new._unk & mexp,
-        old._weak & keep | new._weak & mexp,
-        old._aux & keep | new._aux & mexp)
-
-
 def resolve_many(values):
     """Resolve a non-empty list of :class:`LogicVec` drivers into one value.
 

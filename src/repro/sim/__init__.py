@@ -18,13 +18,13 @@ plus a levelized netlist engine:
 
 All four produce :class:`~repro.sim.trace.Trace` objects that can be
 compared for equivalence — the paper's "traces match" claim.
+:func:`simulate_batch` simulates K stimulus lanes as one scalar run per
+distinct stimulus on interp, blaze, or cycle (see :mod:`repro.sim.batch`).
 """
 
 from __future__ import annotations
 
-from .batch import (
-    BatchSimulationResult, BatchStimulus, demux_trace, simulate_batch,
-)
+from .batch import BatchSimulationResult, BatchStimulus, simulate_batch
 from .engine import Kernel, SignalInstance, SignalRef, advance_time
 from .trace import Trace
 from .values import SimulationError, default_value
@@ -71,36 +71,40 @@ def simulate(module, top, until_fs=None, backend="interp",
     of raising, exposed as ``result.findings``.  ``cache_dir`` overrides
     the levelized engine's on-disk compile cache location.
     """
-    trace = Trace(trace_filter)
+    options = {"cache_dir": cache_dir} if backend == "levelized" else {}
+    return _simulate(module, top, until_fs, backend, trace_filter,
+                     sanitize, **options)
+
+
+def _simulate(module, top, until_fs, backend, trace_filter,
+              sanitize=False, **options):
+    """:func:`simulate`, passing ``options`` to the backend's elaborator
+    (the unit substitutions and shared compile cache of a batch run)."""
     if backend == "interp":
         from .interp import elaborate as elaborator
 
-        kernel = Kernel(trace=trace)
+        kernel_class = Kernel
     elif backend == "blaze":
         from .blaze import elaborate_compiled as elaborator
 
-        kernel = Kernel(trace=trace)
+        kernel_class = Kernel
     elif backend == "cycle":
-        from .cycle import CycleKernel
+        from .cycle import CycleKernel as kernel_class
         from .cycle import elaborate_cycle as elaborator
-
-        kernel = CycleKernel(trace=trace)
     elif backend == "levelized":
-        from .levelize import elaborate_levelized
+        from .levelize import elaborate_levelized as elaborator
 
-        kernel = Kernel(trace=trace)
-
-        def elaborator(module, top, kernel, _dir=cache_dir):
-            return elaborate_levelized(module, top, kernel,
-                                       cache_dir=_dir)
+        kernel_class = Kernel
     else:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    trace = Trace(trace_filter)
+    kernel = kernel_class(trace=trace)
     if sanitize:
         from .sanitize import Sanitizer
 
         kernel.sanitizer = Sanitizer()
-    design = elaborator(module, top, kernel)
+    design = elaborator(module, top, kernel, **options)
     kernel.run(until_fs=until_fs)
     trace.finalize()
     return SimulationResult(design, kernel, trace)
@@ -109,6 +113,5 @@ def simulate(module, top, until_fs=None, backend="interp",
 __all__ = [
     "BACKENDS", "BatchSimulationResult", "BatchStimulus", "Kernel",
     "SignalInstance", "SignalRef", "SimulationError", "SimulationResult",
-    "Trace", "advance_time", "default_value", "demux_trace", "simulate",
-    "simulate_batch",
+    "Trace", "advance_time", "default_value", "simulate", "simulate_batch",
 ]

@@ -100,16 +100,16 @@ def _build_parser():
              "aborting the run")
     parser.add_argument(
         "--batch", type=int, default=None, metavar="K",
-        help="simulate K lanes through one elaborated design; without "
-             "--seed-stride every lane sees identical stimulus "
-             "(vectorized fast path)")
+        help="simulate K stimulus lanes, one scalar run per distinct "
+             "stimulus; without --seed-stride every lane sees identical "
+             "stimulus, so the design is simulated once")
     parser.add_argument(
         "--seed", type=int, default=0, metavar="N",
         help="base stimulus seed for --seed-stride (default: 0)")
     parser.add_argument(
         "--seed-stride", type=int, default=None, metavar="S",
         help="with --batch K: inject randomized stimulus where lane k "
-             "uses seed N+k*S, running the lanes in replicated mode")
+             "uses seed N+k*S, one simulation per lane")
     parser.add_argument(
         "--list-designs", action="store_true",
         help="list the named designs of the evaluation suite with the "

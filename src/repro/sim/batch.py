@@ -1,32 +1,27 @@
-"""Batch-parallel simulation: K stimulus lanes per elaborated design.
+"""Batch simulation: K stimulus lanes, one scalar run per distinct stimulus.
 
-One elaboration + one kernel run simulates K independent "lanes" over
-lane-widened values (see :mod:`repro.sim.lanes`): every ``lN`` plane and
-``iN`` word carries K lane-strided copies, so uniform work costs one
-scalar operation plus an O(1) broadcast regardless of K.
+Every lane is an ordinary scalar simulation, so
+:meth:`BatchSimulationResult.lane` returns a
+:class:`~repro.sim.SimulationResult` whose trace, print output,
+assertion failures, finish time, and kernel statistics are those of the
+scalar run of that lane's stimulus — by construction, not by a
+cross-check.  :func:`simulate_batch` runs each distinct stimulus once:
 
-Two execution modes, selected automatically by :func:`simulate_batch`:
-
-* *vectorized* — every activity runs once per activation covering all
-  lanes.  Correct while control stays lane-uniform, which identical
-  stimulus guarantees by induction; a divergent control point raises
-  :class:`~repro.sim.lanes.LaneDivergence`.
-* *replicated* — processes are elaborated once per lane over
-  lane-projected ports (GPU-style predication for the process layer),
-  entities stay vectorized.  Used for divergent stimulus
-  (:class:`BatchStimulus`) and as the automatic fallback when a
-  vectorized run diverges (deterministic re-run from t=0).
-
-The result demultiplexes per lane: :meth:`BatchSimulationResult.lane`
-returns a scalar-equivalent view whose trace, print output, assertion
-failures, and finish time are byte-identical to the corresponding
-scalar run.
+* without per-lane stimulus every lane sees the same inputs, so the
+  design is simulated once and that run serves every lane (mode
+  ``"scalar"`` for K=1, ``"vectorized"`` for K>1);
+* a :class:`BatchStimulus` runs one simulation per lane, lane k with
+  the stimulus process swapped for its k-th variant at elaboration
+  (mode ``"replicated"``).  The lanes of a blaze or cycle batch share
+  one compile cache, so each unit is compiled once per batch.
 """
 
 from __future__ import annotations
 
-from .trace import Trace
-from .values import SimulationError, lane_extract
+from .values import SimulationError
+
+#: The engines of a batch with more than one lane or with stimulus.
+_BATCH_BACKENDS = ("interp", "blaze", "cycle")
 
 
 class BatchStimulus:
@@ -35,9 +30,8 @@ class BatchStimulus:
     Maps a process unit *name* (as instantiated in the design) to a list
     of K replacement process units, one per lane.  All replacements must
     share the original's signature — same argument types in the same
-    order — because lane k's replica binds the original instantiation's
-    operands.  Any replacement forces replicated mode: divergent
-    stimulus cannot run vectorized.
+    order — because lane k's run binds the original instantiation's
+    operands to the k-th variant.
     """
 
     def __init__(self, units=None):
@@ -61,209 +55,60 @@ class BatchStimulus:
                         f"@{unit.name} signature differs from lane 0")
 
 
-def demux_trace(trace, types, lane, lanes, finish_fs=None,
-                finish_state=None):
-    """Extract one lane's scalar trace from a batched trace.
-
-    ``types`` maps signal name -> element type (the lane stride is
-    type-dependent).  Consecutive identical per-lane values collapse —
-    a change on another lane is no change on this one — and changes
-    past the lane's own finish time are dropped (a finished lane's
-    scalar run records nothing after its final instant).  The batched
-    trace is per-fs last-wins, but the kernel kept running other lanes
-    through later delta rounds of the finish instant; ``finish_state``
-    (the kernel's snapshot at the moment the lane finished) supplies
-    the lane's true final values for that instant.
-    """
-    out = Trace()
-    for name, history in trace.finalize().changes.items():
-        ty = types.get(name)
-        if ty is None:
-            continue
-        demuxed = []
-        for fs, value in history:
-            if finish_fs is not None and fs >= finish_fs:
-                break
-            v = lane_extract(value, ty, lane, lanes)
-            if demuxed and demuxed[-1][1] == v:
-                continue
-            demuxed.append((fs, v))
-        if finish_fs is not None and finish_state is not None:
-            final = finish_state.get(name)
-            if final is not None:
-                v = lane_extract(final, ty, lane, lanes)
-                if not demuxed or demuxed[-1][1] != v:
-                    demuxed.append((finish_fs, v))
-        out.changes[name] = demuxed
-    return out
-
-
-class LaneResult:
-    """One lane's scalar-equivalent view of a batch run.
-
-    Mirrors the :class:`~repro.sim.SimulationResult` surface that the
-    equivalence harnesses consume (``trace``, ``output``,
-    ``assertion_failures``, ``final_time_fs``, ``ok()``).  ``stats``
-    are the shared kernel's and are *not* comparable to a scalar run's.
-    """
-
-    def __init__(self, lane, trace, output, assertion_failures,
-                 final_time_fs, stats):
-        self.lane = lane
-        self.trace = trace
-        self.output = output
-        self.assertion_failures = assertion_failures
-        self.final_time_fs = final_time_fs
-        self.stats = stats
-
-    def ok(self):
-        return not self.assertion_failures
-
-
-def _lane_text(entries, lane):
-    """Entries attributed to ``lane`` (or to all lanes), lane markers
-    stripped so instance paths read like the scalar run's."""
-    marker = f"#l{lane}"
-    return [text.replace(marker, "")
-            for entry_lane, text in entries
-            if entry_lane is None or entry_lane == lane]
-
-
 class BatchSimulationResult:
-    """Outcome of a batch simulation: the raw batched run + lane views."""
+    """Outcome of a batch simulation: the scalar run behind every lane.
 
-    def __init__(self, design, kernel, trace, lanes, mode):
-        self.design = design
-        self.kernel = kernel
-        self.trace = trace
+    ``stats`` and ``assertion_failures`` cover each distinct run once;
+    ``kernel`` is the first run's.
+    """
+
+    def __init__(self, runs, lanes, mode):
+        self.runs = runs
         self.lanes = lanes
         self.mode = mode  # "scalar" | "vectorized" | "replicated"
-        self.assertion_failures = kernel.assertion_failures
-        self.output = kernel.output
-        self.stats = kernel.stats
-        self._lane_cache = {}
-
-    @property
-    def final_time_fs(self):
-        return self.kernel.now[0]
-
-    def ok(self):
-        return not self.assertion_failures
-
-    def _signal_types(self):
-        types = {}
-        for sig in self.kernel.signals:
-            for name in sig.aliases:
-                types[name] = sig.type.element
-        return types
+        self.kernel = runs[0].kernel
+        self.assertion_failures = [
+            failure for run in runs for failure in run.assertion_failures]
+        self.stats = {key: sum(run.stats[key] for run in runs)
+                      for key in runs[0].stats}
 
     def lane(self, k):
-        """The scalar-equivalent result of lane ``k``."""
+        """The :class:`~repro.sim.SimulationResult` of lane ``k``."""
         if not 0 <= k < self.lanes:
             raise IndexError(f"lane {k} out of range for {self.lanes}")
-        cached = self._lane_cache.get(k)
-        if cached is not None:
-            return cached
-        kernel = self.kernel
-        if self.mode == "scalar":
-            result = LaneResult(
-                k, self.trace, list(kernel.output),
-                list(kernel.assertion_failures), kernel.now[0],
-                kernel.stats)
-        else:
-            finish_fs = kernel.lane_finish_fs.get(k)
-            final = finish_fs if finish_fs is not None else kernel.now[0]
-            result = LaneResult(
-                k,
-                demux_trace(self.trace, self._signal_types(), k,
-                            self.lanes, finish_fs,
-                            kernel.lane_finish_state.get(k)),
-                _lane_text(kernel.output, k),
-                _lane_text(kernel.assertion_failures, k),
-                final, kernel.stats)
-        self._lane_cache[k] = result
-        return result
+        return self.runs[k if self.mode == "replicated" else 0]
 
     def lane_results(self):
         return [self.lane(k) for k in range(self.lanes)]
 
 
-def _elaborate_batch(module, top, backend, trace, lanes, replicate,
-                     batch_units):
-    from .engine import Kernel
-
-    if backend == "interp":
-        from .interp import elaborate
-
-        kernel = Kernel(trace=trace)
-        design = elaborate(module, top, kernel, lanes=lanes,
-                           replicate=replicate, batch_units=batch_units)
-    elif backend == "blaze":
-        from .blaze import elaborate_compiled
-
-        kernel = Kernel(trace=trace)
-        design = elaborate_compiled(
-            module, top, kernel, lanes=lanes, replicate=replicate,
-            batch_units=batch_units)
-    elif backend == "cycle":
-        from .cycle import CycleKernel, elaborate_cycle
-
-        kernel = CycleKernel(trace=trace)
-        design = elaborate_cycle(
-            module, top, kernel, lanes=lanes, replicate=replicate,
-            batch_units=batch_units)
-    else:
-        from . import BACKENDS
-
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return design, kernel
-
-
-def _run_batch(module, top, lanes, until_fs, backend, trace_filter,
-               replicate, batch_units):
-    trace = Trace(trace_filter)
-    design, kernel = _elaborate_batch(
-        module, top, backend, trace, lanes, replicate, batch_units)
-    kernel.run(until_fs=until_fs)
-    trace.finalize()
-    mode = "replicated" if design.replicate else "vectorized"
-    return BatchSimulationResult(design, kernel, trace, lanes, mode)
-
-
 def simulate_batch(module, top, lanes, until_fs=None, backend="interp",
                    stimulus=None, trace_filter=None):
-    """Simulate ``lanes`` stimulus sets through one elaborated design.
+    """Simulate ``lanes`` stimulus sets of one design.
 
-    With no ``stimulus`` every lane sees identical inputs and the run is
-    vectorized (uniform fast path); should control nonetheless diverge —
-    e.g. per-lane X propagation into a branch — the run deterministically
-    restarts from t=0 in replicated-process mode.  A
-    :class:`BatchStimulus` supplies per-lane process variants and goes
-    straight to replicated mode.  ``lanes == 1`` without stimulus is the
-    unmodified scalar pipeline.
+    With no ``stimulus`` every lane sees identical inputs, so the design
+    is simulated once and that run is every lane.  A
+    :class:`BatchStimulus` runs one scalar simulation per lane with
+    lane k's process variants substituted at elaboration.  A single
+    lane without stimulus is the unmodified :func:`~repro.sim.simulate`
+    pipeline on any backend; every other batch runs on interp, blaze,
+    or cycle.
     """
-    from .lanes import LaneDivergence
+    from . import _simulate
 
-    batch_units = {}
-    if stimulus is not None and stimulus.units:
-        stimulus.validate(lanes)
-        batch_units = dict(stimulus.units)
-    if lanes == 1 and not batch_units:
-        from . import simulate
-
-        result = simulate(module, top, until_fs=until_fs, backend=backend,
-                          trace_filter=trace_filter)
+    uniform = stimulus is None or not stimulus.units
+    if (lanes > 1 or not uniform) and backend not in _BATCH_BACKENDS:
+        raise ValueError(f"unknown batch backend {backend!r}; expected "
+                         f"one of {_BATCH_BACKENDS}")
+    if uniform:
+        result = _simulate(module, top, until_fs, backend, trace_filter)
         return BatchSimulationResult(
-            result.design, result.kernel, result.trace, 1, "scalar")
-    if batch_units:
-        return _run_batch(module, top, lanes, until_fs, backend,
-                          trace_filter, True, batch_units)
-    try:
-        return _run_batch(module, top, lanes, until_fs, backend,
-                          trace_filter, False, {})
-    except LaneDivergence:
-        # Divergent control under supposedly-uniform stimulus (per-lane
-        # finish, X-dependent branches): re-run from t=0 replicated.
-        return _run_batch(module, top, lanes, until_fs, backend,
-                          trace_filter, True, {})
+            [result], lanes, "scalar" if lanes == 1 else "vectorized")
+    stimulus.validate(lanes)
+    options = {} if backend == "interp" else {"compile_cache": {}}
+    runs = [_simulate(module, top, until_fs, backend, trace_filter,
+                      units={name: variants[k] for name, variants
+                             in stimulus.units.items()},
+                      **options)
+            for k in range(lanes)]
+    return BatchSimulationResult(runs, lanes, "replicated")

@@ -17,11 +17,14 @@ translates every unit into Python source once, compiles it with
   dispatch, with whole-signal probes inlined to ``sig.value`` reads;
 * functions become plain Python functions.
 
-Elaboration (hierarchy walk, signal creation) is shared with the reference
-interpreter.  Because ``con`` net merging happens throughout elaboration,
-instances defer closure construction to :meth:`Design.finalize`, which
-runs once the hierarchy is complete: bindings are resolved through
-``find()`` exactly once, and activations never chase merged nets again.
+Elaboration (hierarchy walk, signal creation, unit substitution) is shared
+with the reference interpreter.  Each unit is compiled once per design,
+or once per batch when the runs of a batch share one compile cache
+(:mod:`repro.sim.batch`).  Because ``con`` net merging happens throughout
+elaboration, instances defer closure construction to
+:meth:`Design.finalize`, which runs once the hierarchy is complete:
+bindings are resolved through ``find()`` exactly once, and activations
+never chase merged nets again.
 Traces are bit-identical with LLHD-Sim by construction and verified by the
 integration tests.
 """
@@ -30,24 +33,16 @@ from __future__ import annotations
 
 import io
 
-from ..ir.ninevalued import LogicVec, lane_ones
+from ..ir.ninevalued import LogicVec
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
-from .interp import (
-    Cell, CellRef, Design, EntityInstance, LaneProcessInstance,
-    ProcessInstance,
-)
-from .lanes import (
-    evaluate_lanes, intrinsic_lanes, lane_default, lane_kernel,
-    path_of_lanes, u1, uindex, uindex_int,
-)
+from .interp import Design, EntityInstance, ProcessInstance, elaborate_top
 from .optable import GLOBALS as _TABLE_GLOBALS
 from .optable import emit as _emit_op
 from .plan import fused_mux_arrays, promotable_cells
 from .values import (
-    SimulationError, default_value, extract_path, insert_path, lane_widen,
-    mask, pack_array,
+    SimulationError, extract_path, insert_path, mask, pack_array,
 )
 
 _EPSILON = TimeValue(0, 0, 1)
@@ -172,20 +167,9 @@ class _CodeBuffer:
 class UnitCompiler:
     """Compiles one unit into Python source + metadata."""
 
-    def __init__(self, unit, lanes=1):
+    def __init__(self, unit):
         self.unit = unit
-        self.lanes = lanes
         self.globals = dict(_BASE_GLOBALS)
-        if lanes > 1:
-            # Lane-mode runtime hooks, each closing over K.  Pure ops not
-            # lane-exact at this layer go through the shared evaluator;
-            # control points collapse through the uniformity guards.
-            self.globals["_evl"] = \
-                lambda inst, ops, _l=lanes: evaluate_lanes(inst, ops, _l)
-            self.globals["_u1"] = lambda c, _l=lanes: u1(c, _l)
-            self.globals["_uidx"] = lambda v, _l=lanes: uindex(v, _l)
-            self.globals["_uidxi"] = \
-                lambda v, w, _l=lanes: uindex_int(v, w, _l)
         self.names = {}       # id(value) -> python variable name
         self.slots = {}       # id(value) -> binding slot (entities/args)
         self.reg_slots = {}   # id(reg inst) -> (state_base, n_triggers)
@@ -193,10 +177,8 @@ class UnitCompiler:
         self._counter = 0
         self._const_counter = 0
         self.code = _CodeBuffer()
-        # Mux/array fusion folds the selector into Python control flow;
-        # in lane mode selection is per-lane *data*, so keep the array
-        # and let the evaluator handle it value-wise.
-        self._elided = set() if lanes > 1 else fused_mux_arrays(unit)
+        # Mux/array fusion folds the selector into Python control flow.
+        self._elided = fused_mux_arrays(unit)
 
     # -- naming ------------------------------------------------------------
 
@@ -224,16 +206,12 @@ class UnitCompiler:
 
     def const_expr(self, inst):
         value = inst.attrs["value"]
-        if self.lanes > 1:
-            value = lane_widen(value, inst.type, self.lanes)
         if isinstance(value, int):
             return repr(value)
         return self.runtime_const(value)
 
     def expr(self, inst):
         """RHS Python expression for a pure instruction."""
-        if self.lanes > 1:
-            return self._expr_lanes(inst)
         op = inst.opcode
         ops = inst.operands
         n = self.name
@@ -271,114 +249,6 @@ class UnitCompiler:
         # Every other pure op is one (opcode, value class) table entry.
         return _emit_op(op, [n(o) for o in ops], [o.type for o in ops],
                         inst.type, inst.attrs.get("offset"))
-
-    def _expr_lanes(self, inst):
-        """RHS expression for a pure instruction over lane-widened values.
-
-        Bitwise table ops, aggregate (re)packing, and static projections
-        are lane-exact and stay inline; every other op dispatches to the
-        shared lane evaluator (`_evl`), which takes the uniform fast path
-        or loops per lane.
-        """
-        op = inst.opcode
-        ops = inst.operands
-        n = self.name
-        if op == "const":
-            return self.const_expr(inst)
-        if op in ("and", "or", "xor"):
-            a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                meth = {"and": "and_", "or": "or_", "xor": "xor"}[op]
-                return f"{a}.{meth}({b})"
-            if ops[0].type.is_int:
-                sym = {"and": "&", "or": "|", "xor": "^"}[op]
-                return f"{a} {sym} {b}"
-        elif op == "not":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.not_()"
-            if inst.type.is_int:
-                m = mask(inst.type.width * self.lanes)
-                return f"(~{n(ops[0])}) & {hex(m)}"
-        elif op == "array":
-            if inst.attrs.get("splat"):
-                expr = f"({n(ops[0])},) * {inst.type.length}"
-            else:
-                expr = "(" + ", ".join(n(o) for o in ops) + \
-                    ("," if len(ops) == 1 else "") + ")"
-            if inst.type.element.is_logic:
-                return f"_parr({expr})"
-            return expr
-        elif op == "struct":
-            return "(" + ", ".join(n(o) for o in ops) + ("," if len(ops) == 1
-                                                         else "") + ")"
-        elif op == "extf":
-            expr = self._extf_expr_lanes(inst)
-            if expr is not None:
-                return expr
-        elif op == "exts":
-            return self._exts_expr_lanes(inst)
-        elif op == "insf":
-            index = inst.attrs.get("index")
-            if index is not None:
-                agg, value = ops[0], ops[1]
-                return (f"{n(agg)}[:{index}] + ({n(value)},) + "
-                        f"{n(agg)}[{index + 1}:]")
-        elif op == "inss":
-            base, value = ops[0], ops[1]
-            step = path_of_lanes(inst, self.lanes)
-            return f"_insert({n(base)}, ({step!r},), {n(value)})"
-        elif op in ("add", "sub") and inst.type.is_int:
-            # SWAR add/sub: carries/borrows cannot cross lane
-            # boundaries once the per-lane MSB is cleared (add) or
-            # preset (sub); the MSB is patched back via XOR.
-            w = inst.type.width
-            ones = lane_ones(w, self.lanes)
-            high = (1 << (w - 1)) * ones
-            low = (mask(w) * ones) ^ high
-            a, b = n(ops[0]), n(ops[1])
-            if op == "add":
-                return (f"((({a} & {hex(low)}) + ({b} & {hex(low)})) ^ "
-                        f"(({a} ^ {b}) & {hex(high)}))")
-            return (f"((({a} | {hex(high)}) - ({b} & {hex(low)})) ^ "
-                    f"(({a} ^ {b}) & {hex(high)}) ^ {hex(high)})")
-        kern = lane_kernel(inst, self.lanes)
-        if kern is not None:
-            args = ", ".join(n(o) for o in ops)
-            return f"{self.runtime_const(kern)}({args})"
-        args = ", ".join(n(o) for o in ops)
-        tail = "," if len(ops) == 1 else ""
-        return f"_evl({self.runtime_const(inst)}, ({args}{tail}))"
-
-    def _extf_expr_lanes(self, inst):
-        base = inst.operands[0]
-        n = self.name
-        index = inst.attrs.get("index")
-        if base.type.is_signal or base.type.is_pointer:
-            proj = "_sigproj" if base.type.is_signal else "_cellproj"
-            if index is None:
-                iop = inst.operands[1]
-                if iop.type.is_logic:
-                    iexpr = f"_uidx({n(iop)})"
-                else:
-                    w = iop.type.width if iop.type.is_int else 1
-                    iexpr = f"_uidxi({n(iop)}, {w})"
-                return f"{proj}({n(base)}, ('field', {iexpr}))"
-            return f"{proj}({n(base)}, ('field', {index}))"
-        if index is not None:
-            # Aggregates hold lane-widened elements; static extraction is
-            # the plain element read.
-            return f"{n(base)}[{index}]"
-        return None  # dynamic value extraction: fall through to _evl
-
-    def _exts_expr_lanes(self, inst):
-        base = inst.operands[0]
-        n = self.name
-        step = path_of_lanes(inst, self.lanes)
-        if base.type.is_signal:
-            return f"_sigproj({n(base)}, {step!r})"
-        if base.type.is_pointer:
-            return f"_cellproj({n(base)}, {step!r})"
-        return f"_extract({n(base)}, ({step!r},))"
 
     def _extf_expr(self, inst):
         base = inst.operands[0]
@@ -441,11 +311,6 @@ class UnitCompiler:
         n = self.name
         args = ", ".join(n(o) for o in inst.operands)
         tail = "," if len(inst.operands) == 1 else ""
-        if self.lanes > 1:
-            # Lane-attributing intrinsics need the operand types to slice
-            # the batched arguments (see lanes.intrinsic_lanes).
-            tk = self.runtime_const(tuple(o.type for o in inst.operands))
-            return f"call({inst.callee!r}, ({args}{tail}), {tk})"
         return f"call({inst.callee!r}, ({args}{tail}))"
 
 
@@ -522,14 +387,7 @@ class ProcessCompiler(UnitCompiler):
             emitted = True
             if op == "drv":
                 cond = inst.drv_condition()
-                if cond is None:
-                    prefix = ""
-                elif self.lanes > 1:
-                    # Uniform-mode processes gate whole-batch drives on a
-                    # lane-agreeing condition (divergence -> replicate).
-                    prefix = f"if _u1({n(cond)}): "
-                else:
-                    prefix = f"if {n(cond)}: "
+                prefix = f"if {n(cond)}: " if cond is not None else ""
                 code.line(
                     f"{prefix}drive({n(inst.drv_signal())}, "
                     f"{n(inst.drv_value())}, {n(inst.drv_delay())})")
@@ -604,8 +462,6 @@ class ProcessCompiler(UnitCompiler):
         n = self.name
         if inst.is_conditional_branch:
             cond = n(inst.operands[0])
-            if self.lanes > 1:
-                cond = f"_u1({cond})"
             f_dest, t_dest = inst.operands[1], inst.operands[2]
             code.line(f"if {cond}:")
             code.indent += 1
@@ -794,57 +650,54 @@ class CompiledUnit:
 
 
 class BlazeDesign(Design):
-    """A Design with per-unit compilation caches."""
+    """A Design with per-unit compilation caches.
 
-    def __init__(self, module, top, kernel, lanes=1, replicate=False,
-                 batch_units=None):
-        super().__init__(module, top, kernel, lanes, replicate, batch_units)
-        self._compiled = {}
+    ``compile_cache`` (``id(unit)`` -> :class:`CompiledUnit`) may be
+    shared by several designs of one module, such as the runs of a
+    batch, so each unit is compiled once for all of them.
+    """
+
+    def __init__(self, module, top, kernel, units=None, compile_cache=None):
+        super().__init__(module, top, kernel, units)
+        self._compiled = {} if compile_cache is None else compile_cache
         self._functions = {}
 
-    def compiled(self, unit, lanes=1):
-        key = (id(unit), lanes)
-        cu = self._compiled.get(key)
+    def compiled(self, unit):
+        cu = self._compiled.get(id(unit))
         if cu is None:
             if unit.is_process:
-                cu = ProcessCompiler(unit, lanes).compile_process()
+                cu = ProcessCompiler(unit).compile_process()
             elif unit.is_function:
-                cu = ProcessCompiler(unit, lanes).compile_function()
+                cu = ProcessCompiler(unit).compile_function()
             else:
                 cu = EntityCompiler(unit).compile_entity()
-            self._compiled[key] = cu
+            self._compiled[id(unit)] = cu
         return cu
 
-    def call_function(self, name, args, where="", types=None):
+    def call_function(self, name, args, where=""):
         if name.startswith("llhd."):
-            if self.lanes > 1 and not self.replicate:
-                return intrinsic_lanes(
-                    self.kernel, name, list(args), types, self.lanes, where)
             return self.kernel.intrinsic(name, list(args), where)
-        lanes = 1 if self.replicate else self.lanes
-        entry = self._functions.get((name, lanes))
+        entry = self._functions.get(name)
         if entry is None:
             unit = self.module.get(name)
             if unit is None or isinstance(unit, UnitDecl):
                 raise SimulationError(f"call to undefined function @{name}")
             # Calls issued *from* @name carry its frame as context, the
             # same "in @name" the interpreter's function frames report.
-            entry = (self.compiled(unit, lanes).fn,
-                     self.caller(f"in @{name}"))
-            self._functions[(name, lanes)] = entry
+            entry = (self.compiled(unit).fn, self.caller(f"in @{name}"))
+            self._functions[name] = entry
         fn, inner_call = entry
         return fn(args, inner_call, self.kernel.intrinsic)
 
     def caller(self, where):
         """A call hook carrying a fixed ``where`` context.
 
-        Generated code calls ``call(name, args)`` (plus the operand types
-        in lane mode); binding the context here keeps intrinsic
-        diagnostics (assertion messages) identical to the interpreter's,
-        which reports ``in <instance path>``.
+        Generated code calls ``call(name, args)``; binding the context
+        here keeps intrinsic diagnostics (assertion messages) identical to
+        the interpreter's, which reports ``in <instance path>``.
         """
-        def call(name, args, types=None):
-            return self.call_function(name, args, where, types)
+        def call(name, args):
+            return self.call_function(name, args, where)
         return call
 
 
@@ -861,8 +714,7 @@ class BlazeProcessInstance(ProcessInstance):
 
     def bind(self):
         design = self.design
-        cu = design.compiled(
-            self.unit, 1 if design.replicate else design.lanes)
+        cu = design.compiled(self.unit)
         bindings = [None] * len(cu.slots)
         for arg in self.unit.args:
             bindings[cu.slots[id(arg)]] = _rt_resolve(self.env[id(arg)])
@@ -889,22 +741,6 @@ class BlazeProcessInstance(ProcessInstance):
         self._subscribe(signals, timeout)
 
 
-class BlazeLaneProcessInstance(LaneProcessInstance):
-    """One lane's compiled replica (replicated batch mode).
-
-    Wake gating, lane attribution, and dead-lane handling come from the
-    interpreter's replica class; the execution body is the compiled
-    scalar generator over lane-projected bindings.
-    """
-
-    def __init__(self, design, unit, path, port_map, lane):
-        self._gen = None
-        super().__init__(design, unit, path, port_map, lane)
-
-    bind = BlazeProcessInstance.bind
-    _execute = BlazeProcessInstance._execute
-
-
 class BlazeEntityInstance(EntityInstance):
     """An entity whose re-activation is one compiled closure.
 
@@ -921,10 +757,6 @@ class BlazeEntityInstance(EntityInstance):
 
     def bind(self):
         design = self.design
-        if design.lanes > 1:
-            # Entity bodies in batch mode run the interpreter's
-            # lane-vectorized plan (see ``run``); nothing to bind.
-            return
         cu = design.compiled(self.unit)
         bindings = [None] * len(cu.slots)
         for key, slot in cu.slots.items():
@@ -951,14 +783,6 @@ class BlazeEntityInstance(EntityInstance):
             design.caller(f"in {self.path}"), kernel.intrinsic)
 
     def run(self, kernel):
-        if self.design.lanes > 1:
-            # Entity activations are data flow over batched values;
-            # the lane-vectorized interpreter plan handles per-lane
-            # divergence value-wise (per-lane reg fire masks, per-lane
-            # conditional drives), which straight-line compiled code
-            # cannot.  Processes stay compiled — they dominate runtime.
-            EntityInstance.run(self, kernel)
-            return
         fn = self._activate
         if fn is None:
             self.bind()
@@ -968,27 +792,16 @@ class BlazeEntityInstance(EntityInstance):
 
 BlazeDesign.entity_class = BlazeEntityInstance
 BlazeDesign.process_class = BlazeProcessInstance
-BlazeDesign.lane_process_class = BlazeLaneProcessInstance
 
 
-def elaborate_compiled(module, top, kernel=None, trace=None, lanes=1,
-                       replicate=False, batch_units=None):
-    """Elaborate ``module`` for compiled (Blaze) execution."""
+def elaborate_compiled(module, top, kernel=None, trace=None, units=None,
+                       compile_cache=None):
+    """Elaborate ``module`` for compiled (Blaze) execution.
+
+    ``units`` maps a unit name to the unit instantiated in its place;
+    ``compile_cache`` is a :class:`BlazeDesign` compile cache to share.
+    """
     if kernel is None:
         kernel = Kernel(trace=trace)
-    kernel.lanes = lanes
-    unit = module.get(top)
-    if unit is None or isinstance(unit, UnitDecl):
-        raise SimulationError(f"top unit @{top} is not defined")
-    if not unit.is_entity:
-        raise SimulationError(f"top unit @{top} must be an entity")
-    design = BlazeDesign(module, unit, kernel, lanes, replicate, batch_units)
-    ports = {}
-    for arg in unit.args:
-        sig = design.create_signal(
-            f"{top}.{arg.name}", arg.type,
-            lane_default(arg.type.element, lanes))
-        ports[id(arg)] = sig
-    BlazeEntityInstance(design, unit, top, ports)
-    design.finalize()
-    return design
+    return elaborate_top(BlazeDesign, module, top, kernel, units=units,
+                         compile_cache=compile_cache)

@@ -28,15 +28,11 @@ from __future__ import annotations
 
 import heapq
 
-from ..ir.ninevalued import LogicVec
-from ..ir.units import UnitDecl
 from .engine import (
     DriverTimeline, Kernel, SignalInstance, SignalRef,
     _combine_contributions,
 )
-from .values import (
-    SimulationError, default_value, extract_path, insert_path,
-)
+from .values import SimulationError, extract_path, insert_path
 
 
 def _advance(now, delay):
@@ -102,12 +98,6 @@ class CycleKernel:
         # Sanitizer + driver labels — same protocol as engine.Kernel.
         self.sanitizer = None
         self.driver_labels = {}
-        # Batch (lane) attribution — same protocol as engine.Kernel.
-        self.lanes = 1
-        self.current_lane = None
-        self.finished_lanes = set()
-        self.lane_finish_fs = {}
-        self.lane_finish_state = {}
 
     # -- construction (same surface as engine.Kernel) ------------------------
 
@@ -179,36 +169,7 @@ class CycleKernel:
             return extract_path(target.signal.find().value, target.path)
         return target.find().value
 
-    def intrinsic(self, name, args, where=""):
-        if name in ("llhd.assert", "llhd.assert.msg"):
-            cond = args[0]
-            if isinstance(cond, LogicVec):
-                cond = int(cond.is_two_valued and cond.to_int() != 0)
-            if not cond:
-                message = args[1] if len(args) > 1 else ""
-                text = f"assertion failed at {self.now[0]}fs {where} " \
-                    f"{message}".strip()
-                if self.lanes > 1:
-                    self.assertion_failures.append((self.current_lane, text))
-                else:
-                    self.assertion_failures.append(text)
-            return None
-        if name == "llhd.print":
-            from .values import format_value
-
-            text = " ".join(format_value(a) for a in args)
-            if self.lanes > 1:
-                self.output.append((self.current_lane, text))
-            else:
-                self.output.append(text)
-            return None
-        if name == "llhd.finish":
-            self.finish_lane()
-            return None
-        raise SimulationError(f"unknown intrinsic @{name}")
-
-    _lane_finish_snapshot = Kernel._lane_finish_snapshot
-    finish_lane = Kernel.finish_lane
+    intrinsic = Kernel.intrinsic
 
     # -- main loop ---------------------------------------------------------------
 
@@ -291,27 +252,14 @@ class CycleKernel:
         return True
 
 
-def elaborate_cycle(module, top, kernel=None, trace=None, lanes=1,
-                    replicate=False, batch_units=None):
-    """Elaborate for the cycle simulator (compiled units, cycle kernel)."""
-    from .blaze import BlazeDesign, BlazeEntityInstance
-    from .lanes import lane_default
+def elaborate_cycle(module, top, kernel=None, trace=None, units=None,
+                    compile_cache=None):
+    """Elaborate for the cycle simulator (compiled units, cycle kernel);
+    ``units`` and ``compile_cache`` as for
+    :func:`~repro.sim.blaze.elaborate_compiled`."""
+    from .blaze import elaborate_compiled
 
     if kernel is None:
         kernel = CycleKernel(trace=trace)
-    kernel.lanes = lanes
-    unit = module.get(top)
-    if unit is None or isinstance(unit, UnitDecl):
-        raise SimulationError(f"top unit @{top} is not defined")
-    if not unit.is_entity:
-        raise SimulationError(f"top unit @{top} must be an entity")
-    design = BlazeDesign(module, unit, kernel, lanes, replicate, batch_units)
-    ports = {}
-    for arg in unit.args:
-        sig = design.create_signal(
-            f"{top}.{arg.name}", arg.type,
-            lane_default(arg.type.element, lanes))
-        ports[id(arg)] = sig
-    BlazeEntityInstance(design, unit, top, ports)
-    design.finalize()
-    return design
+    return elaborate_compiled(module, top, kernel, units=units,
+                              compile_cache=compile_cache)

@@ -334,15 +334,6 @@ class Kernel:
         # conflicts are reported against readable source names.
         self.sanitizer = None
         self.driver_labels = {}
-        # Batch (lane) attribution; see repro.sim.lanes.  When lanes > 1,
-        # assertion/print entries become (lane, text) tuples — lane None
-        # means "all lanes" — and llhd.finish retires one lane at a time
-        # until every lane has finished.
-        self.lanes = 1
-        self.current_lane = None
-        self.finished_lanes = set()
-        self.lane_finish_fs = {}
-        self.lane_finish_state = {}
 
     # -- construction -------------------------------------------------------
 
@@ -571,65 +562,19 @@ class Kernel:
                 cond = int(cond.is_two_valued and cond.to_int() != 0)
             if not cond:
                 message = args[1] if len(args) > 1 else ""
-                t = self.now
-                text = f"assertion failed at {t[0]}fs {where} " \
-                    f"{message}".strip()
-                if self.lanes > 1:
-                    self.assertion_failures.append((self.current_lane, text))
-                else:
-                    self.assertion_failures.append(text)
+                self.assertion_failures.append(
+                    f"assertion failed at {self.now[0]}fs {where} "
+                    f"{message}".strip())
             return None
         if name == "llhd.print":
             from .values import format_value
 
-            text = " ".join(format_value(a) for a in args)
-            if self.lanes > 1:
-                self.output.append((self.current_lane, text))
-            else:
-                self.output.append(text)
+            self.output.append(" ".join(format_value(a) for a in args))
             return None
         if name == "llhd.finish":
-            self.finish_lane()
+            self.finished = True
             return None
         raise SimulationError(f"unknown intrinsic @{name}")
-
-    def _lane_finish_snapshot(self):
-        """Signal name -> batched value at this very moment.
-
-        Captured when a lane finishes: a scalar run stops *mid-instant*
-        (no later delta round matures), while the batch kernel keeps
-        running other lanes through further rounds of the same
-        femtosecond.  The per-fs last-wins trace cannot recover the
-        earlier intra-instant state, so the demultiplexer rebuilds the
-        lane's final trace entry from this snapshot instead.
-        """
-        snap = {}
-        for sig in self.signals:
-            value = sig.find().value
-            for name in sig.aliases:
-                snap[name] = value
-        return snap
-
-    def finish_lane(self):
-        """Handle ``llhd.finish``: whole run, or just the current lane."""
-        if self.lanes > 1 and self.current_lane is not None:
-            k = self.current_lane
-            if k not in self.finished_lanes:
-                self.finished_lanes.add(k)
-                self.lane_finish_fs[k] = self.now[0]
-                self.lane_finish_state[k] = self._lane_finish_snapshot()
-            if len(self.finished_lanes) == self.lanes:
-                self.finished = True
-            return
-        if self.lanes > 1:
-            # Lane-uniform finish: every still-running lane ends here.
-            snap = self._lane_finish_snapshot()
-            for k in range(self.lanes):
-                if k not in self.finished_lanes:
-                    self.finished_lanes.add(k)
-                    self.lane_finish_fs[k] = self.now[0]
-                    self.lane_finish_state[k] = snap
-        self.finished = True
 
     def probe(self, target):
         """Read the current value of a signal or projection."""

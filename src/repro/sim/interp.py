@@ -19,17 +19,10 @@ Elaboration instantiates the design hierarchy: every ``sig`` becomes a
 instantiates the child unit with its ports bound, processes become
 suspended control-flow activities, and entity bodies are evaluated once
 (their "execute all instructions at initialization" semantics) while
-registering data-flow sensitivity for re-execution.
-
-Batch simulation (``lanes`` > 1) elaborates the same hierarchy over
-lane-widened values (see :mod:`repro.sim.lanes`) in one of two modes:
-
-* *vectorized* (``replicate=False``): every activity executes once per
-  activation covering all K lanes; lane-divergent control raises
-  :class:`~repro.sim.lanes.LaneDivergence`;
-* *replicated* (``replicate=True``): each process is elaborated K times
-  (:class:`LaneProcessInstance`), replica k seeing lane k of every port
-  through lane-projection paths — entities stay vectorized in both modes.
+registering data-flow sensitivity for re-execution.  A unit-substitution
+map instantiates a replacement unit wherever the design instantiates the
+unit of that name; batch runs (:mod:`repro.sim.batch`) use it to swap in
+their own stimulus process.
 """
 
 from __future__ import annotations
@@ -37,16 +30,11 @@ from __future__ import annotations
 from ..ir.units import UnitDecl
 from .engine import Kernel, SignalInstance, SignalRef
 from .eval import evaluate, path_of
-from .lanes import (
-    evaluate_lanes, intrinsic_lanes, lane_default, lane_path,
-    path_of_lanes, uindex, uindex_int,
-)
-from .lanes import drive_cond_lanes
 from .plan import (
     Cell, CellRef, _as_cellref, _dynamic_index, _Timeout,
     build_entity_plan, build_function_plan, build_process_plan,
 )
-from .values import SimulationError, default_value, extract_path, lane_extract
+from .values import SimulationError, default_value, extract_path
 
 _PURE_OPS = frozenset({
     "const", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
@@ -63,26 +51,19 @@ class Design:
     # the compiled variants (assigned after the classes are defined).
     entity_class = None
     process_class = None
-    lane_process_class = None
 
-    def __init__(self, module, top, kernel, lanes=1, replicate=False,
-                 batch_units=None):
+    def __init__(self, module, top, kernel, units=None):
         self.module = module
         self.top = top
         self.kernel = kernel
-        self.lanes = lanes
-        # replicate may be set with lanes == 1 (a 1-lane BatchStimulus):
-        # the replica machinery then degenerates to scalar execution over
-        # empty lane-projection paths.
-        self.replicate = bool(replicate)
-        # BatchStimulus: process unit name -> per-lane replacement units.
-        self.batch_units = batch_units or {}
+        # Unit name -> the unit instantiated in its place.
+        self.units = units or {}
         self.activities = []
         self.signal_by_name = {}
         self._order = 0
         self._proc_plans = {}     # id(unit) -> (entry, constants)
         self._entity_plans = {}   # id(unit) -> tuple of steps
-        self._func_plans = {}     # (id(unit), lanes) -> (entry, constants)
+        self._func_plans = {}     # id(unit) -> (entry, constants)
 
     def next_order(self):
         self._order += 1
@@ -99,17 +80,11 @@ class Design:
 
     def proc_plan(self, unit):
         """The predecoded plan for a process unit (built once per unit):
-        ``(entry BlockPlan, hoisted constants)``.
-
-        Replicated-mode processes run per lane on lane-projected ports,
-        so they use the ordinary *scalar* plan; only vectorized mode
-        builds lane-widened process plans.
-        """
+        ``(entry BlockPlan, hoisted constants)``."""
         plan = self._proc_plans.get(id(unit))
         if plan is None:
-            lanes = 1 if self.replicate else self.lanes
             plan = self._proc_plans[id(unit)] = build_process_plan(
-                unit, self.kernel, lanes)
+                unit, self.kernel)
         return plan
 
     def entity_plan(self, unit):
@@ -117,20 +92,15 @@ class Design:
         plan = self._entity_plans.get(id(unit))
         if plan is None:
             plan = self._entity_plans[id(unit)] = build_entity_plan(
-                unit, self.kernel, self.lanes, self.replicate)
+                unit, self.kernel)
         return plan
 
-    def function_plan(self, unit, lanes=1):
-        """The predecoded plan for a function unit, as :meth:`proc_plan`.
-
-        In replicated mode both variants coexist: process replicas call
-        the scalar plan, vectorized entities the lane-widened one.
-        """
-        key = (id(unit), lanes)
-        plan = self._func_plans.get(key)
+    def function_plan(self, unit):
+        """The predecoded plan for a function unit, as :meth:`proc_plan`."""
+        plan = self._func_plans.get(id(unit))
         if plan is None:
-            plan = self._func_plans[key] = build_function_plan(
-                unit, self.kernel, lanes)
+            plan = self._func_plans[id(unit)] = build_function_plan(
+                unit, self.kernel)
         return plan
 
     def finalize(self):
@@ -145,25 +115,31 @@ class Design:
                 bind()
 
 
-def elaborate(module, top, kernel=None, trace=None, lanes=1,
-              replicate=False, batch_units=None):
-    """Elaborate ``module`` starting at entity ``top``; returns a Design."""
+def elaborate(module, top, kernel=None, trace=None, units=None):
+    """Elaborate ``module`` starting at entity ``top``; returns a Design.
+
+    ``units`` maps a unit name to the unit instantiated in its place.
+    """
     if kernel is None:
         kernel = Kernel(trace=trace)
-    kernel.lanes = lanes
+    return elaborate_top(Design, module, top, kernel, units=units)
+
+
+def elaborate_top(design_class, module, top, kernel, **options):
+    """Instantiate entity ``top`` as a ``design_class`` design bound to
+    ``kernel``: top-level port signals, the hierarchy, then the design's
+    :meth:`~Design.finalize` hook."""
     unit = module.get(top)
     if unit is None or isinstance(unit, UnitDecl):
         raise SimulationError(f"top unit @{top} is not defined")
     if not unit.is_entity:
         raise SimulationError(f"top unit @{top} must be an entity")
-    design = Design(module, unit, kernel, lanes, replicate, batch_units)
+    design = design_class(module, unit, kernel, **options)
     ports = {}
     for arg in unit.args:
-        sig = design.create_signal(
-            f"{top}.{arg.name}", arg.type,
-            lane_default(arg.type.element, lanes))
-        ports[id(arg)] = sig
-    EntityInstance(design, unit, top, ports)
+        ports[id(arg)] = design.create_signal(
+            f"{top}.{arg.name}", arg.type, default_value(arg.type.element))
+    design.entity_class(design, unit, top, ports)
     design.finalize()
     return design
 
@@ -181,32 +157,22 @@ class _FunctionFrame:
 
 
 class _FunctionInterpreter:
-    """Immediate (zero-time) execution of a function body.
-
-    ``lanes`` > 1 runs function bodies over lane-widened values and
-    routes ``llhd.*`` intrinsics through the lane-attributing wrapper
-    (which needs the call site's operand ``types`` to slice arguments).
-    """
+    """Immediate (zero-time) execution of a function body."""
 
     MAX_STEPS = 2_000_000
 
-    def __init__(self, design, kernel, lanes=1):
+    def __init__(self, design, kernel):
         self.design = design
         self.kernel = kernel
-        self.lanes = lanes
 
-    def call(self, name, args, where="", types=None):
-        lanes = self.lanes
+    def call(self, name, args, where=""):
         if name.startswith("llhd."):
-            if lanes > 1:
-                return intrinsic_lanes(
-                    self.kernel, name, args, types, lanes, where)
             return self.kernel.intrinsic(name, args, where)
         design = self.design
         func = design.module.get(name)
         if func is None or isinstance(func, UnitDecl):
             raise SimulationError(f"call to undefined function @{name}")
-        bp, consts = design.function_plan(func, lanes)
+        bp, consts = design.function_plan(func)
         env = dict(consts)
         for arg, value in zip(func.args, args):
             env[id(arg)] = value
@@ -245,39 +211,6 @@ def _interp_ext(inst, env):
     return extract_path(base, (step,))
 
 
-def _interp_ext_lanes(inst, env, lanes):
-    """Lane-mode extf/exts for the elaboration walk.
-
-    Mirrors ``plan._ext_step_lanes``: reference projections need a
-    lane-uniform index and lane-aware slice steps; extractions from plain
-    values go through the generic lane evaluator.
-    """
-    from ..ir.ninevalued import LogicVec
-
-    base = env[id(inst.operands[0])]
-    if isinstance(base, (SignalInstance, SignalRef, Cell, CellRef)):
-        if inst.opcode == "extf":
-            index = inst.attrs.get("index")
-            if index is None:
-                iv = env[id(inst.operands[1])]
-                if isinstance(iv, LogicVec):
-                    index = uindex(iv, lanes)
-                else:
-                    ity = inst.operands[1].type
-                    index = uindex_int(
-                        iv, ity.width if ity.is_int else 1, lanes)
-            step = ("field", index)
-        else:
-            step = path_of_lanes(inst, lanes)
-        if isinstance(base, SignalInstance):
-            base = SignalRef(base, (), base.type)
-        if isinstance(base, SignalRef):
-            return base.project(step, inst.type)
-        return _as_cellref(base).project(step)
-    return evaluate_lanes(
-        inst, [env[id(o)] for o in inst.operands], lanes)
-
-
 class ProcessInstance:
     """One elaborated process: a suspended control-flow activity."""
 
@@ -291,15 +224,13 @@ class ProcessInstance:
         self.wait_token = 0
         self.subscribed = []
         self._bp = None            # current BlockPlan (predecoded)
-        self.functions = _FunctionInterpreter(
-            design, design.kernel,
-            design.lanes if not design.replicate else 1)
+        self.functions = _FunctionInterpreter(design, design.kernel)
         design.activities.append(self)
         design.kernel.schedule_initial(self)
 
     # -- activity interface ----------------------------------------------------
 
-    def run(self, kernel, timed_out=False):
+    def run(self, kernel):
         if self.status == "waiting":
             self._wake()
         elif self.status != "ready":
@@ -344,64 +275,6 @@ class ProcessInstance:
             bp = bp.term(env, self)
 
 
-class LaneProcessInstance(ProcessInstance):
-    """One lane's replica of a process (replicated batch mode).
-
-    The replica's ports are lane projections of the shared batched nets,
-    so it executes the unchanged *scalar* plan.  Because nets wake their
-    waiters when *any* lane changes, each replica captures its lane's
-    slice of every subscribed net at suspension and swallows wake-ups
-    that left its own lane untouched (re-arming its subscriptions) —
-    scalar-equivalent wake-up semantics, which the per-lane trace demux
-    relies on.  A replica whose lane has finished is dead and returns
-    immediately.
-    """
-
-    def __init__(self, design, unit, path, port_map, lane):
-        self.lane = lane
-        self._wait_capture = None
-        super().__init__(design, unit, path, port_map)
-
-    def run(self, kernel, timed_out=False):
-        lane = self.lane
-        if lane in kernel.finished_lanes:
-            return
-        if self.status == "waiting":
-            if not timed_out and not self._lane_visible_change(kernel):
-                # Spurious wake: another lane moved.  Re-arm.
-                order = self.order
-                for sig in self.subscribed:
-                    sig.proc_waiters[order] = self
-                return
-            self._wake()
-        elif self.status != "ready":
-            return
-        self.status = "running"
-        kernel.current_lane = lane
-        try:
-            self._execute(kernel)
-        finally:
-            kernel.current_lane = None
-        if self.status == "waiting":
-            self._capture(kernel)
-
-    def _capture(self, kernel):
-        lane, lanes = self.lane, self.design.lanes
-        self._wait_capture = [
-            lane_extract(sig.value, sig.type.element, lane, lanes)
-            for sig in self.subscribed]
-
-    def _lane_visible_change(self, kernel):
-        capture = self._wait_capture
-        if capture is None:
-            return True
-        lane, lanes = self.lane, self.design.lanes
-        for sig, old in zip(self.subscribed, capture):
-            if lane_extract(sig.value, sig.type.element, lane, lanes) != old:
-                return True
-        return False
-
-
 def _signal_and_path(target):
     if isinstance(target, SignalRef):
         return target.signal, target.path
@@ -413,9 +286,7 @@ class EntityInstance:
 
     The body is executed once at elaboration (creating signals, recursing
     into ``inst``), and re-executed whenever an observed signal changes.
-    Re-execution walks the predecoded entity plan.  Entities stay
-    lane-vectorized in both batch modes: their bodies are control-free
-    data flow, so per-lane divergence is handled value-wise.
+    Re-execution walks the predecoded entity plan.
     """
 
     def __init__(self, design, unit, path, port_map):
@@ -425,8 +296,7 @@ class EntityInstance:
         self.order = design.next_order()
         self.env = dict(port_map)
         self.reg_state = {}  # id(reg inst) -> [prev trigger values]
-        self.functions = _FunctionInterpreter(
-            design, design.kernel, design.lanes)
+        self.functions = _FunctionInterpreter(design, design.kernel)
         self._observed = {}
         self._plan = None
         design.activities.append(self)
@@ -480,66 +350,34 @@ class EntityInstance:
 
     def _instantiate(self, inst):
         design = self.design
-        callee = design.module.get(inst.callee)
+        callee = design.units.get(inst.callee)
+        if callee is None:
+            callee = design.module.get(inst.callee)
         if callee is None or isinstance(callee, UnitDecl):
             raise SimulationError(
                 f"{self.path}: inst of undefined unit @{inst.callee}")
         operands = inst.inst_inputs() + inst.inst_outputs()
         child_path = f"{self.path}.{inst.callee}"
+        port_map = {}
+        for arg, operand in zip(callee.args, operands):
+            port_map[id(arg)] = self.env[id(operand)]
         if callee.is_entity:
-            port_map = {}
-            for arg, operand in zip(callee.args, operands):
-                port_map[id(arg)] = self.env[id(operand)]
             design.entity_class(design, callee, child_path, port_map)
-            return
-        if not design.replicate:
-            port_map = {}
-            for arg, operand in zip(callee.args, operands):
-                port_map[id(arg)] = self.env[id(operand)]
+        else:
             design.process_class(design, callee, child_path, port_map)
-            return
-        # Replicated batch mode: one scalar replica per lane, each seeing
-        # lane k of every batched port net through a lane projection.
-        lanes = design.lanes
-        for k in range(lanes):
-            unit_k = callee
-            swap = design.batch_units.get(inst.callee)
-            if swap is not None:
-                unit_k = swap[k]
-            port_map = {}
-            for arg, operand in zip(unit_k.args, operands):
-                target = self.env[id(operand)]
-                path = lane_path(arg.type.element, k, lanes)
-                if type(target) is SignalRef:
-                    ref = SignalRef(
-                        target.signal, target.path + path, arg.type)
-                else:
-                    ref = SignalRef(target, path, arg.type)
-                port_map[id(arg)] = ref
-            design.lane_process_class(
-                design, unit_k, f"{child_path}#l{k}", port_map, k)
 
     def _eval_dataflow(self, inst):
         env = self.env
         op = inst.opcode
-        lanes = self.design.lanes
         if op in ("extf", "exts"):
-            if lanes > 1:
-                env[id(inst)] = _interp_ext_lanes(inst, env, lanes)
-            else:
-                env[id(inst)] = _interp_ext(inst, env)
+            env[id(inst)] = _interp_ext(inst, env)
         elif op in _PURE_OPS or op == "insf":
-            if lanes > 1:
-                env[id(inst)] = evaluate_lanes(
-                    inst, [env[id(o)] for o in inst.operands], lanes)
-            else:
-                env[id(inst)] = evaluate(
-                    inst, [env[id(o)] for o in inst.operands])
+            env[id(inst)] = evaluate(
+                inst, [env[id(o)] for o in inst.operands])
         elif op == "call":
             result = self.functions.call(
                 inst.callee, [env[id(o)] for o in inst.operands],
-                where=f"in {self.path}",
-                types=tuple(o.type for o in inst.operands))
+                where=f"in {self.path}")
             if not inst.type.is_void:
                 env[id(inst)] = result
         else:
@@ -550,15 +388,6 @@ class EntityInstance:
         # One entity is one driver for its drv instructions; reg and del
         # each drive through their own key (see plan._reg_step/_del_step).
         cond = inst.drv_condition()
-        lanes = self.design.lanes
-        if cond is not None and lanes > 1:
-            drive_cond_lanes(
-                kernel, self.order, id(inst),
-                self.env[id(inst.drv_signal())], inst.drv_value().type,
-                self.env[id(inst.drv_value())],
-                self.env[id(inst.drv_delay())],
-                self.env[id(cond)], lanes)
-            return
         if cond is not None and not self.env[id(cond)]:
             return
         kernel.schedule_drive(
@@ -580,7 +409,6 @@ class EntityInstance:
 
 Design.entity_class = EntityInstance
 Design.process_class = ProcessInstance
-Design.lane_process_class = LaneProcessInstance
 
 
 def _connect(a, b):

@@ -48,9 +48,10 @@ from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .blaze import BlazeDesign, BlazeEntityInstance
 from .engine import Kernel, SignalInstance, SignalRef
+from .interp import elaborate_top
 from .optable import edge
 from .plan import _dynamic_index
-from .values import SimulationError, default_value, insert_path
+from .values import SimulationError, insert_path
 
 _ZERO = TimeValue(0)
 
@@ -485,7 +486,7 @@ class LevelizedDesign(BlazeDesign):
     """A compiled design whose library cells are absorbed into a cone."""
 
     def __init__(self, module, top, kernel, cache_dir=None, analysis=False):
-        super().__init__(module, top, kernel, 1, False, None)
+        super().__init__(module, top, kernel)
         self.cache_dir = cache_dir
         self.analysis = analysis
         self._cell_forms = {}       # id(unit) -> eval form or None
@@ -606,25 +607,9 @@ def elaborate_levelized(module, top, kernel=None, trace=None,
     """
     if kernel is None:
         kernel = Kernel(trace=trace)
-    if getattr(kernel, "lanes", 1) != 1:
-        raise SimulationError(
-            "levelized: batched lanes are not supported")
     if getattr(kernel, "sanitizer", None) is not None:
         raise SimulationError(
             "levelized: the scheduler sanitizer is not supported "
             "(the cone bypasses the scheduler it would instrument)")
-    unit = module.get(top)
-    if unit is None or isinstance(unit, UnitDecl):
-        raise SimulationError(f"top unit @{top} is not defined")
-    if not unit.is_entity:
-        raise SimulationError(f"top unit @{top} must be an entity")
-    design = LevelizedDesign(module, unit, kernel, cache_dir=cache_dir,
-                             analysis=analysis)
-    ports = {}
-    for arg in unit.args:
-        sig = design.create_signal(
-            f"{top}.{arg.name}", arg.type, default_value(arg.type.element))
-        ports[id(arg)] = sig
-    LevelizedEntityInstance(design, unit, top, ports)
-    design.finalize()
-    return design
+    return elaborate_top(LevelizedDesign, module, top, kernel,
+                         cache_dir=cache_dir, analysis=analysis)

@@ -28,28 +28,19 @@ types) plus the design's kernel, so one plan is shared by every
 elaborated instance of the unit in a design; the per-instance state
 stays in the activity's ``env`` dict.  Only the steps are generated:
 values still flow through ``env`` one instruction at a time, the
-predecoded-bytecode layout of an interpreter.  Lane-mode (batch) plans
-keep their own step builders below.
+predecoded-bytecode layout of an interpreter.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..ir.ninevalued import LogicVec, lane_ones
+from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
 from .engine import SignalInstance, SignalRef
 from .eval import EVALUATORS, path_of
-from .lanes import (
-    LaneDivergence, drive_cond_lanes, evaluate_lanes, lane_path,
-    path_of_lanes, u1, uindex, uindex_int,
-)
-from .lanes import edge_mask as lane_edge_mask
 from .optable import GLOBALS, TABLE, edge, entry
-from .values import (
-    SimulationError, extract_path, insert_path, lane_extract, lane_widen,
-    mask,
-)
+from .values import SimulationError, extract_path, insert_path
 
 _EPSILON = TimeValue(0, 0, 1)
 
@@ -89,8 +80,6 @@ def _as_cellref(pointer):
 
 
 def _dynamic_index(value):
-    from ..ir.ninevalued import LogicVec
-
     if isinstance(value, LogicVec):
         if not value.is_two_valued:
             raise SimulationError("dynamic index is unknown (X)")
@@ -133,9 +122,7 @@ class _Timeout:
     def run(self, kernel):
         if self.proc.status == "waiting" and \
                 self.proc.wait_token == self.token:
-            # timed_out=True: lane-replicated processes must not apply
-            # their change-detection wake gate to a timeout resume.
-            self.proc.run(kernel, True)
+            self.proc.run(kernel)
 
 
 # -- step builders -------------------------------------------------------------
@@ -399,253 +386,6 @@ def _reg_step(inst, kernel):
     return step
 
 
-# -- lane-mode step builders ---------------------------------------------------
-#
-# When a design is elaborated with K > 1 lanes in *vectorized* mode, every
-# runtime value is lane-widened (see repro.sim.lanes) and one activation
-# covers all K lanes.  Bitwise table ops stay inline (they are lane-exact
-# on widened planes); everything else goes through evaluate_lanes, whose
-# uniformity fast path keeps the per-activation cost near scalar for
-# identical-stimulus batches.  Control points (branch conditions, signal
-# projections by dynamic index) collapse through u1/uindex and raise
-# LaneDivergence when lanes disagree — the batch driver then re-runs the
-# design with per-lane replicated processes (which use the *scalar* plans).
-
-def _pure_step_lanes(inst, lanes):
-    op = inst.opcode
-    key = id(inst)
-    if op == "const":
-        value = lane_widen(inst.attrs["value"], inst.type, lanes)
-
-        def step(env, act):
-            env[key] = value
-        return step
-    ops = inst.operands
-    opids = tuple(id(o) for o in ops)
-    if len(ops) == 2 and op in ("and", "or", "xor"):
-        a, b = opids
-        if ops[0].type.is_logic:
-            if op == "and":
-                def step(env, act):
-                    env[key] = env[a].and_(env[b])
-            elif op == "or":
-                def step(env, act):
-                    env[key] = env[a].or_(env[b])
-            else:
-                def step(env, act):
-                    env[key] = env[a].xor(env[b])
-            return step
-        if ops[0].type.is_int:
-            if op == "and":
-                def step(env, act):
-                    env[key] = env[a] & env[b]
-            elif op == "or":
-                def step(env, act):
-                    env[key] = env[a] | env[b]
-            else:
-                def step(env, act):
-                    env[key] = env[a] ^ env[b]
-            return step
-    if op == "not" and ops:
-        a = opids[0]
-        if ops[0].type.is_logic:
-            def step(env, act):
-                env[key] = env[a].not_()
-            return step
-        if inst.type.is_int:
-            m = mask(inst.type.width * lanes)
-
-            def step(env, act):
-                env[key] = (~env[a]) & m
-            return step
-    if op not in EVALUATORS:
-        raise SimulationError(f"plan: not a pure instruction: {op}")
-    if len(opids) == 1:
-        a = opids[0]
-
-        def step(env, act):
-            env[key] = evaluate_lanes(inst, (env[a],), lanes)
-    elif len(opids) == 2:
-        a, b = opids
-
-        def step(env, act):
-            env[key] = evaluate_lanes(inst, (env[a], env[b]), lanes)
-    else:
-        def step(env, act):
-            env[key] = evaluate_lanes(
-                inst, [env[i] for i in opids], lanes)
-    return step
-
-
-def _ext_step_lanes(inst, kernel, lanes):
-    """Lane-mode extf/exts.
-
-    Projections through signals and pointers build one reference, so a
-    dynamic index must be lane-uniform; int/logic ``exts`` paths become
-    per-lane ``lslice`` steps.  Extractions from plain *values* go
-    through evaluate_lanes, which handles a lane-divergent dynamic index
-    per lane (data divergence).
-    """
-    key = id(inst)
-    base = inst.operands[0]
-    bid = id(base)
-    base_ty = base.type
-    rty = inst.type
-    if not base_ty.is_signal and not base_ty.is_pointer:
-        return _pure_step_lanes(inst, lanes)
-    if inst.opcode == "extf" and inst.attrs.get("index") is None:
-        idx_ty = inst.operands[1].type
-        iid = id(inst.operands[1])
-
-        def dyn_index(value):
-            if isinstance(value, LogicVec):
-                return uindex(value, lanes)
-            return uindex_int(value, idx_ty.width if idx_ty.is_int
-                              else 1, lanes)
-        if base_ty.is_signal:
-            def step(env, act):
-                b = env[bid]
-                if type(b) is SignalInstance:
-                    b = SignalRef(b, (), b.type)
-                env[key] = b.project(("field", dyn_index(env[iid])), rty)
-        else:
-            def step(env, act):
-                env[key] = _as_cellref(env[bid]).project(
-                    ("field", dyn_index(env[iid])))
-        return step
-    if inst.opcode == "extf":
-        path_step = ("field", inst.attrs["index"])
-    else:
-        path_step = path_of_lanes(inst, lanes)
-    if base_ty.is_signal:
-        def step(env, act):
-            b = env[bid]
-            if type(b) is SignalInstance:
-                b = SignalRef(b, (), b.type)
-            env[key] = b.project(path_step, rty)
-    else:
-        def step(env, act):
-            env[key] = _as_cellref(env[bid]).project(path_step)
-    return step
-
-
-def _drv_step_lanes(inst, kernel, lanes, entity):
-    """Lane-mode drive.
-
-    Unconditional drives stay whole-width (one transaction covers all
-    lanes).  A *process* conditional drive collapses its condition with
-    u1 — lane-divergent process control re-runs replicated.  An *entity*
-    conditional drive is data flow (the mux-like enable may legitimately
-    diverge), so set lanes drive their lane projection under per-lane
-    driver keys.
-    """
-    sid = id(inst.drv_signal())
-    vid = id(inst.drv_value())
-    did = id(inst.drv_delay())
-    cond = inst.drv_condition()
-    if cond is None:
-        def step(env, act):
-            kernel.schedule_drive(act.order, env[sid], env[vid], env[did])
-        return step
-    cid = id(cond)
-    if not entity:
-        def step(env, act):
-            if u1(env[cid], lanes):
-                kernel.schedule_drive(
-                    act.order, env[sid], env[vid], env[did])
-        return step
-    inst_key = id(inst)
-    vty = inst.drv_value().type
-
-    def step(env, act):
-        drive_cond_lanes(
-            kernel, act.order, inst_key, env[sid], vty, env[vid],
-            env[did], env[cid], lanes)
-    return step
-
-
-def _call_step_lanes(inst, kernel, lanes):
-    key = id(inst)
-    callee = inst.callee
-    opids = tuple(id(o) for o in inst.operands)
-    types = tuple(o.type for o in inst.operands)
-    void = inst.type.is_void
-
-    def step(env, act):
-        result = act.functions.call(
-            callee, [env[i] for i in opids], where=f"in {act.path}",
-            types=types)
-        if not void:
-            env[key] = result
-    return step
-
-
-def _reg_step_lanes(inst, kernel, lanes, replicate):
-    """Lane-vectorized ``reg``: per-trigger lane fire masks.
-
-    Each trigger contributes an edge-detection lane mask (O(1) plane
-    arithmetic for the ubiquitous ``l1`` clock); lanes pick their first
-    matching trigger, scalar-style.  In vectorized mode the mask must be
-    all-or-nothing (a partial mask is control divergence: the whole-width
-    drive could not represent per-lane timelines) and fires one
-    whole-width transaction; in replicated mode — where stimulus phases
-    legitimately differ per lane — each firing lane drives its lane
-    projection under a per-lane driver key, so per-lane transport
-    timelines stay independent exactly like the scalar runs they mirror.
-    """
-    key = id(inst)
-    sig_id = id(inst.reg_signal())
-    vty = inst.reg_signal().type.element
-    full = lane_ones(1, lanes)
-    trigs = tuple(
-        (t["mode"], id(t["value"]), id(t["trigger"]),
-         id(t["cond"]) if t["cond"] is not None else None,
-         id(t["delay"]) if t["delay"] is not None else None,
-         t["trigger"].type)
-        for t in inst.reg_triggers())
-
-    def step(env, act):
-        prev_list = act.reg_state[key]
-        fired = 0
-        for i, (mode, vid, tid, cid, did, tty) in enumerate(trigs):
-            cur = env[tid]
-            prev = prev_list[i]
-            prev_list[i] = cur
-            if fired == full:
-                continue
-            hit = lane_edge_mask(mode, prev, cur, tty, lanes)
-            if cid is not None:
-                hit &= env[cid]
-            hit &= ~fired & full
-            if not hit:
-                continue
-            fired |= hit
-            delay = env[did] if did is not None else _EPSILON
-            if not replicate:
-                if hit != full:
-                    raise LaneDivergence(
-                        "reg trigger fires on a strict subset of lanes")
-                kernel.schedule_drive(
-                    ("reg", act.order, key), env[sig_id], env[vid], delay)
-                continue
-            target = env[sig_id]
-            if type(target) is not SignalRef:
-                target = SignalRef(target, (), target.type)
-            value = env[vid]
-            m = hit
-            while m:
-                low = m & -m
-                k = low.bit_length() - 1
-                m ^= low
-                ref = SignalRef(
-                    target.signal,
-                    target.path + lane_path(vty, k, lanes), vty)
-                kernel.schedule_drive(
-                    ("reg", act.order, key, k), ref,
-                    lane_extract(value, vty, k, lanes), delay)
-    return step
-
-
 _STEP_BUILDERS = {
     "prb": _prb_step,
     "drv": _drv_step,
@@ -660,13 +400,13 @@ _STEP_BUILDERS = {
 }
 
 
-def _step_for(inst, allowed, where, kernel, lanes=1, entity=False,
-              fused=frozenset(), promoted=frozenset()):
+def _step_for(inst, allowed, where, kernel, fused=frozenset(),
+              promoted=frozenset()):
     """The step for ``inst``, or None when it needs none.
 
     ``fused`` holds the arrays :func:`fused_mux_arrays` folds into their
     mux and ``promoted`` the cells :func:`promotable_cells` keeps in
-    ``env`` (both empty in lane mode).
+    ``env``.
     """
     op = inst.opcode
     if op == "free" or id(inst) in fused:
@@ -675,13 +415,6 @@ def _step_for(inst, allowed, where, kernel, lanes=1, entity=False,
     if builder is not None:
         if op not in allowed:
             raise SimulationError(f"{where}: '{op}' not allowed here")
-        if lanes > 1:
-            if op in ("extf", "exts"):
-                return _ext_step_lanes(inst, kernel, lanes)
-            if op == "drv":
-                return _drv_step_lanes(inst, kernel, lanes, entity)
-            if op == "call":
-                return _call_step_lanes(inst, kernel, lanes)
         # A promoted cell's value lives in env under the cell's own key.
         if op in ("var", "alloc") and id(inst) in promoted:
             return _copy_step(inst, inst.operands[0])
@@ -691,8 +424,6 @@ def _step_for(inst, allowed, where, kernel, lanes=1, entity=False,
             return _copy_step(*inst.operands)
         return builder(inst, kernel)
     if op in EVALUATORS:
-        if lanes > 1:
-            return _pure_step_lanes(inst, lanes)
         if op == "mux" and id(inst.operands[0]) in fused:
             return _fused_mux_step(inst)
         return _pure_step(inst)
@@ -715,24 +446,13 @@ def _apply_copies(env, copies):
         env[d] = v
 
 
-def _term_br(inst, block, plans, kernel, lanes=1):
+def _term_br(inst, block, plans, kernel):
     if inst.is_conditional_branch:
         cid = id(inst.operands[0])
         f_dest, t_dest = inst.operands[1], inst.operands[2]
         t_plan, f_plan = plans[id(t_dest)], plans[id(f_dest)]
         t_copies = _edge_copies(block, t_dest)
         f_copies = _edge_copies(block, f_dest)
-        if lanes > 1:
-            # Control point: all lanes must take the same edge.
-            def term(env, act):
-                if u1(env[cid], lanes):
-                    if t_copies:
-                        _apply_copies(env, t_copies)
-                    return t_plan
-                if f_copies:
-                    _apply_copies(env, f_copies)
-                return f_plan
-            return term
         if not t_copies and not f_copies:
             def term(env, act):
                 return t_plan if env[cid] else f_plan
@@ -761,7 +481,7 @@ def _term_br(inst, block, plans, kernel, lanes=1):
     return term
 
 
-def _term_wait(inst, block, plans, kernel, lanes=1):
+def _term_wait(inst, block, plans, kernel):
     dest = inst.wait_dest()
     dest_plan = plans[id(dest)]
     copies = _edge_copies(block, dest)
@@ -791,14 +511,14 @@ def _term_wait(inst, block, plans, kernel, lanes=1):
     return term
 
 
-def _term_halt(inst, block, plans, kernel, lanes=1):
+def _term_halt(inst, block, plans, kernel):
     def term(env, act):
         act.status = "halted"
         return None
     return term
 
 
-def _term_ret(inst, block, plans, kernel, lanes=1):
+def _term_ret(inst, block, plans, kernel):
     if inst.operands:
         vid = id(inst.operands[0])
 
@@ -871,13 +591,11 @@ def promotable_cells(unit):
     return cells
 
 
-def _build_cfg_plan(unit, allowed, terms, kind, kernel, lanes=1):
+def _build_cfg_plan(unit, allowed, terms, kind, kernel):
     where = f"@{unit.name}"
     plans = {id(b): BlockPlan() for b in unit.blocks}
     consts = {}
-    fused = promoted = frozenset()
-    if lanes == 1:
-        fused, promoted = fused_mux_arrays(unit), promotable_cells(unit)
+    fused, promoted = fused_mux_arrays(unit), promotable_cells(unit)
     for block in unit.blocks:
         plan = plans[id(block)]
         instructions = block.instructions
@@ -886,11 +604,10 @@ def _build_cfg_plan(unit, allowed, terms, kind, kernel, lanes=1):
         phis = block.phis()
         steps = []
         for inst in instructions[len(phis):-1]:
-            if lanes == 1 and inst.opcode == "const":
+            if inst.opcode == "const":
                 consts[id(inst)] = inst.attrs["value"]
                 continue
-            step = _step_for(inst, allowed, where, kernel, lanes,
-                             fused=fused, promoted=promoted)
+            step = _step_for(inst, allowed, where, kernel, fused, promoted)
             if step is not None:
                 steps.append(step)
         plan.steps = tuple(steps)
@@ -899,26 +616,23 @@ def _build_cfg_plan(unit, allowed, terms, kind, kernel, lanes=1):
         if builder is None:
             raise SimulationError(
                 f"{where}: '{term_inst.opcode}' not allowed in {kind}")
-        plan.term = builder(term_inst, block, plans, kernel, lanes)
+        plan.term = builder(term_inst, block, plans, kernel)
     return plans[id(unit.entry)], consts
 
 
-def build_process_plan(unit, kernel, lanes=1):
+def build_process_plan(unit, kernel):
     """Predecode a process unit; returns ``(entry BlockPlan, constants)``.
 
     One plan serves every instance of the unit: steps key the environment
-    by instruction identity, which is shared across instances.  The
-    scalar plan hoists every ``const`` out of its steps: ``constants``
-    maps their keys to values, seeded once into an instance's ``env``.
-    With ``lanes`` > 1 the plan executes all K batch lanes per
-    activation (lane-vectorized mode — see :mod:`repro.sim.lanes`) and
-    keeps its ``const`` steps.
+    by instruction identity, which is shared across instances.  The plan
+    hoists every ``const`` out of its steps: ``constants`` maps their
+    keys to values, seeded once into an instance's ``env``.
     """
     return _build_cfg_plan(unit, _PROC_OPS, _TERM_BUILDERS, "a process",
-                           kernel, lanes)
+                           kernel)
 
 
-def build_function_plan(unit, kernel, lanes=1):
+def build_function_plan(unit, kernel):
     """Predecode a function body; returns ``(entry BlockPlan, constants)``.
 
     Functions run to a ``ret``: the frame object passed as the activity
@@ -927,38 +641,30 @@ def build_function_plan(unit, kernel, lanes=1):
     """
     return _build_cfg_plan(
         unit, _FUNC_OPS, {"br": _term_br, "ret": _term_ret}, "a function",
-        kernel, lanes)
+        kernel)
 
 
-def build_entity_plan(unit, kernel, lanes=1, replicate=False):
+def build_entity_plan(unit, kernel):
     """Predecode an entity body's re-activation steps.
 
     Elaboration-only instructions (``sig``, ``inst``, ``con``) are
-    skipped, and so are scalar ``const`` steps: the elaboration walk
-    left their values in ``env``.  ``del`` re-drives, ``reg`` detects
-    trigger edges, everything else re-evaluates dataflow.  Entities stay
-    lane-vectorized in *both* batch modes; ``replicate`` only switches
-    ``reg`` to per-lane driver keys (divergent stimulus phases need
-    per-lane drive timelines).
+    skipped, and so are ``const`` steps: the elaboration walk left their
+    values in ``env``.  ``del`` re-drives, ``reg`` detects trigger
+    edges, everything else re-evaluates dataflow.
     """
     where = f"@{unit.name}"
-    fused = fused_mux_arrays(unit) if lanes == 1 else frozenset()
+    fused = fused_mux_arrays(unit)
     steps = []
     for inst in unit.body:
         op = inst.opcode
-        if op in ("sig", "inst", "con") or (op == "const" and lanes == 1):
+        if op in ("sig", "inst", "con", "const"):
             continue
         if op == "del":
             steps.append(_del_step(inst, kernel))
         elif op == "reg":
-            if lanes > 1:
-                steps.append(_reg_step_lanes(inst, kernel, lanes,
-                                             replicate))
-            else:
-                steps.append(_reg_step(inst, kernel))
+            steps.append(_reg_step(inst, kernel))
         else:
-            step = _step_for(inst, _ENTITY_OPS, where, kernel, lanes,
-                             entity=True, fused=fused)
+            step = _step_for(inst, _ENTITY_OPS, where, kernel, fused)
             if step is not None:
                 steps.append(step)
     return tuple(steps)

@@ -4,12 +4,12 @@ The single-seed :func:`inject_stimulus` splices one randomized stimulus
 process into a design's top entity — the differential-fuzz workhorse of
 ``tests/sim/test_engine_equivalence.py``.  The batch variants split the
 seed in two: *target selection* always derives from the base seed (so
-every lane drives the same nets with the same process signature, a
-requirement for lane replicas), while the *waveform* derives from a
-per-lane seed.  :func:`inject_batch_stimulus` packages K waveform
-variants as a :class:`~repro.sim.batch.BatchStimulus`;
-:func:`inject_lane_stimulus` builds the matching scalar reference run
-for one lane.
+every lane drives the same nets with the same process signature, which
+lets a batch swap one lane's process for another's), while the
+*waveform* derives from a per-lane seed.  :func:`inject_batch_stimulus`
+packages K waveform variants as a
+:class:`~repro.sim.batch.BatchStimulus`; :func:`inject_lane_stimulus`
+builds the matching scalar reference run for one lane.
 """
 
 from __future__ import annotations
@@ -54,12 +54,11 @@ def design_driven_names(module, top_name):
     """Names of top-level nets driven by the design itself — entity
     instance outputs and the top's own continuous assigns.
 
-    Back-driving these is excluded from batch stimulus: a lane replica
-    only patches its own lane, while the vectorized design driver
-    re-drives *all* lanes whenever any lane's inputs change, so the
-    scalar run's last-driver-wins-over-time conflict on such a net is
-    not reproducible lane by lane.  (The lowering fuzz harness excludes
-    them for the analogous reason: the techmap turns drives into net
+    Back-driving these is excluded from batch stimulus.  Every lane is
+    its own scalar run, so lane equivalence no longer needs the
+    exclusion; it stays so that seeded lanes keep driving the nets the
+    batch tests and the benchmark were built on.  (The lowering fuzz
+    harness excludes them too: the techmap turns drives into net
     merges, where a second driver resolves instead of overwriting.)
     """
     top = module.get(top_name)

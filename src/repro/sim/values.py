@@ -26,21 +26,11 @@ value equality (the hot test in transaction maturation and tracing) is a
 plane comparison.  The class implements the tuple protocol (indexing,
 slicing, concatenation, equality against plain tuples), so existing
 consumers need no changes.
-
-Batch simulation adds two lane-aware steps (see :mod:`repro.sim.lanes`
-for the layout): ``("lane", k, K, ty)`` projects one stimulus lane out of
-a lane-widened value, and ``("lslice", off, len, kind, K, parent_width)``
-reads/writes a scalar bit-slice across *all* lanes of a lane-widened
-int/logic value.
 """
 
 from __future__ import annotations
 
-from ..ir.ninevalued import (
-    LogicVec, lane_broadcast, lane_ones, lane_slice, lane_splice,
-    lane_uniform,
-)
-from ..ir.types import bit_width
+from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
 
 
@@ -227,136 +217,6 @@ def from_signed(value, width):
     return value & mask(width)
 
 
-# -- lane layout primitives ---------------------------------------------------
-#
-# Batch simulation widens every value across K stimulus lanes; see
-# module docstring and repro.sim.lanes.  These functions define the
-# packed layout per type; lanes==1 is always the identity.
-
-def lane_stride(ty):
-    """The per-lane bit stride of a packed-int type (iN or nN)."""
-    if ty.is_int:
-        return ty.width
-    return bit_width(ty)
-
-
-def lane_widen(value, ty, lanes):
-    """Replicate a scalar runtime value into all K lanes."""
-    if lanes == 1:
-        return value
-    if ty.is_logic:
-        return lane_broadcast(value, lanes)
-    if ty.is_int or ty.is_enum:
-        return value * lane_ones(lane_stride(ty), lanes)
-    if ty.is_array:
-        elems = tuple(lane_widen(v, ty.element, lanes) for v in value)
-        if ty.element.is_logic:
-            return PackedLogicArray.from_elements(elems)
-        return elems
-    if ty.is_struct:
-        return tuple(lane_widen(v, f, lanes)
-                     for v, f in zip(value, ty.fields))
-    if ty.is_time:
-        return value
-    raise SimulationError(f"cannot lane-broadcast a value of type {ty}")
-
-
-def lane_extract(value, ty, lane, lanes):
-    """Extract lane ``lane``'s scalar value from a lane-widened value."""
-    if lanes == 1:
-        return value
-    if ty.is_logic:
-        return lane_slice(value, lane, ty.width)
-    if ty.is_int or ty.is_enum:
-        w = lane_stride(ty)
-        return (value >> (lane * w)) & mask(w)
-    if ty.is_array:
-        elems = tuple(lane_extract(v, ty.element, lane, lanes)
-                      for v in value)
-        if ty.element.is_logic:
-            return PackedLogicArray.from_elements(elems)
-        return elems
-    if ty.is_struct:
-        return tuple(lane_extract(v, f, lane, lanes)
-                     for v, f in zip(value, ty.fields))
-    if ty.is_time:
-        return value
-    raise SimulationError(f"cannot lane-extract a value of type {ty}")
-
-
-def lane_insert(value, ty, lane, lanes, scalar):
-    """A copy of a lane-widened value with lane ``lane`` set to ``scalar``."""
-    if lanes == 1:
-        return scalar
-    if ty.is_logic:
-        return lane_splice(value, lane, scalar)
-    if ty.is_int or ty.is_enum:
-        w = lane_stride(ty)
-        return (value & ~(mask(w) << (lane * w))) | \
-            ((scalar & mask(w)) << (lane * w))
-    if ty.is_array:
-        elems = tuple(
-            lane_insert(v, ty.element, lane, lanes, s)
-            for v, s in zip(value, scalar))
-        if ty.element.is_logic:
-            return PackedLogicArray.from_elements(elems)
-        return elems
-    if ty.is_struct:
-        return tuple(lane_insert(v, f, lane, lanes, s)
-                     for v, f, s in zip(value, ty.fields, scalar))
-    if ty.is_time:
-        return scalar
-    raise SimulationError(f"cannot lane-insert a value of type {ty}")
-
-
-def _lslice_read(value, offset, length, kind, lanes, pw):
-    """Read a scalar bit-slice across all lanes of a lane-widened value."""
-    if kind == "logic":
-        if lane_uniform(value, pw, lanes):
-            return lane_broadcast(
-                value.slice_(offset, length), lanes)
-        val = unk = weak = aux = 0
-        m = mask(length)
-        for k in range(lanes):
-            base = k * pw + offset
-            sh = k * length
-            val |= ((value._val >> base) & m) << sh
-            unk |= ((value._unk >> base) & m) << sh
-            weak |= ((value._weak >> base) & m) << sh
-            aux |= ((value._aux >> base) & m) << sh
-        return LogicVec._make(length * lanes, val, unk, weak, aux)
-    # int
-    m = mask(length)
-    lane0 = value & mask(pw)
-    if value == lane0 * lane_ones(pw, lanes):
-        return ((lane0 >> offset) & m) * lane_ones(length, lanes)
-    out = 0
-    for k in range(lanes):
-        out |= ((value >> (k * pw + offset)) & m) << (k * length)
-    return out
-
-
-def _lslice_write(value, offset, length, kind, lanes, pw, new):
-    """Write a lane-widened slice value into all lanes of the parent."""
-    if kind == "logic":
-        if lane_uniform(value, pw, lanes) and \
-                lane_uniform(new, length, lanes):
-            scalar = value.slice_(0, pw).splice(
-                offset, new.slice_(0, length))
-            return lane_broadcast(scalar, lanes)
-        out = value
-        for k in range(lanes):
-            out = out.splice(k * pw + offset,
-                             new.slice_(k * length, length))
-        return out
-    m = mask(length)
-    out = value
-    for k in range(lanes):
-        base = k * pw + offset
-        out = (out & ~(m << base)) | (((new >> (k * length)) & m) << base)
-    return out
-
-
 def extract_path(value, path):
     """Read the sub-value denoted by a projection path."""
     for step in path:
@@ -368,7 +228,7 @@ def extract_path(value, path):
                     f"index {index} out of range for aggregate of "
                     f"{len(value)} elements")
             value = value[index]
-        elif tag == "slice":
+        else:  # ("slice", offset, length, kind)
             _, offset, length, kind = step
             if kind == "int":
                 value = (value >> offset) & mask(length)
@@ -377,11 +237,6 @@ def extract_path(value, path):
                 value = value.slice_(offset, length)
             else:  # array slice
                 value = value[offset:offset + length]
-        elif tag == "lane":
-            value = lane_extract(value, step[3], step[1], step[2])
-        else:  # ("lslice", offset, length, kind, lanes, parent_width)
-            _, offset, length, kind, lanes, pw = step
-            value = _lslice_read(value, offset, length, kind, lanes, pw)
     return value
 
 
@@ -401,28 +256,19 @@ def insert_path(value, path, new):
         if type(value) is PackedLogicArray:
             return value.with_item(index, inner)
         return value[:index] + (inner,) + value[index + 1:]
-    if tag == "slice":
-        _, offset, length, kind = step
-        if kind == "int":
-            inner = insert_path(extract_path(value, (step,)), rest, new)
-            cleared = value & ~(mask(length) << offset)
-            return cleared | ((inner & mask(length)) << offset)
-        if kind == "logic":
-            inner = insert_path(extract_path(value, (step,)), rest, new)
-            return value.splice(offset, inner)
-        inner = insert_path(value[offset:offset + length], rest, new)
-        if type(value) is PackedLogicArray:
-            return value.with_slice(offset, inner)
-        return value[:offset] + tuple(inner) + value[offset + length:]
-    if tag == "lane":
-        _, lane, lanes, ty = step
-        inner = insert_path(
-            lane_extract(value, ty, lane, lanes), rest, new)
-        return lane_insert(value, ty, lane, lanes, inner)
-    # ("lslice", offset, length, kind, lanes, parent_width)
-    _, offset, length, kind, lanes, pw = step
-    inner = insert_path(extract_path(value, (step,)), rest, new)
-    return _lslice_write(value, offset, length, kind, lanes, pw, inner)
+    # ("slice", offset, length, kind)
+    _, offset, length, kind = step
+    if kind == "int":
+        inner = insert_path(extract_path(value, (step,)), rest, new)
+        cleared = value & ~(mask(length) << offset)
+        return cleared | ((inner & mask(length)) << offset)
+    if kind == "logic":
+        inner = insert_path(extract_path(value, (step,)), rest, new)
+        return value.splice(offset, inner)
+    inner = insert_path(value[offset:offset + length], rest, new)
+    if type(value) is PackedLogicArray:
+        return value.with_slice(offset, inner)
+    return value[:offset] + tuple(inner) + value[offset + length:]
 
 
 def format_value(value):

@@ -1,28 +1,31 @@
-"""Lane semantics of the batch-parallel simulation engine.
+"""Lane semantics of batch simulation.
 
-The batch engine's contract is *per-lane scalar equivalence*: lane k of
-a K-lane run — trace, print output, assertion failures, finish time —
-must be byte-identical to the scalar simulation of lane k's stimulus.
-This file pins that contract in both execution modes:
+The batch contract is *per-lane scalar equivalence*: lane k of a K-lane
+run — trace, print output, assertion failures, finish time, kernel
+statistics — must be byte-identical to the scalar simulation of lane
+k's stimulus.  This file pins that contract in both batch modes:
 
-* *vectorized* (uniform stimulus): every design in the suite, K lanes
-  demuxed against the unmodified scalar run;
+* *vectorized* (uniform stimulus): every design in the suite, each of
+  K lanes against the unmodified scalar run;
 * *replicated* (divergent stimulus): a hand-written clocked design
   whose per-lane reset/enable phases and finish times all differ, so
   lanes wake, sleep, and die on different schedules — including the
-  single-live-lane tail (every other lane finished) and the all-dead
-  endgame.
+  single-live-lane tail (every other lane finished) — and a seeded
+  stimulus sweep over the netlist-level fifo, whose dynamically indexed
+  memory sees a different index in every lane.
 
 Plus the degenerate cases (K=1 is the scalar pipeline, bit for bit)
-and the uniformity guards that police the vectorized fast path.
+and the compile cache the runs of a blaze or cycle batch share.
 """
 
 import pytest
 
 from repro.designs import ALL_DESIGNS, DESIGNS, compile_design
+from repro.interop import netlist_design
 from repro.ir import parse_module
+from repro.passes.pipeline import lower_to_structural
 from repro.sim import BatchStimulus, simulate, simulate_batch
-from repro.sim.lanes import LaneDivergence, u1, uindex
+from repro.sim.stimulus import inject_batch_stimulus, inject_lane_stimulus
 
 from ..designs import SUITE_TEST_CYCLES as CYCLES
 
@@ -35,6 +38,7 @@ def _assert_lane_matches(ref, lane, what):
     assert ref.output == lane.output, what
     assert ref.assertion_failures == lane.assertion_failures, what
     assert ref.final_time_fs == lane.final_time_fs, what
+    assert ref.stats == lane.stats, what
 
 
 # -- vectorized: uniform stimulus across the whole suite ----------------------
@@ -58,8 +62,8 @@ def test_uniform_lanes_demux_to_the_scalar_run(name, backend):
 
 #: Free-running clock (10ns period), a process register with async-ish
 #: reset and enable, and a derived net computed by the top entity's own
-#: dataflow (kept vectorized even in replicated mode).  The stimulus
-#: process is generated per lane with shifted phases.
+#: dataflow.  The stimulus process is generated per lane with shifted
+#: phases.
 _DIVERGENT_DESIGN = """
 entity @bt_top () -> () {{
   %z1 = const i1 0
@@ -211,6 +215,57 @@ def test_single_live_lane_runs_to_its_own_finish(backend):
     _assert_lane_matches(ref, lane1, "surviving lane")
 
 
+@pytest.mark.parametrize("backend", ("blaze", "cycle"))
+def test_seeded_batch_compiles_each_unit_once(backend, monkeypatch):
+    """The runs of one compiled batch share a compile cache: every unit,
+    each lane's stimulus variant included, is compiled once per batch."""
+    from repro.sim import blaze
+
+    compiled = []
+    real_init = blaze.UnitCompiler.__init__
+
+    def counting_init(self, unit):
+        compiled.append(unit.name)
+        real_init(self, unit)
+
+    monkeypatch.setattr(blaze.UnitCompiler, "__init__", counting_init)
+    lanes = 4
+    module = _divergent_module(lanes)
+    stimulus = BatchStimulus({
+        "bt_stim0": [module.get(f"bt_stim{k}") for k in range(lanes)]})
+    simulate_batch(module, "bt_top", lanes, backend=backend,
+                   stimulus=stimulus)
+    assert sorted(compiled) == sorted(set(compiled))
+    assert {f"bt_stim{k}" for k in range(lanes)} <= set(compiled)
+
+
+@pytest.mark.parametrize("backend", ENGINES)
+def test_seeded_netlist_fifo_lanes_match_scalar_interp_runs(backend):
+    """A seeded K=4 sweep over the netlist-level fifo: every lane must be
+    the scalar interp run of that lane's stimulus.  The lanes index the
+    fifo memory with different pointers, which the lane-widened engine
+    this replaced rejected as divergent control."""
+    name, lanes, cycles, seed = "fifo", 4, 8, 0
+    top = DESIGNS[name].top
+    lane_seeds = [seed + k for k in range(lanes)]
+
+    def netlist_module():
+        module = compile_design(name, cycles=cycles)
+        lower_to_structural(module, strict=False, verify=False)
+        return netlist_design(module)
+
+    module = netlist_module()
+    stimulus = inject_batch_stimulus(module, top, seed, lane_seeds)
+    batch = simulate_batch(module, top, lanes, backend=backend,
+                           stimulus=stimulus)
+    assert batch.mode == "replicated"
+    for k, lane_seed in enumerate(lane_seeds):
+        reference = netlist_module()
+        assert inject_lane_stimulus(reference, top, seed, lane_seed)
+        ref = simulate(reference, top, backend="interp")
+        _assert_lane_matches(ref, batch.lane(k), f"lane {k}")
+
+
 # -- degenerate batches -------------------------------------------------------
 
 
@@ -229,8 +284,8 @@ def test_single_lane_batch_is_the_scalar_pipeline(backend):
 
 @pytest.mark.parametrize("backend", ENGINES)
 def test_single_lane_stimulus_batch_matches_scalar(backend):
-    """K=1 *with* stimulus runs replicated over empty lane paths and
-    must still be bit-for-bit the scalar run of that stimulus."""
+    """K=1 *with* stimulus is one replicated run, bit-for-bit the scalar
+    run of that stimulus."""
     module = _divergent_module(1)
     stimulus = BatchStimulus({"bt_stim0": [module.get("bt_stim0")]})
     batch = simulate_batch(module, "bt_top", 1, backend=backend,
@@ -238,24 +293,3 @@ def test_single_lane_stimulus_batch_matches_scalar(backend):
     assert batch.mode == "replicated"
     ref = simulate(_divergent_module(1), "bt_top", backend=backend)
     _assert_lane_matches(ref, batch.lane(0), "single lane")
-
-
-# -- uniformity guards --------------------------------------------------------
-
-
-def test_u1_accepts_uniform_and_rejects_divergent_masks():
-    assert u1(0b1111, 4) == 1
-    assert u1(0b0000, 4) == 0
-    assert u1(1, 1) == 1
-    with pytest.raises(LaneDivergence):
-        u1(0b0101, 4)
-
-
-def test_uindex_requires_lane_uniform_indices():
-    from repro.ir.ninevalued import LogicVec
-
-    idx = LogicVec("10" * 4)  # value 2 in every lane (K=4, w=2)
-    assert uindex(idx, 4) == 2
-    mixed = LogicVec("10" * 3 + "01")
-    with pytest.raises(LaneDivergence):
-        uindex(mixed, 4)

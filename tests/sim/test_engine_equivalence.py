@@ -176,7 +176,7 @@ def _random_logic_network(seed, n_sigs=4, n_ops=12, width=8, waves=8):
     return module
 
 
-# -- batched fuzz: N seeds as one K=N replicated pass --------------------------
+# -- batched fuzz: N seeds as one K=N replicated batch -------------------------
 
 BATCH_FUZZ_LANES = 4
 
@@ -184,14 +184,14 @@ BATCH_FUZZ_LANES = 4
 @pytest.mark.parametrize("backend", ("interp", "blaze"))
 @pytest.mark.parametrize("name", ALL_DESIGNS)
 def test_batched_fuzz_matches_per_lane_scalar_runs(name, backend):
-    """N fuzz seeds as one K=N batched pass, demuxed and compared.
+    """N fuzz seeds as one K=N batch, each lane compared.
 
-    Each lane's demuxed trace, print output, assertion failures, and
-    finish time must be byte-identical to the scalar run of that lane's
-    stimulus — the batch engine's correctness contract.  Seeds whose
-    scalar run legally errors (hostile stimulus can reach a dynamic
-    index with X) are dropped before batching; the surviving seeds run
-    as one replicated-mode pass.
+    Each lane's trace, print output, assertion failures, and finish
+    time must be byte-identical to the scalar run of that lane's
+    stimulus — the batch correctness contract.  Seeds whose scalar run
+    legally errors (hostile stimulus can reach a dynamic index with X)
+    are dropped before batching; the surviving seeds run as one
+    replicated batch.
     """
     top = DESIGNS[name].top
     lane_seeds = [f"{name}:{k}" for k in range(BATCH_FUZZ_LANES)]
