@@ -11,10 +11,10 @@ plus a levelized netlist engine:
   compiled-code simulator standing in for the paper's commercial
   simulator baseline (see DESIGN.md, substitution 1).
 * ``levelized`` — ahead-of-time compiled execution of netlist designs:
-  techmap library cells are levelized into straight-line generated
-  code (cached on disk, keyed by the module's bitcode hash) with
-  storage cells as sequential cut points; zero scheduler events per
-  gate (see :mod:`repro.sim.levelize`).
+  techmap library cells are levelized into one straight-line generated
+  settle function (its code object cached on disk, keyed by its own
+  source) with storage cells as sequential cut points; zero scheduler
+  events per gate (see :mod:`repro.sim.levelize`).
 
 All four produce :class:`~repro.sim.trace.Trace` objects that can be
 compared for equivalence — the paper's "traces match" claim.

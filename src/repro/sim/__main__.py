@@ -77,7 +77,8 @@ def _build_parser():
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="levelized compile-cache directory (default: "
-             "$REPRO_CACHE_DIR, else ~/.cache/repro)")
+             "$REPRO_CACHE_DIR, else $XDG_CACHE_HOME/repro, else "
+             "~/.cache/repro)")
     parser.add_argument(
         "--until", metavar="TIME", default=None,
         help="stop at this time (e.g. 100ns, 2500 = fs)")

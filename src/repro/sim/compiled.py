@@ -8,23 +8,22 @@ Two halves:
   compiled engine; the input ports become ``__INk__`` placeholders that
   are substituted with ``V[slot]`` reads per gate instance);
 * **cone modules** — :func:`generate_source` concatenates the gate
-  recipes in levelized order into ``_settle_all(V)`` plus one
-  specialized ``_settle_d<k>(V)`` per clock domain, each returning the
+  recipes in levelized order into one ``_settle_all(V)`` returning the
   list of net slots it changed.  The module is self-contained given the
-  blaze runtime helper namespace and carries its own identity
-  (``KEY``/``N_NETS``/``CODEGEN``) for validation.
+  blaze runtime helper namespace.
 
-Generated modules are cached on disk, content-addressed by the sha256
-of the module's bitcode (:func:`repro.ir.bitcode.write_module`) plus
-the top name and a code-generator salt, :data:`CODEGEN`: the digest of
-the opcode table the cell templates are emitted from
-(:data:`repro.sim.optable.DIGEST`), so a cone cached by an older code
-generator is never reloaded.  The levelization itself is
-deterministic (stable slot numbering, heap-ordered Kahn), so the same
-bitcode always regenerates the same source.  A warm run skips code
-generation entirely; a corrupted, stale, or truncated entry fails
-validation and falls back to a fresh compile that overwrites it.  The
-cache directory is ``--cache-dir``, else ``$REPRO_CACHE_DIR``, else
+Compiled cones are cached on disk, content-addressed by the sha256 of
+:data:`importlib.util.MAGIC_NUMBER` plus the cone's generated source.
+An entry is the marshalled pair ``(key, code object)``, so a warm run
+skips ``compile()``.  The key covers everything the code object is
+built from, so a cone from another code generator or another Python
+interpreter sits under another key and is never loaded.  The
+levelization is deterministic (stable slot numbering, heap-ordered
+Kahn), so the same design regenerates the same source and hits across
+processes.  A hit must record its own key, unmarshal, exec and define
+a callable ``_settle_all``; an entry failing any of these counts as a
+cache error and is recompiled and overwritten.  The cache directory
+is ``--cache-dir``, else ``$REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``; writes are atomic
 (temp file + rename) and best-effort.
 """
@@ -32,15 +31,17 @@ cache directory is ``--cache-dir``, else ``$REPRO_CACHE_DIR``, else
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 import tempfile
+from importlib.util import MAGIC_NUMBER
+from types import CodeType
 
 from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
 from .blaze import _BASE_GLOBALS, UnitCompiler
 from .eval import path_of
-from .optable import DIGEST as CODEGEN
 from .values import SimulationError
 
 
@@ -181,41 +182,13 @@ def _emit_gate(buf, template, in_slots, out_slot):
     buf.append(f"        ap({out_slot})")
 
 
-def _emit_settle(buf, name, gates, members=None):
-    buf.append(f"def {name}(V):")
-    buf.append("    ch = []")
-    buf.append("    ap = ch.append")
-    positions = range(len(gates)) if members is None else members
-    for pos in positions:
-        template, in_slots, out_slot = gates[pos]
+def generate_source(gates):
+    """Module source defining ``_settle_all(V)`` over the ordered
+    ``(template, in_slots, out_slot)`` gates."""
+    buf = ["def _settle_all(V):", "    ch = []", "    ap = ch.append"]
+    for template, in_slots, out_slot in gates:
         _emit_gate(buf, template, in_slots, out_slot)
     buf.append("    return ch")
-
-
-def generate_source(plan, key):
-    """The cone as a self-contained Python module (one string)."""
-    buf = []
-    buf.append("# Levelized cone generated by repro.sim.compiled.")
-    buf.append("# Safe to delete; regenerated on the next cold run.")
-    buf.append(f"CODEGEN = {CODEGEN!r}")
-    buf.append(f"KEY = {key!r}")
-    buf.append(f"N_NETS = {len(plan.slot_sigs)}")
-    buf.append(f"N_GATES = {len(plan.gates)}")
-    buf.append("")
-    _emit_settle(buf, "_settle_all", plan.gates)
-    for di, (slot, covered, members) in enumerate(plan.domains):
-        buf.append("")
-        _emit_settle(buf, f"_settle_d{di}", plan.gates, members)
-    buf.append("")
-    if plan.domains:
-        buf.append("DOMAINS = (")
-        for di, (slot, covered, members) in enumerate(plan.domains):
-            cov = ", ".join(map(str, sorted(covered)))
-            buf.append(f"    ({slot}, frozenset(({cov},)), "
-                       f"_settle_d{di}),")
-        buf.append(")")
-    else:
-        buf.append("DOMAINS = ()")
     buf.append("")
     return "\n".join(buf)
 
@@ -233,41 +206,28 @@ def default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
-def cone_cache_key(module, top):
-    """sha256 over the module bitcode, the top, and the codegen salt."""
-    from ..ir.bitcode import write_module
-
-    digest = hashlib.sha256()
-    digest.update(f"levelized:{CODEGEN}:{top}:".encode())
-    digest.update(write_module(module))
-    return digest.hexdigest()
-
-
-def _load(source, key, n_nets):
-    """Exec a cone module; None when it fails validation."""
+def _load(entry, key):
+    """Exec a cache entry; None when it fails validation."""
     ns = dict(_BASE_GLOBALS)
     try:
-        exec(compile(source, "<levelized-cone>", "exec"), ns)
+        recorded, code = marshal.loads(entry)
+        if recorded != key or type(code) is not CodeType:
+            return None
+        exec(code, ns)
     except Exception:
         return None
-    if (ns.get("CODEGEN") != CODEGEN
-            or ns.get("KEY") != key
-            or ns.get("N_NETS") != n_nets
-            or not callable(ns.get("_settle_all"))
-            or not isinstance(ns.get("DOMAINS"), tuple)):
-        return None
-    return ns
+    return ns if callable(ns.get("_settle_all")) else None
 
 
-def _store(path, source):
+def _store(path, entry):
     """Atomic best-effort write (temp file + rename)."""
     try:
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(source)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(entry)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -285,30 +245,26 @@ def _count(stats, hits, misses, errors):
     stats["cache_errors"] = stats.get("cache_errors", 0) + errors
 
 
-def compile_cone(plan, module, top, cache_dir, stats):
+def compile_cone(plan, cache_dir, stats):
     """The cone's executable namespace, via the cache when possible."""
-    key = cone_cache_key(module, top)
-    directory = cache_dir or default_cache_dir()
-    path = os.path.join(directory, f"{key}.py")
-    n_nets = len(plan.slot_sigs)
+    source = generate_source(plan.gates)
+    key = hashlib.sha256(MAGIC_NUMBER + source.encode()).hexdigest()
+    path = os.path.join(cache_dir or default_cache_dir(), f"{key}.marshal")
     errors = 0
     try:
-        with open(path) as fh:
-            cached = fh.read()
+        with open(path, "rb") as fh:
+            entry = fh.read()
     except OSError:
-        cached = None
-    if cached is not None:
-        ns = _load(cached, key, n_nets)
+        entry = None
+    if entry is not None:
+        ns = _load(entry, key)
         if ns is not None:
             _count(stats, 1, 0, 0)
             return ns
         errors = 1
-    source = generate_source(plan, key)
-    ns = _load(source, key, n_nets)
-    if ns is None:
-        raise SimulationError(
-            "levelized: generated cone module failed to compile "
-            "(this is a bug in repro.sim.compiled)")
-    _store(path, source)
+    code = compile(source, "<levelized-cone>", "exec")
+    ns = dict(_BASE_GLOBALS)
+    exec(code, ns)
+    _store(path, marshal.dumps((key, code)))
     _count(stats, 0, 1, errors)
     return ns

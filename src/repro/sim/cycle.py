@@ -14,10 +14,12 @@ scheduling; this module follows that architecture:
   (update, evaluate) rounds instead of the single global heap of
   :mod:`repro.sim.engine`.
 
-The signal net class (:class:`~repro.sim.engine.SignalInstance`) and the
-per-driver sorted timeline container are shared with the event-driven
-kernel — nets are elaboration artifacts, not scheduler policy — while the
-calendar, round ordering, and maturation loop remain independent.
+The signal net class (:class:`~repro.sim.engine.SignalInstance`), the
+per-driver sorted timeline container, and the kernel's signal creation,
+waiter registration, probing and intrinsics are shared with the
+event-driven kernel — nets are elaboration artifacts, not scheduler
+policy — while the calendar, round ordering, and maturation loop remain
+independent.
 
 Cross-checking its traces against LLHD-Sim and Blaze reproduces the
 paper's "traces match between the simulators" claim with an independent
@@ -29,10 +31,9 @@ from __future__ import annotations
 import heapq
 
 from .engine import (
-    DriverTimeline, Kernel, SignalInstance, SignalRef,
-    _combine_contributions,
+    DriverTimeline, Kernel, SignalRef, _combine_contributions,
 )
-from .values import SimulationError, extract_path, insert_path
+from .values import SimulationError, insert_path
 
 
 def _advance(now, delay):
@@ -99,26 +100,13 @@ class CycleKernel:
         self.sanitizer = None
         self.driver_labels = {}
 
-    # -- construction (same surface as engine.Kernel) ------------------------
+    # -- construction, waiting, probing, intrinsics: engine.Kernel's ----------
 
-    def create_signal(self, name, type, initial):
-        sig = SignalInstance(name, type, initial, len(self.signals))
-        self.signals.append(sig)
-        if self.trace is not None:
-            self.trace.record((0, 0, 0), sig, initial)
-        return sig
-
-    def describe_driver(self, key):
-        """A readable identity for a driver key, for conflict reports."""
-        kind = ""
-        order = key
-        if isinstance(key, tuple):
-            kind = f"{key[0]} of "
-            order = key[1]
-        label = self.driver_labels.get(order)
-        if label is None:
-            return f"{kind}driver #{order}"
-        return f"{kind}{label}"
+    create_signal = Kernel.create_signal
+    describe_driver = Kernel.describe_driver
+    add_entity_waiter = Kernel.add_entity_waiter
+    probe = Kernel.probe
+    intrinsic = Kernel.intrinsic
 
     def _instant(self, fs):
         instant = self.calendar.get(fs)
@@ -150,26 +138,6 @@ class CycleKernel:
 
     def schedule_initial(self, activity):
         self._initials.append(activity)
-
-    def add_process_waiter(self, signal, activity):
-        signal.find().proc_waiters[activity.order] = activity
-
-    def remove_process_waiter(self, signal, activity):
-        signal.find().proc_waiters.pop(activity.order, None)
-
-    def add_entity_waiter(self, signal, activity):
-        sig = signal.find()
-        sig.entity_waiters[activity.order] = activity
-        sig._entity_list = None
-
-    # -- probing & intrinsics ------------------------------------------------------
-
-    def probe(self, target):
-        if isinstance(target, SignalRef):
-            return extract_path(target.signal.find().value, target.path)
-        return target.find().value
-
-    intrinsic = Kernel.intrinsic
 
     # -- main loop ---------------------------------------------------------------
 

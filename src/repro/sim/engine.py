@@ -292,13 +292,6 @@ class SignalRef:
         return f"<signal-ref {self.signal.name}{list(self.path)}>"
 
 
-def as_signal_ref(target):
-    """Normalize a SignalInstance or SignalRef to (signal, path)."""
-    if isinstance(target, SignalRef):
-        return target.signal.find(), target.path
-    return target.find(), ()
-
-
 class Kernel:
     """The event queue and the simulation main loop.
 
@@ -538,14 +531,6 @@ class Kernel:
         return True
 
     # -- waiting -----------------------------------------------------------------
-
-    def add_process_waiter(self, signal, activity):
-        sig = signal if signal._rep is None else signal.find()
-        sig.proc_waiters[activity.order] = activity
-
-    def remove_process_waiter(self, signal, activity):
-        sig = signal if signal._rep is None else signal.find()
-        sig.proc_waiters.pop(activity.order, None)
 
     def add_entity_waiter(self, signal, activity):
         sig = signal if signal._rep is None else signal.find()

@@ -18,8 +18,8 @@ This engine removes the scheduler from the combinational cone entirely:
   Tarjan SCC machinery ``repro.lint.loops`` uses and evaluated by
   fixpoint iteration instead (the design stays runnable);
 * :mod:`repro.sim.compiled` emits the ordered cone as one generated
-  Python function per clock domain (plus a full-cone fallback), cached
-  on disk keyed by the module's bitcode hash;
+  Python function, ``_settle_all``, cached on disk as a code object
+  keyed by its own source;
 * at simulation time a single cone activity — always ordered *after*
   every process and fallback entity — wakes on any cone net change,
   settles the whole cone in-place, and commits the changed nets
@@ -50,7 +50,7 @@ from .blaze import BlazeDesign, BlazeEntityInstance
 from .engine import Kernel, SignalInstance, SignalRef
 from .interp import elaborate_top
 from .optable import edge
-from .plan import _dynamic_index
+from .plan import _dynamic_index, fired_trigger
 from .values import SimulationError, insert_path
 
 _ZERO = TimeValue(0)
@@ -68,9 +68,8 @@ class LevelizeError(SimulationError):
 
 
 class _SeqCell:
-    """One absorbed storage cell, evaluated with ``plan._reg_step``'s
-    exact trigger semantics (prev updated unconditionally per trigger,
-    first hit wins, condition checked after the hit)."""
+    """One absorbed storage cell; its triggers fire through
+    :func:`repro.sim.plan.fired_trigger`, the interpreter's loop."""
 
     __slots__ = ("index", "triggers", "prev", "path_proto", "root_slot",
                  "obs")
@@ -82,22 +81,6 @@ class _SeqCell:
         self.path_proto = path_proto
         self.root_slot = root_slot
         self.obs = obs
-
-    def evaluate(self, V):
-        """Returns ``(path, data, delay)`` for a fire, else None."""
-        prev_list = self.prev
-        fire = None
-        for i, (fires, data_slot, trig_slot, cond_slot,
-                delay) in enumerate(self.triggers):
-            cur = V[trig_slot]
-            prev = prev_list[i]
-            prev_list[i] = cur
-            if fire is not None or not fires(cur, prev):
-                continue
-            if cond_slot is not None and not V[cond_slot]:
-                continue
-            fire = (_resolve_path(self.path_proto, V), V[data_slot], delay)
-        return fire
 
 
 def _resolve_path(proto, V):
@@ -135,26 +118,20 @@ def _path_proto(root_ty, steps, port_slots):
 
 
 class ConePlan:
-    """The levelized cone: slots, ordered gates, cut points, domains."""
+    """The levelized cone: slots, ordered gates, cut points."""
 
-    __slots__ = ("slot_sigs", "gates", "seqs", "seq_obs", "domains",
-                 "has_cycles", "cycle_report", "levels")
+    __slots__ = ("slot_sigs", "gates", "seqs", "seq_obs", "has_cycles",
+                 "cycle_report", "levels")
 
-    def __init__(self, slot_sigs, gates, seqs, seq_obs, domains,
-                 has_cycles, cycle_report, levels):
+    def __init__(self, slot_sigs, gates, seqs, seq_obs, has_cycles,
+                 cycle_report, levels):
         self.slot_sigs = slot_sigs
         self.gates = gates          # (template, in_slots, out_slot), ordered
         self.seqs = seqs
         self.seq_obs = seq_obs      # slot -> tuple of seq indices
-        self.domains = domains      # (clock_slot, covered frozenset, members)
         self.has_cycles = has_cycles
         self.cycle_report = cycle_report
         self.levels = levels
-
-
-#: Per-design domain-function cap: beyond this, extra clock nets just
-#: use the full-cone settle (correct, merely less specialized).
-MAX_DOMAINS = 8
 
 
 def _build_plan(design):
@@ -258,29 +235,8 @@ def _build_plan(design):
             order.extend(sorted(scc))
 
     gates = [raw_gates[gi] for gi in order]
-
-    # Per-clock-domain gate subsets: seed with the clock net and the
-    # storage roots it triggers, then close over the gate fanout.  A
-    # stimulus contained in `covered` can only reach these gates.
-    domains = []
-    if not has_cycles and gates:
-        trigger_slots = sorted(
-            {t[2] for cell in seqs for t in cell.triggers})
-        for c in trigger_slots[:MAX_DOMAINS]:
-            covered = {c}
-            for cell in seqs:
-                if any(t[2] == c for t in cell.triggers):
-                    covered.add(cell.root_slot)
-            members = []
-            for pos, (_t, in_slots, out_slot) in enumerate(gates):
-                if any(s in covered for s in in_slots):
-                    members.append(pos)
-                    covered.add(out_slot)
-            if members and len(members) < len(gates):
-                domains.append((c, frozenset(covered), members))
-
-    return ConePlan(slot_sigs, gates, seqs, seq_obs, domains,
-                    has_cycles, cycle_report, levels)
+    return ConePlan(slot_sigs, gates, seqs, seq_obs, has_cycles,
+                    cycle_report, levels)
 
 
 # -- the cone activity ---------------------------------------------------------
@@ -306,7 +262,6 @@ class _Cone:
         self.seqs = plan.seqs
         self.seq_obs = plan.seq_obs
         self.settle_all = ns["_settle_all"]
-        self.domains = ns["DOMAINS"]
         self.has_cycles = plan.has_cycles
         self._forced = False
         kernel.driver_labels[self.order] = self.path
@@ -325,7 +280,7 @@ class _Cone:
         # (e.g. a clock that only feeds register triggers) cannot alter
         # a gate output, so the settle pass is skipped for it — the
         # clock's falling edge then costs one sequential scan, not a
-        # full-domain re-evaluation.
+        # full-cone re-evaluation.
         self.comb_roots = frozenset(
             s for _t, in_slots, _o in plan.gates for s in in_slots)
         # Per-slot resolved trace targets, filled lazily at first
@@ -359,8 +314,7 @@ class _Cone:
                 if not fired.isdisjoint(comb_roots):
                     run_comb = True
             if run_comb:
-                comb = self._eval_comb(pending | fired, force)
-                force = False
+                comb = self._eval_comb()
                 run_comb = False
                 changed |= comb
                 pending = fired | comb
@@ -379,7 +333,7 @@ class _Cone:
                     f"(oscillating nets: {', '.join(hot[:8])})")
         self._commit(changed)
 
-    def _eval_comb(self, stim, force):
+    def _eval_comb(self):
         V = self.V
         if self.has_cycles:
             # Cyclic cones: iterate the full settle to a fixpoint.
@@ -392,10 +346,6 @@ class _Cone:
             raise SimulationError(
                 "levelized: combinational loop did not converge "
                 f"({'; '.join(','.join(c) for c in self.plan.cycle_report)})")
-        if not force:
-            for slot, covered, fn in self.domains:
-                if stim <= covered:
-                    return set(fn(V))
         return set(self.settle_all(V))
 
     def _eval_seq(self, stim):
@@ -414,12 +364,13 @@ class _Cone:
         commits = []
         for si in sorted(todo):
             cell = self.seqs[si]
-            fire = cell.evaluate(V)
-            if fire is not None:
-                commits.append((cell, fire))
+            hit = fired_trigger(cell.triggers, cell.prev, V)
+            if hit is not None:
+                commits.append((cell, _resolve_path(cell.path_proto, V),
+                                V[hit[1]], hit[4]))
         fired = set()
         kernel = self.kernel
-        for cell, (path, data, delay) in commits:
+        for cell, path, data, delay in commits:
             if delay is not None and delay.fs > 0:
                 # Real-time clock-to-output: back to the scheduler, the
                 # maturation re-enters the cone as an external change.
@@ -570,8 +521,7 @@ class LevelizedDesign(BlazeDesign):
             return
         from .compiled import compile_cone
 
-        ns = compile_cone(plan, self.module, self.top.name,
-                          self.cache_dir, stats)
+        ns = compile_cone(plan, self.cache_dir, stats)
         self.cone = _Cone(self, plan, ns)
 
 

@@ -28,16 +28,13 @@ executable spec.  Ops that keep drive strength (``zext``, ``sext``,
 ``trunc``, ``exts``) also guard on the ``_weak`` plane, so ``L``/``H``
 bits take the exact fallback.
 
-Emitted forms use only literals and the names in :data:`GLOBALS`, which
-is what lets a levelized cone be cached on disk and reloaded.
-:data:`DIGEST` fingerprints the whole table (emitted forms and helper
-sources); the cone cache salts its keys with it.
+Emitted forms use only literals and the names in :data:`GLOBALS`, so
+an emitted expression runs in any namespace holding those names.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import string
 
 from ..ir.ninevalued import LogicVec
@@ -195,11 +192,6 @@ for _name, _source in sorted(_SOURCES.items()):
     exec(compile(_source, f"<optable:{_name}>", "exec"), _namespace)
     GLOBALS[_name] = _namespace[_name]
 del _name, _source
-
-#: sha256 over every emitted form and helper source, computed at import.
-DIGEST = hashlib.sha256(
-    repr((sorted(TABLE.items()), sorted(_SOURCES.items()))).encode()
-).hexdigest()
 
 
 def signature(types):

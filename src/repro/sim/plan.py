@@ -11,7 +11,9 @@ operand lists:
   ``env`` keys and width constants, so every width shares the one
   ``compile()``.  Ops without an entry (aggregates, signal and pointer
   projections) call their :mod:`repro.sim.eval` evaluator, and ``reg``
-  edge tests call the table's :func:`~repro.sim.optable.edge`;
+  edge tests call the table's :func:`~repro.sim.optable.edge` from
+  :func:`fired_trigger`, the trigger loop the levelized storage cells
+  share;
 * blaze's two local rewrites apply too, through the same analyses: a
   private two-choice ``array`` + i1 ``mux`` becomes one conditional
   step (:func:`fused_mux_arrays`), and a cell whose pointer never
@@ -357,6 +359,27 @@ def _del_step(inst, kernel):
     return step
 
 
+def fired_trigger(triggers, prev_list, values):
+    """The ``reg`` trigger that fires, or None.
+
+    ``triggers`` are ``(edge test, data, trigger, condition, delay)``
+    tuples whose data, trigger and condition (None when unconditional)
+    are keys into ``values``: the interpreter's ``env``, a levelized
+    cone's ``V``.  Every trigger's previous value in ``prev_list``
+    updates; the first trigger whose edge fires and whose condition
+    holds wins.
+    """
+    hit = None
+    for i, trigger in enumerate(triggers):
+        fires, _data, trig, cond, _delay = trigger
+        cur = values[trig]
+        if hit is None and fires(cur, prev_list[i]) and (
+                cond is None or values[cond]):
+            hit = trigger
+        prev_list[i] = cur
+    return hit
+
+
 def _reg_step(inst, kernel):
     key = id(inst)
     sig_id = id(inst.reg_signal())
@@ -369,20 +392,12 @@ def _reg_step(inst, kernel):
         for t in inst.reg_triggers())
 
     def step(env, act):
-        prev_list = act.reg_state[key]
-        fired = False
-        for i, (fires, vid, tid, cid, did) in enumerate(trigs):
-            cur = env[tid]
-            prev = prev_list[i]
-            prev_list[i] = cur
-            if fired or not fires(cur, prev):
-                continue
-            if cid is not None and not env[cid]:
-                continue
+        hit = fired_trigger(trigs, act.reg_state[key], env)
+        if hit is not None:
+            did = hit[4]
             kernel.schedule_drive(
-                ("reg", act.order, key), env[sig_id], env[vid],
+                ("reg", act.order, key), env[sig_id], env[hit[1]],
                 env[did] if did is not None else _EPSILON)
-            fired = True
     return step
 
 

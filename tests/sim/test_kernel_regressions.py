@@ -10,7 +10,9 @@ Covers:
 * transport-delay cancellation semantics of the sorted
   :class:`~repro.sim.engine.DriverTimeline` (the bisect rewrite must be
   behaviour-identical to the list-rebuild original);
-* multi-trigger ``reg`` edge tracking agreeing between engines.
+* multi-trigger ``reg`` edge tracking agreeing between engines, and a
+  first trigger whose edge fires under a false condition handing over
+  to the next trigger.
 """
 
 import pytest
@@ -271,3 +273,64 @@ def test_multi_trigger_reg_tracks_all_edges(backend):
     # 1ns activation where the rise trigger already fired.
     assert result.trace.value_at("top.q", 2 * NS) == 1
     assert result.trace.value_at("top.q", 4 * NS) == 2
+
+
+@pytest.mark.parametrize("backend", ["interp", "blaze", "levelized"])
+def test_reg_false_condition_falls_through_to_next_trigger(backend,
+                                                           tmp_path):
+    # Two triggers on one clock: when the first trigger's edge fires but
+    # its condition is false, the second trigger is still tested and
+    # wins; with the condition true the first one wins.  The cell has a
+    # storage-cell shape, so the levelized engine absorbs it.
+    module = parse_module("""
+    entity @top () -> () {
+      %z1 = const i1 0
+      %z8 = const i8 0
+      %v1 = const i8 1
+      %v2 = const i8 2
+      %clk = sig i1 %z1
+      %en = sig i1 %z1
+      %d0 = sig i8 %v1
+      %d1 = sig i8 %v2
+      %q = sig i8 %z8
+      inst @cell (i8$ %d0, i8$ %d1, i1$ %clk, i1$ %en) -> (i8$ %q)
+      inst @stim () -> (i1$ %clk, i1$ %en)
+    }
+    entity @cell (i8$ %d0, i8$ %d1, i1$ %clk, i1$ %en) -> (i8$ %q) {
+      %d0p = prb i8$ %d0
+      %d1p = prb i8$ %d1
+      %clkp = prb i1$ %clk
+      %enp = prb i1$ %en
+      reg i8$ %q, %d0p rise %clkp if %enp, %d1p rise %clkp
+    }
+    proc @stim () -> (i1$ %clk, i1$ %en) {
+    entry:
+      %b0 = const i1 0
+      %b1 = const i1 1
+      %t0 = const time 0s
+      %t1 = const time 1ns
+      wait %rise1 for %t1
+    rise1:
+      drv i1$ %clk, %b1 after %t0
+      wait %fall1 for %t1
+    fall1:
+      drv i1$ %clk, %b0 after %t0
+      drv i1$ %en, %b1 after %t0
+      wait %rise2 for %t1
+    rise2:
+      drv i1$ %clk, %b1 after %t0
+      wait %done for %t1
+    done:
+      halt
+    }
+    """)
+    result = simulate(module, "top", backend=backend,
+                      cache_dir=str(tmp_path))
+    reference = simulate(module, "top", backend="interp")
+    assert result.trace.finalize().changes == \
+        reference.trace.finalize().changes
+    assert result.trace.value_at("top.q", int(1.5 * NS)) == 2
+    assert result.trace.value_at("top.q", int(3.5 * NS)) == 1
+    if backend == "levelized":
+        assert result.design.report["seqs"] == 1
+        assert result.design.report["fallbacks"] == []

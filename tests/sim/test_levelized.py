@@ -5,16 +5,16 @@ the levelized engine to byte-identical traces at the netlist level; the
 tests here pin down the corners: latch cells, register-cut feedback,
 multi-clock-domain cones, zero-delay combinational cycles, per-cell
 event-driven fallbacks, the multi-driver diagnosis, and the on-disk
-compile cache (cold/warm/corrupted/stale).
+compile cache (cold/warm, corrupted/truncated/misplaced entries, and
+entries from another code generator or another Python).
 """
 
-import re
+import marshal
 
 import pytest
 
 from repro.ir import parse_module
 from repro.sim import SimulationError, compiled, simulate
-from repro.sim.compiled import CODEGEN, cone_cache_key
 from repro.sim.levelize import elaborate_levelized
 
 # A transparent-high latch cell: the storage cell techmap emits for a
@@ -108,8 +108,7 @@ entity @top () -> () {
 """
 
 # Two independent clock domains (1ns and 1.5ns half-periods), each a
-# toggle flip-flop — the plan builds one specialized settle function
-# per clock net.
+# toggle flip-flop, settled by the one cone function.
 _TWO_CLOCKS = """
 entity @cell_inv_i1 (i1$ %a0) -> (i1$ %y) {
   %0 = prb i1$ %a0
@@ -298,14 +297,7 @@ def test_register_cut_feedback_levelizes(tmp_path):
 
 
 def test_multi_clock_domains(tmp_path):
-    res = _run_both(_TWO_CLOCKS, until_fs=30_000_000,
-                    cache_dir=str(tmp_path))
-    cone = res.design.cone
-    assert len(cone.domains) == 2
-    # Each domain's specialized function covers strictly fewer gates
-    # than the full cone.
-    for _slot, covered, _fn in cone.domains:
-        assert len(covered) < len(cone.slot_sigs)
+    _run_both(_TWO_CLOCKS, until_fs=30_000_000, cache_dir=str(tmp_path))
 
 
 def test_combinational_cycle_diagnosed_and_settled(tmp_path):
@@ -341,17 +333,47 @@ def test_sanitize_rejected():
 # -- the compile cache ---------------------------------------------------------
 
 
-def _cache_file(source, tmp_path):
-    module = parse_module(source)
-    return tmp_path / f"{cone_cache_key(module, 'top')}.py"
+def _only_entry(directory):
+    """The single cache entry a cold run left in ``directory``."""
+    entries = list(directory.iterdir())
+    assert len(entries) == 1
+    return entries[0]
+
+
+def _poison(entry):
+    """Keep the entry's recorded key but make its cone call a helper
+    that does not exist, which would raise NameError if it were loaded."""
+    key, _code = marshal.loads(entry.read_bytes())
+    code = compile("def _settle_all(V):\n    return _removed_helper(V)\n",
+                   "<levelized-cone>", "exec")
+    entry.write_bytes(marshal.dumps((key, code)))
+
+
+def _assert_recompiled_then_warm(cache_dir):
+    """One bad entry was counted and recompiled; the next run hits."""
+    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(cache_dir))
+    assert res.stats["cache_errors"] == 1
+    assert res.stats["cache_misses"] == 1
+    assert res.stats["cache_hits"] == 0
+    warm = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(cache_dir))
+    assert warm.stats["cache_hits"] == 1
+    assert warm.stats["cache_errors"] == 0
+
+
+def _assert_missed_cleanly(cache_dir):
+    """A run that looked under a new key: no hit, no error, two entries."""
+    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(cache_dir))
+    assert res.stats["cache_hits"] == 0
+    assert res.stats["cache_misses"] == 1
+    assert res.stats["cache_errors"] == 0
+    assert len(list(cache_dir.iterdir())) == 2
 
 
 def test_cache_cold_then_warm(tmp_path):
     cold = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
     assert cold.stats["cache_misses"] == 1
     assert cold.stats["cache_hits"] == 0
-    entry = _cache_file(_TOGGLE, tmp_path)
-    assert entry.exists()
+    _only_entry(tmp_path)
     warm = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
     assert warm.stats["cache_hits"] == 1
     assert warm.stats["cache_misses"] == 0
@@ -360,44 +382,54 @@ def test_cache_cold_then_warm(tmp_path):
 
 def test_corrupted_cache_entry_recompiles(tmp_path):
     _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    entry = _cache_file(_TOGGLE, tmp_path)
-    entry.write_text("this is not (((valid python")
-    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert res.stats["cache_errors"] == 1
-    assert res.stats["cache_misses"] == 1
+    entry = _only_entry(tmp_path)
+    entry.write_bytes(b"this is not (((valid python")
+    _assert_recompiled_then_warm(tmp_path)
     # The fresh compile overwrote the corrupted entry.
-    assert "not (((valid" not in entry.read_text()
+    assert b"not (((valid" not in entry.read_bytes()
 
 
-def test_stale_codegen_recompiles(tmp_path):
+def test_truncated_cache_entry_recompiles(tmp_path):
     _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    entry = _cache_file(_TOGGLE, tmp_path)
-    stale = entry.read_text().replace(
-        f"CODEGEN = {CODEGEN!r}", f"CODEGEN = {'0' * 64!r}")
-    assert stale != entry.read_text()
-    entry.write_text(stale)
-    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert res.stats["cache_errors"] == 1
-    assert res.stats["cache_misses"] == 1
+    entry = _only_entry(tmp_path)
+    whole = entry.read_bytes()
+    entry.write_bytes(whole[:len(whole) // 2])
+    _assert_recompiled_then_warm(tmp_path)
 
 
-def test_cone_from_an_older_table_is_never_loaded(tmp_path, monkeypatch):
-    # The salt is the opcode table's digest, so a cone cached by another
-    # table sits under another key -- even one naming a helper the
-    # current table no longer defines, which would raise NameError
-    # mid-simulation if it were loaded.
-    old_table = "0" * 64
-    monkeypatch.setattr(compiled, "CODEGEN", old_table)
+def test_entry_under_another_key_recompiles(tmp_path):
+    # An entry records its own key: another design's cone copied over
+    # this design's entry fails that check instead of settling the
+    # wrong gates.
+    latch, toggle = tmp_path / "latch", tmp_path / "toggle"
+    _run_both(_LATCH, cache_dir=str(latch))
+    _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(toggle))
+    _only_entry(toggle).write_bytes(_only_entry(latch).read_bytes())
+    _assert_recompiled_then_warm(toggle)
+
+
+def test_changed_code_generator_never_loads_old_entry(tmp_path,
+                                                      monkeypatch):
+    # The key is the cone's own source, so a code generator that emits
+    # anything else looks under another key and never loads the old
+    # generator's entry.
     _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    old_entry = _cache_file(_TOGGLE, tmp_path)
-    old_entry.write_text(re.sub(
-        r"t = (.*)", r"t = _removed_helper(\1)", old_entry.read_text()))
-    monkeypatch.setattr(compiled, "CODEGEN", CODEGEN)
-    assert _cache_file(_TOGGLE, tmp_path) != old_entry
-    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert res.stats["cache_hits"] == 0
-    assert res.stats["cache_misses"] == 1
-    assert res.stats["cache_errors"] == 0
+    _poison(_only_entry(tmp_path))
+    generate = compiled.generate_source
+    monkeypatch.setattr(compiled, "generate_source",
+                        lambda gates: generate(gates) + "# changed\n")
+    _assert_missed_cleanly(tmp_path)
+
+
+def test_entry_from_another_python_is_never_loaded(tmp_path, monkeypatch):
+    # Code objects are specific to the Python that compiled them; the
+    # key covers its bytecode magic number, so another Python's entry
+    # sits under another key.
+    monkeypatch.setattr(compiled, "MAGIC_NUMBER", b"\x00\x00\r\n")
+    _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
+    _poison(_only_entry(tmp_path))
+    monkeypatch.undo()
+    _assert_missed_cleanly(tmp_path)
 
 
 def test_analysis_mode_skips_codegen(tmp_path):

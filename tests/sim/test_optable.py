@@ -23,7 +23,7 @@ from repro.ir.types import (
 from repro.ir.units import Entity, Process
 from repro.sim import optable
 from repro.sim.blaze import _BASE_GLOBALS, ProcessCompiler
-from repro.sim.compiled import _emit_settle, build_template
+from repro.sim.compiled import build_template, generate_source
 from repro.sim.eval import evaluate, int_shift, logic_level, logic_shift
 from repro.sim.plan import _PROC_OPS, _step_factory, _step_for
 from repro.sim.values import SimulationError, mask, pack_array
@@ -182,19 +182,17 @@ def blaze_process(case):
 
 
 def levelized_cell(case):
-    """Run the op as a levelized cell template in a settle function."""
+    """Run the op as a levelized cell template in a cone's settle."""
     cell = Entity("cell", *_unit_args(case))
     _body(cell, cell.body, case)
     template = build_template(cell)
     n = template.n_inputs
-    buf = []
-    _emit_settle(buf, "settle", [(template, list(range(n)), n)])
     namespace = dict(_BASE_GLOBALS)
-    exec("\n".join(buf), namespace)
+    exec(generate_source([(template, list(range(n)), n)]), namespace)
 
     def run(values):
         slots = list(values) + [object()]
-        namespace["settle"](slots)
+        namespace["_settle_all"](slots)
         return slots[n]
     return run
 
