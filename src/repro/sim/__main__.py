@@ -18,9 +18,10 @@ engine is ``interp`` (LLHD-Sim, the reference interpreter), ``blaze``
 baseline), or ``levelized`` (the ahead-of-time compiled netlist
 engine; with ``--design`` it implies ``--netlist``, which lowers the
 design through structural lowering and technology mapping first).
-``--cross-check`` runs interp *and* blaze — plus levelized when the
-module is at the netlist level — and verifies the traces are identical
-before reporting.
+``--cross-check`` runs interp and blaze, then the selected engine, then
+levelized when the module is at the netlist level; it verifies the
+traces are identical and reports the selected engine's run.  With
+``--batch`` it compares every lane the same way.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def _build_parser():
         help="write the trace as a VCD file")
     parser.add_argument(
         "--cross-check", action="store_true",
-        help="simulate under interp AND blaze; fail on trace divergence")
+        help="also simulate under interp and blaze (and levelized at the "
+             "netlist level); fail on trace divergence, then report the "
+             "selected engine's run")
     parser.add_argument(
         "--sanitize", action="store_true",
         help="record drive races and delta-cycle oscillations as "
@@ -248,23 +251,27 @@ def _run_batch_cli(module, top, until_fs, args, parser):
 
     stimulus = _batch_stimulus(module, top, args, parser)
     if args.cross_check:
+        engines = ["interp", "blaze"]
+        if args.engine == "cycle":
+            engines.append("cycle")
         runs = {}
-        for backend in ("interp", "blaze"):
+        for backend in engines:
             runs[backend] = simulate_batch(
                 module, top, args.batch, until_fs=until_fs,
                 backend=backend, stimulus=stimulus)
-        for k in range(args.batch):
-            differences = runs["interp"].lane(k).trace.differences(
-                runs["blaze"].lane(k).trace)
-            if differences:
-                print(f"error: lane {k}: interp and blaze traces "
-                      "diverge:", file=sys.stderr)
-                for issue in differences:
-                    print(f"  {issue}", file=sys.stderr)
-                return None
-        print("# lane traces identical across interp and blaze",
+        for backend in engines[1:]:
+            for k in range(args.batch):
+                differences = runs["interp"].lane(k).trace.differences(
+                    runs[backend].lane(k).trace)
+                if differences:
+                    print(f"error: lane {k}: interp and {backend} traces "
+                          "diverge:", file=sys.stderr)
+                    for issue in differences:
+                        print(f"  {issue}", file=sys.stderr)
+                    return None
+        print(f"# lane traces identical across {', '.join(engines)}",
               file=sys.stderr)
-        return runs["blaze"]
+        return runs[args.engine]
     return simulate_batch(module, top, args.batch, until_fs=until_fs,
                           backend=args.engine, stimulus=stimulus)
 
@@ -337,9 +344,11 @@ def main(argv=None):
     try:
         if args.cross_check:
             engines = ["interp", "blaze"]
+            if args.engine == "cycle":
+                engines.append("cycle")
             # Include the levelized engine whenever the module is (or
             # was just lowered to) the netlist level; the sanitizer
-            # cannot instrument the cone, so it keeps the pair.
+            # cannot instrument the cone, so it leaves it out.
             if (args.netlist or args.engine == "levelized") \
                     and not args.sanitize:
                 engines.append("levelized")
@@ -361,7 +370,7 @@ def main(argv=None):
                     return 2
             print(f"# traces identical across {', '.join(engines)}",
                   file=sys.stderr)
-            result = runs.get(args.engine, runs["blaze"])
+            result = runs[args.engine]
         else:
             result = simulate(module, top, until_fs=until_fs,
                               backend=args.engine, sanitize=args.sanitize,

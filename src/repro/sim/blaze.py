@@ -17,6 +17,12 @@ translates every unit into Python source once, compiles it with
   dispatch, with whole-signal probes inlined to ``sig.value`` reads;
 * functions become plain Python functions.
 
+Aggregate and projection ops without an inline static form (``agg[i]``,
+the slice-concat ``insf``) call the interpreter's own functions:
+:func:`~repro.sim.eval.extf`, :func:`~repro.sim.eval.insf`,
+:func:`~repro.sim.plan.project`, :func:`~repro.sim.plan.load` and
+:func:`~repro.sim.plan.store`, over :class:`~repro.sim.plan.Cell` cells.
+
 Elaboration (hierarchy walk, signal creation, unit substitution) is shared
 with the reference interpreter.  Each unit is compiled once per design,
 or once per batch when the runs of a batch share one compile cache
@@ -37,81 +43,22 @@ from ..ir.ninevalued import LogicVec
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
+from .eval import extf, insf, path_of
 from .interp import Design, EntityInstance, ProcessInstance, elaborate_top
 from .optable import GLOBALS as _TABLE_GLOBALS
 from .optable import emit as _emit_op
-from .plan import fused_mux_arrays, promotable_cells
+from .plan import (
+    Cell, fused_mux_arrays, load, project, promotable_cells, store,
+)
 from .values import (
-    SimulationError, extract_path, insert_path, mask, pack_array,
+    SimulationError, dynamic_index, extract_path, insert_path, mask,
+    pack_array,
 )
 
 _EPSILON = TimeValue(0, 0, 1)
 
 
 # -- runtime helpers referenced by generated code ------------------------------
-
-def _rt_ld(pointer):
-    if type(pointer) is list:
-        return pointer[0]
-    return pointer.load()
-
-
-def _rt_st(pointer, value):
-    if type(pointer) is list:
-        pointer[0] = value
-    else:
-        pointer.store(value)
-
-
-def _rt_cell_project(pointer, step):
-    if type(pointer) is list:
-        return _BlazeCellRef(pointer, (step,))
-    return _BlazeCellRef(pointer.cell, pointer.path + (step,))
-
-
-class _BlazeCellRef:
-    __slots__ = ("cell", "path")
-
-    def __init__(self, cell, path):
-        self.cell = cell
-        self.path = path
-
-    def load(self):
-        return extract_path(self.cell[0], self.path)
-
-    def store(self, value):
-        self.cell[0] = insert_path(self.cell[0], self.path, value)
-
-
-def _rt_sig_project(target, step):
-    if isinstance(target, SignalRef):
-        return SignalRef(target.signal, target.path + (step,), None)
-    return SignalRef(target, (step,), None)
-
-
-def _rt_index(value):
-    if isinstance(value, LogicVec):
-        if not value.is_two_valued:
-            raise SimulationError("dynamic index is unknown (X)")
-        return value.to_int()
-    return value
-
-
-def _rt_extf(agg, index):
-    index = _rt_index(index)
-    if not 0 <= index < len(agg):
-        raise SimulationError(
-            f"extf index {index} out of range for {len(agg)} elements")
-    return agg[index]
-
-
-def _rt_insf(agg, value, index):
-    index = _rt_index(index)
-    if not 0 <= index < len(agg):
-        raise SimulationError(
-            f"insf index {index} out of range for {len(agg)} elements")
-    return agg[:index] + (value,) + agg[index + 1:]
-
 
 def _rt_resolve(value):
     """Resolve a binding through ``con`` merging, once, at bind time."""
@@ -120,18 +67,19 @@ def _rt_resolve(value):
     if isinstance(value, SignalRef):
         rep = value.signal.find()
         if rep is not value.signal:
-            return SignalRef(rep, value.path, value.type)
+            return SignalRef(rep, value.path)
     return value
 
 
+# The aggregate and projection rules are the ones the interpreter runs.
 _BASE_GLOBALS = {
-    "_ld": _rt_ld,
-    "_st": _rt_st,
-    "_cellproj": _rt_cell_project,
-    "_sigproj": _rt_sig_project,
-    "_extf": _rt_extf,
-    "_insf": _rt_insf,
-    "_idx": _rt_index,
+    "Cell": Cell,
+    "load": load,
+    "store": store,
+    "project": project,
+    "extf": extf,
+    "insf": insf,
+    "dynamic_index": dynamic_index,
     "_extract": extract_path,
     "_insert": insert_path,
     "_parr": pack_array,
@@ -254,18 +202,13 @@ class UnitCompiler:
         base = inst.operands[0]
         n = self.name
         index = inst.attrs.get("index")
-        if base.type.is_signal:
-            if index is not None:
-                return f"_sigproj({n(base)}, ('field', {index}))"
-            return f"_sigproj({n(base)}, ('field', _idx({n(inst.operands[1])})))"
-        if base.type.is_pointer:
-            if index is not None:
-                return f"_cellproj({n(base)}, ('field', {index}))"
-            return (f"_cellproj({n(base)}, "
-                    f"('field', _idx({n(inst.operands[1])})))")
+        if base.type.is_signal or base.type.is_pointer:
+            if index is None:
+                index = f"dynamic_index({n(inst.operands[1])})"
+            return f"project({n(base)}, ('field', {index}))"
         if index is not None:
             return f"{n(base)}[{index}]"
-        return f"_extf({n(base)}, {n(inst.operands[1])})"
+        return f"extf({n(base)}, {n(inst.operands[1])})"
 
     def _insf_expr(self, inst):
         agg, value = inst.operands[0], inst.operands[1]
@@ -274,20 +217,13 @@ class UnitCompiler:
         if index is not None:
             return (f"{n(agg)}[:{index}] + ({n(value)},) + "
                     f"{n(agg)}[{index + 1}:]")
-        return f"_insf({n(agg)}, {n(value)}, {n(inst.operands[2])})"
-
-    def _slice_step(self, inst):
-        from .eval import path_of
-
-        return path_of(inst)
+        return f"insf({n(agg)}, {n(value)}, {n(inst.operands[2])})"
 
     def _exts_expr(self, inst):
         base = inst.operands[0]
-        step = self._slice_step(inst)
-        if base.type.is_signal:
-            return f"_sigproj({self.name(base)}, {step!r})"
-        if base.type.is_pointer:
-            return f"_cellproj({self.name(base)}, {step!r})"
+        step = path_of(inst)
+        if base.type.is_signal or base.type.is_pointer:
+            return f"project({self.name(base)}, {step!r})"
         return f"_extract({self.name(base)}, ({step!r},))"   # an array
 
     def _inss_expr(self, inst):
@@ -299,8 +235,7 @@ class UnitCompiler:
             m = mask(length)
             return (f"(({n(base)} & {hex(~(m << offset) & mask(base.type.width))}) "
                     f"| (({n(value)} & {hex(m)}) << {offset}))")
-        step = self._slice_step(inst)
-        return f"_insert({n(base)}, ({step!r},), {n(value)})"
+        return f"_insert({n(base)}, ({path_of(inst)!r},), {n(value)})"
 
     def probe_expr(self, inst):
         """Inline probe: direct ``.value`` read for whole signals."""
@@ -323,16 +258,25 @@ class ProcessCompiler(UnitCompiler):
     paper's Blaze.
     """
 
-    def compile_process(self):
+    def compile(self):
+        """The unit as one ``while True`` loop dispatching on the block
+        index ``_b``: a generator for a process, a plain function for a
+        function."""
         unit = self.unit
         code = self.code
         self._promoted = promotable_cells(unit)
         block_index = {id(b): i for i, b in enumerate(unit.blocks)}
-        code.line("def __process__(B, probe, drive, call, intrinsic):")
-        code.indent += 1
-        # A process without wait would otherwise compile to a plain
-        # function; force generator semantics so the kernel drives it.
-        code.line("if 0: yield (None, ())")
+        if unit.is_process:
+            symbol = "__process__"
+            code.line("def __process__(B, probe, drive, call, intrinsic):")
+            code.indent += 1
+            # A process without wait would otherwise compile to a plain
+            # function; force generator semantics so the kernel drives it.
+            code.line("if 0: yield (None, ())")
+        else:
+            symbol = "__function__"
+            code.line("def __function__(B, call, intrinsic):")
+            code.indent += 1
         for arg in unit.args:
             slot = self.bind_slot(arg)
             code.line(f"{self.name(arg)} = B[{slot}]")
@@ -342,31 +286,10 @@ class ProcessCompiler(UnitCompiler):
         for i, block in enumerate(unit.blocks):
             code.line(f"{'if' if i == 0 else 'elif'} _b == {i}:")
             code.indent += 1
-            self._emit_block(block, block_index, kind="proc")
+            self._emit_block(block, block_index)
             code.indent -= 1
         code.indent -= 2
-        return self._finish("__process__")
-
-    def compile_function(self):
-        unit = self.unit
-        code = self.code
-        self._promoted = promotable_cells(unit)
-        block_index = {id(b): i for i, b in enumerate(unit.blocks)}
-        code.line("def __function__(B, call, intrinsic):")
-        code.indent += 1
-        for arg in unit.args:
-            slot = self.bind_slot(arg)
-            code.line(f"{self.name(arg)} = B[{slot}]")
-        code.line("_b = 0")
-        code.line("while True:")
-        code.indent += 1
-        for i, block in enumerate(unit.blocks):
-            code.line(f"{'if' if i == 0 else 'elif'} _b == {i}:")
-            code.indent += 1
-            self._emit_block(block, block_index, kind="func")
-            code.indent -= 1
-        code.indent -= 2
-        return self._finish("__function__")
+        return self._finish(symbol)
 
     def _finish(self, symbol):
         source = self.code.source()
@@ -374,7 +297,7 @@ class ProcessCompiler(UnitCompiler):
         exec(compile(source, f"<blaze:{self.unit.name}>", "exec"), namespace)
         return CompiledUnit(self.unit, source, namespace[symbol], self)
 
-    def _emit_block(self, block, block_index, kind):
+    def _emit_block(self, block, block_index):
         code = self.code
         n = self.name
         emitted = False
@@ -397,26 +320,21 @@ class ProcessCompiler(UnitCompiler):
                 if id(inst) in self._promoted:
                     code.line(f"{n(inst)} = {n(inst.operands[0])}")
                 else:
-                    code.line(f"{n(inst)} = [{n(inst.operands[0])}]")
+                    code.line(f"{n(inst)} = Cell({n(inst.operands[0])})")
             elif op == "free":
                 code.line("pass")
             elif op == "ld":
                 ptr = inst.operands[0]
                 if id(ptr) in self._promoted:
                     code.line(f"{n(inst)} = {n(ptr)}")
-                elif getattr(ptr, "opcode", None) in ("var", "alloc"):
-                    # The pointer is this unit's own cell: index directly.
-                    code.line(f"{n(inst)} = {n(ptr)}[0]")
                 else:
-                    code.line(f"{n(inst)} = _ld({n(ptr)})")
+                    code.line(f"{n(inst)} = load({n(ptr)})")
             elif op == "st":
                 ptr = inst.operands[0]
                 if id(ptr) in self._promoted:
                     code.line(f"{n(ptr)} = {n(inst.operands[1])}")
-                elif getattr(ptr, "opcode", None) in ("var", "alloc"):
-                    code.line(f"{n(ptr)}[0] = {n(inst.operands[1])}")
                 else:
-                    code.line(f"_st({n(ptr)}, {n(inst.operands[1])})")
+                    code.line(f"store({n(ptr)}, {n(inst.operands[1])})")
             elif op == "sig":
                 raise SimulationError(
                     "blaze: sig inside processes is not supported; "
@@ -665,12 +583,10 @@ class BlazeDesign(Design):
     def compiled(self, unit):
         cu = self._compiled.get(id(unit))
         if cu is None:
-            if unit.is_process:
-                cu = ProcessCompiler(unit).compile_process()
-            elif unit.is_function:
-                cu = ProcessCompiler(unit).compile_function()
-            else:
+            if unit.is_entity:
                 cu = EntityCompiler(unit).compile_entity()
+            else:
+                cu = ProcessCompiler(unit).compile()
             self._compiled[id(unit)] = cu
         return cu
 

@@ -102,7 +102,7 @@ def _projection_probe_expr(comp, placeholders, src):
                 if nm is None:
                     raise TemplateError(
                         "dynamic field index is not a port probe")
-                steps.append(f"('field', _idx({nm}))")
+                steps.append(f"('field', dynamic_index({nm}))")
     return f"_extract({root_ph}, ({', '.join(steps)},))"
 
 

@@ -278,15 +278,11 @@ class SignalInstance:
 class SignalRef:
     """A projection into a signal: the result of extf/exts on a ``T$``."""
 
-    __slots__ = ("signal", "path", "type")
+    __slots__ = ("signal", "path")
 
-    def __init__(self, signal, path, type):
+    def __init__(self, signal, path):
         self.signal = signal
         self.path = tuple(path)
-        self.type = type
-
-    def project(self, step, type):
-        return SignalRef(self.signal, self.path + (step,), type)
 
     def __repr__(self):
         return f"<signal-ref {self.signal.name}{list(self.path)}>"

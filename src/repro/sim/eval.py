@@ -24,14 +24,19 @@ Semantics notes:
 table — interpreters resolve the evaluator once per instruction when they
 predecode (see :mod:`repro.sim.plan`) instead of re-matching opcode
 strings on every execution.
+
+:func:`extf` and :func:`insf` are the dynamic-index aggregate rules: the
+evaluators here call them, and so does the code blaze and cycle
+generate, so an index that is out of range or unknown fails with one
+text on every engine.
 """
 
 from __future__ import annotations
 
 from ..ir.ninevalued import LogicVec
 from .values import (
-    SimulationError, extract_path, from_signed, insert_path, mask,
-    pack_array, to_signed,
+    SimulationError, dynamic_index, extract_path, from_signed, insert_path,
+    mask, pack_array, to_signed,
 )
 
 
@@ -213,34 +218,33 @@ def path_of(inst):
     return ("slice", inst.attrs["offset"], inst.attrs["length"], kind)
 
 
-def _eval_extf(inst, operands):
-    agg = operands[0]
-    index = inst.attrs.get("index")
-    if index is None:
-        index = operands[1]
-        if isinstance(index, LogicVec):
-            if not index.is_two_valued:
-                raise SimulationError("extf index is unknown (X)")
-            index = index.to_int()
+def extf(agg, index):
+    """``extf``: element ``index`` of an array or struct value."""
+    index = dynamic_index(index)
     if not 0 <= index < len(agg):
         raise SimulationError(
             f"extf index {index} out of range for {len(agg)} elements")
     return agg[index]
 
 
-def _eval_insf(inst, operands):
-    agg, value = operands[0], operands[1]
-    index = inst.attrs.get("index")
-    if index is None:
-        index = operands[2]
-        if isinstance(index, LogicVec):
-            if not index.is_two_valued:
-                raise SimulationError("insf index is unknown (X)")
-            index = index.to_int()
+def insf(agg, value, index):
+    """``insf``: a copy of ``agg`` with element ``index`` replaced."""
+    index = dynamic_index(index)
     if not 0 <= index < len(agg):
         raise SimulationError(
             f"insf index {index} out of range for {len(agg)} elements")
     return agg[:index] + (value,) + agg[index + 1:]
+
+
+def _eval_extf(inst, operands):
+    index = inst.attrs.get("index")
+    return extf(operands[0], operands[1] if index is None else index)
+
+
+def _eval_insf(inst, operands):
+    index = inst.attrs.get("index")
+    return insf(operands[0], operands[1],
+                operands[2] if index is None else index)
 
 
 def _eval_const(inst, operands):

@@ -8,11 +8,14 @@ step closures (:mod:`repro.sim.plan`).  Each pure op's step is built
 from its entry in the opcode table the compiled engines emit from
 (:mod:`repro.sim.optable`), so interp and blaze share one definition of
 every op, and :mod:`repro.sim.eval` stays the spec both are tested
-against (and what the elaboration walk below evaluates with).  A
-process or function's constants are seeded into its environment once
-instead of running as steps.  The compiled simulator
-(:mod:`repro.sim.blaze`) shares this module's elaboration and the
-kernel, and replaces the instruction walk with generated Python code.
+against (and what the elaboration walk below evaluates with).
+Projections, ``ld``/``st`` and dynamic ``extf``/``insf`` indices call
+the functions of :mod:`repro.sim.plan` and :mod:`repro.sim.eval` that
+every engine calls.  A process or function's constants are seeded
+into its environment once instead of running as steps.  The compiled
+simulator (:mod:`repro.sim.blaze`) shares this module's elaboration and
+the kernel, and replaces the instruction walk with generated Python
+code.
 
 Elaboration instantiates the design hierarchy: every ``sig`` becomes a
 :class:`~repro.sim.engine.SignalInstance`, every ``inst`` recursively
@@ -28,20 +31,13 @@ their own stimulus process.
 from __future__ import annotations
 
 from ..ir.units import UnitDecl
-from .engine import Kernel, SignalInstance, SignalRef
-from .eval import evaluate, path_of
+from .engine import Kernel, SignalRef
+from .eval import EVALUATORS, evaluate, path_of
 from .plan import (
-    Cell, CellRef, _as_cellref, _dynamic_index, _Timeout,
-    build_entity_plan, build_function_plan, build_process_plan,
+    _Timeout, build_entity_plan, build_function_plan, build_process_plan,
+    project,
 )
-from .values import SimulationError, default_value, extract_path
-
-_PURE_OPS = frozenset({
-    "const", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-    "srem", "and", "or", "xor", "not", "neg", "shl", "shr", "eq", "neq",
-    "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge", "zext", "sext",
-    "trunc", "array", "struct", "mux", "inss",
-})
+from .values import SimulationError, default_value, dynamic_index
 
 
 class Design:
@@ -190,25 +186,6 @@ class _FunctionInterpreter:
                     f"{self.MAX_STEPS} steps")
             bp = bp.term(env, frame)
         return frame.result
-
-
-def _interp_ext(inst, env):
-    """extf/exts on values, signals, and pointers (elaboration walk)."""
-    base = env[id(inst.operands[0])]
-    if inst.opcode == "extf":
-        index = inst.attrs.get("index")
-        if index is None:
-            index = _dynamic_index(env[id(inst.operands[1])])
-        step = ("field", index)
-    else:
-        step = path_of(inst)
-    if isinstance(base, (SignalInstance, SignalRef)):
-        if isinstance(base, SignalInstance):
-            base = SignalRef(base, (), base.type)
-        return base.project(step, inst.type)
-    if isinstance(base, (Cell, CellRef)):
-        return _as_cellref(base).project(step)
-    return extract_path(base, (step,))
 
 
 class ProcessInstance:
@@ -369,9 +346,13 @@ class EntityInstance:
     def _eval_dataflow(self, inst):
         env = self.env
         op = inst.opcode
-        if op in ("extf", "exts"):
-            env[id(inst)] = _interp_ext(inst, env)
-        elif op in _PURE_OPS or op == "insf":
+        if op in ("extf", "exts") and inst.type.is_signal:
+            if inst.has_dynamic_index:
+                step = ("field", dynamic_index(env[id(inst.operands[1])]))
+            else:
+                step = path_of(inst)
+            env[id(inst)] = project(env[id(inst.operands[0])], step)
+        elif op in EVALUATORS:
             env[id(inst)] = evaluate(
                 inst, [env[id(o)] for o in inst.operands])
         elif op == "call":

@@ -50,8 +50,8 @@ from .blaze import BlazeDesign, BlazeEntityInstance
 from .engine import Kernel, SignalInstance, SignalRef
 from .interp import elaborate_top
 from .optable import edge
-from .plan import _dynamic_index, fired_trigger
-from .values import SimulationError, insert_path
+from .plan import fired_trigger
+from .values import SimulationError, dynamic_index, insert_path
 
 _ZERO = TimeValue(0)
 
@@ -90,7 +90,7 @@ def _resolve_path(proto, V):
     path = []
     for step in proto:
         if step[0] == "fielddyn":
-            path.append(("field", _dynamic_index(V[step[1]])))
+            path.append(("field", dynamic_index(V[step[1]])))
         else:
             path.append(step)
     return tuple(path)
@@ -375,7 +375,7 @@ class _Cone:
                 # Real-time clock-to-output: back to the scheduler, the
                 # maturation re-enters the cone as an external change.
                 sig = self.slot_sigs[cell.root_slot]
-                target = SignalRef(sig, path, None) if path else sig
+                target = SignalRef(sig, path) if path else sig
                 kernel.schedule_drive(("reg", self.order, cell.index),
                                       target, data, delay)
                 continue

@@ -9,11 +9,15 @@ operand lists:
   generated from that entry.  Each entry is compiled once per Python
   process into a step factory; the factory binds one instruction's
   ``env`` keys and width constants, so every width shares the one
-  ``compile()``.  Ops without an entry (aggregates, signal and pointer
-  projections) call their :mod:`repro.sim.eval` evaluator, and ``reg``
-  edge tests call the table's :func:`~repro.sim.optable.edge` from
-  :func:`fired_trigger`, the trigger loop the levelized storage cells
-  share;
+  ``compile()``.  Ops without an entry (aggregates) call their
+  :mod:`repro.sim.eval` evaluator, and ``reg`` edge tests call the
+  table's :func:`~repro.sim.optable.edge` from :func:`fired_trigger`,
+  the trigger loop the levelized storage cells share;
+* ``extf``/``exts`` through a signal or pointer call :func:`project`,
+  and ``ld``/``st`` call :func:`load`/:func:`store`.  The code blaze
+  and cycle generate calls the same functions (and ``eval.extf``/
+  ``eval.insf``), so each aggregate and projection rule, with its
+  error text, exists once;
 * blaze's two local rewrites apply too, through the same analyses: a
   private two-choice ``array`` + i1 ``mux`` becomes one conditional
   step (:func:`fused_mux_arrays`), and a cell whose pointer never
@@ -37,12 +41,11 @@ from __future__ import annotations
 
 import functools
 
-from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
 from .engine import SignalInstance, SignalRef
 from .eval import EVALUATORS, path_of
 from .optable import GLOBALS, TABLE, edge, entry
-from .values import SimulationError, extract_path, insert_path
+from .values import SimulationError, dynamic_index, extract_path, insert_path
 
 _EPSILON = TimeValue(0, 0, 1)
 
@@ -61,32 +64,38 @@ class CellRef:
 
     __slots__ = ("cell", "path")
 
-    def __init__(self, cell, path=()):
+    def __init__(self, cell, path):
         self.cell = cell
-        self.path = tuple(path)
-
-    def load(self):
-        return extract_path(self.cell.value, self.path)
-
-    def store(self, value):
-        self.cell.value = insert_path(self.cell.value, self.path, value)
-
-    def project(self, step):
-        return CellRef(self.cell, self.path + (step,))
+        self.path = path
 
 
-def _as_cellref(pointer):
+def project(base, step):
+    """extf/exts through a signal or pointer: ``base`` narrowed by one
+    path step, a :class:`SignalRef` or :class:`CellRef`."""
+    kind = type(base)
+    if kind is SignalRef:
+        return SignalRef(base.signal, base.path + (step,))
+    if kind is CellRef:
+        return CellRef(base.cell, base.path + (step,))
+    if kind is Cell:
+        return CellRef(base, (step,))
+    return SignalRef(base, (step,))
+
+
+def load(pointer):
+    """``ld``: the value a cell or cell projection holds."""
     if type(pointer) is Cell:
-        return CellRef(pointer)
-    return pointer
+        return pointer.value
+    return extract_path(pointer.cell.value, pointer.path)
 
 
-def _dynamic_index(value):
-    if isinstance(value, LogicVec):
-        if not value.is_two_valued:
-            raise SimulationError("dynamic index is unknown (X)")
-        return value.to_int()
-    return value
+def store(pointer, value):
+    """``st``: write ``value`` into a cell or cell projection."""
+    if type(pointer) is Cell:
+        pointer.value = value
+    else:
+        cell = pointer.cell
+        cell.value = insert_path(cell.value, pointer.path, value)
 
 
 def probe_value(target, kernel):
@@ -204,50 +213,22 @@ def _copy_step(dst, src):
 
 
 def _ext_step(inst, kernel):
-    """extf/exts over values, signals, and pointers."""
-    key = id(inst)
+    """extf/exts: a pure step on a value, :func:`project` through a
+    signal or pointer."""
     base = inst.operands[0]
-    bid = id(base)
-    base_ty = base.type
-    rty = inst.type
-    if inst.opcode == "exts" and (base_ty.is_int or base_ty.is_logic):
+    if not (base.type.is_signal or base.type.is_pointer):
         return _pure_step(inst)
-    if inst.opcode == "extf" and inst.attrs.get("index") is None:
+    key, bid = id(inst), id(base)
+    if inst.has_dynamic_index:
         iid = id(inst.operands[1])
-        if base_ty.is_signal:
-            def step(env, act):
-                b = env[bid]
-                if type(b) is SignalInstance:
-                    b = SignalRef(b, (), b.type)
-                env[key] = b.project(
-                    ("field", _dynamic_index(env[iid])), rty)
-        elif base_ty.is_pointer:
-            def step(env, act):
-                env[key] = _as_cellref(env[bid]).project(
-                    ("field", _dynamic_index(env[iid])))
-        else:
-            def step(env, act):
-                env[key] = extract_path(
-                    env[bid], (("field", _dynamic_index(env[iid])),))
-        return step
-    if inst.opcode == "extf":
-        path_step = ("field", inst.attrs["index"])
-    else:
-        path_step = path_of(inst)
-    if base_ty.is_signal:
-        def step(env, act):
-            b = env[bid]
-            if type(b) is SignalInstance:
-                b = SignalRef(b, (), b.type)
-            env[key] = b.project(path_step, rty)
-    elif base_ty.is_pointer:
-        def step(env, act):
-            env[key] = _as_cellref(env[bid]).project(path_step)
-    else:
-        path = (path_step,)
 
         def step(env, act):
-            env[key] = extract_path(env[bid], path)
+            env[key] = project(env[bid], ("field", dynamic_index(env[iid])))
+        return step
+    path_step = path_of(inst)
+
+    def step(env, act):
+        env[key] = project(env[bid], path_step)
     return step
 
 
@@ -312,11 +293,7 @@ def _ld_step(inst, kernel):
     pid = id(inst.operands[0])
 
     def step(env, act):
-        p = env[pid]
-        if type(p) is Cell:
-            env[key] = p.value
-        else:
-            env[key] = p.load()
+        env[key] = load(env[pid])
     return step
 
 
@@ -325,11 +302,7 @@ def _st_step(inst, kernel):
     vid = id(inst.operands[1])
 
     def step(env, act):
-        p = env[pid]
-        if type(p) is Cell:
-            p.value = env[vid]
-        else:
-            p.store(env[vid])
+        store(env[pid], env[vid])
     return step
 
 

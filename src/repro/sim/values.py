@@ -217,6 +217,15 @@ def from_signed(value, width):
     return value & mask(width)
 
 
+def dynamic_index(value):
+    """A dynamic ``extf``/``insf`` index as an ``int``; ``X`` raises."""
+    if isinstance(value, LogicVec):
+        if not value.is_two_valued:
+            raise SimulationError("dynamic index is unknown (X)")
+        return value.to_int()
+    return value
+
+
 def extract_path(value, path):
     """Read the sub-value denoted by a projection path."""
     for step in path:

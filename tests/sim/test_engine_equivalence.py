@@ -86,15 +86,13 @@ def _fuzz_run(module, top, backend):
     """Simulate, treating a SimulationError as part of the behaviour.
 
     Hostile stimulus can legally make a design hit a runtime error (an
-    ``X`` reaching a dynamic index, say).  Message texts and the partial
-    trace up to the failure differ legitimately between the interpreter
-    and generated code, so an erroring run compares only as "errored" —
-    the engines must agree on *whether* the stimulus is fatal.
+    ``X`` reaching a dynamic index, say).  An erroring run returns the
+    error text, which every engine must agree on.
     """
     try:
         return simulate(module, top, backend=backend)
-    except SimulationError:
-        return None
+    except SimulationError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -110,10 +108,9 @@ def test_fuzzed_stimulus_keeps_engines_identical(name, seed):
         verify_module(module)
         results[backend] = _fuzz_run(module, DESIGNS[name].top, backend)
     interp, blaze, cycle = (results[b] for b in BACKENDS)
-    errored = [b for b in BACKENDS if results[b] is None]
-    assert errored in ([], list(BACKENDS)), \
-        f"{name}: only {errored} hit a runtime error"
-    if errored:
+    if any(isinstance(r, str) for r in results.values()):
+        # Every engine raised, with the same text.
+        assert interp == blaze == cycle, f"{name}: {results}"
         return
     assert interp.trace.finalize().changes == \
         blaze.trace.finalize().changes, \
@@ -201,7 +198,7 @@ def test_batched_fuzz_matches_per_lane_scalar_runs(name, backend):
         if not inject_lane_stimulus(module, top, name, lane_seed):
             pytest.skip(f"{name}: no injectable input nets")
         refs.append((lane_seed, _fuzz_run(module, top, backend)))
-    good = [(s, r) for s, r in refs if r is not None]
+    good = [(s, r) for s, r in refs if not isinstance(r, str)]
     if len(good) < 2:
         pytest.skip(f"{name}: fewer than two non-erroring fuzz seeds")
     module = compile_design(name, cycles=CYCLES[name])
@@ -241,10 +238,10 @@ def test_fuzzed_stimulus_survives_lowering_to_netlist(name):
     conflicting matured values now raise a deterministic drive-conflict
     error (naming both drivers), behavioural and netlist runs must agree
     on fatality rather than silently letting a driver-order-dependent
-    winner through — the same "errored" contract ``_fuzz_run`` applies
-    everywhere else.  Agreeing same-instant drivers remain legal on both
-    sides.  Nine-valued collisions still resolve commutatively under
-    IEEE 1164.
+    winner through.  The two levels run different instructions, so an
+    error compares only as "errored", not by its text.  Agreeing
+    same-instant drivers remain legal on both sides.  Nine-valued
+    collisions still resolve commutatively under IEEE 1164.
 
     The stimulus runs a quarter period off the testbenches' 500ps time
     grid (``phase_fs``): an input transition in the same femtosecond as
@@ -276,9 +273,9 @@ def test_fuzzed_stimulus_survives_lowering_to_netlist(name):
 
     # The engines must agree on whether the stimulus is fatal, and on
     # the full trace when it is not.
-    assert (ref is None) == (low is None), \
+    assert isinstance(ref, str) == isinstance(low, str), \
         f"{name}: only one of behavioural/netlist hit a runtime error"
-    if ref is None:
+    if isinstance(ref, str):
         return
     active = ref.trace.live_signals()
     assert active <= set(low.trace.finalize().changes), \

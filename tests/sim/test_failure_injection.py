@@ -114,22 +114,109 @@ def test_llhd_finish_stops_simulation():
     assert result.final_time_fs <= 6_000_000
 
 
-def test_extf_out_of_range_raises():
-    module = parse_module("""
-    entity @top () -> () {
-      inst @bad () -> ()
-    }
-    proc @bad () -> () {
-    entry:
-      %z = const i8 0
-      %arr = [4 x i8 %z]
-      %idx = const i8 9
-      %v = extf i8, [4 x i8] %arr, %idx
-      halt
-    }
-    """)
-    with pytest.raises(SimulationError, match="out of range"):
-        simulate(module, "top")
+#: A bad aggregate access in a process step.
+_IN_PROCESS = """
+entity @top () -> () {{
+  inst @bad () -> ()
+}}
+proc @bad () -> () {{
+entry:
+  %z = const i8 0
+  %arr = [4 x i8 %z]
+  %idx = const {ty} {bad}
+  {access}
+  halt
+}}
+"""
+
+#: The same access in an entity body, failing in the elaboration walk.
+_AT_ELABORATION = """
+entity @top () -> () {{
+  %z = const i8 0
+  %arr = [4 x i8 %z]
+  %idx = const {ty} {bad}
+  {access}
+}}
+"""
+
+#: The same access in an entity body, failing when a later index change
+#: re-activates the entity.
+_ON_WAKEUP = """
+entity @top () -> () {{
+  %z = const i8 0
+  %arr = [4 x i8 %z]
+  %ok = const {ty} {good}
+  %s = sig {ty} %ok
+  %idx = prb {ty}$ %s
+  {access}
+  inst @poke () -> ({ty}$ %s)
+}}
+proc @poke () -> ({ty}$ %s) {{
+entry:
+  %bad = const {ty} {bad}
+  %t = const time 1ns
+  drv {ty}$ %s, %bad after %t
+  halt
+}}
+"""
+
+#: A dynamic extf through a var pointer, then ``ld`` or ``st``.
+_THROUGH_POINTER = """
+entity @top () -> () {{
+  inst @bad () -> ()
+}}
+proc @bad () -> () {{
+entry:
+  %z = const i8 0
+  %arr = [4 x i8 %z]
+  %p = var [4 x i8] %arr
+  %idx = const i8 9
+  %e = extf i8*, [4 x i8]* %p, %idx
+  {access}
+  halt
+}}
+"""
+
+_ACCESSES = {
+    "extf": "%v = extf i8, [4 x i8] %arr, %idx",
+    "insf": "%n = insf [4 x i8] %arr, i8 %z, %idx",
+}
+#: (index type, good index, bad index, message template over the op).
+_INDICES = {
+    "range": ("i8", "0", "9", "{op} index 9 out of range for 4 elements"),
+    "x": ("l8", '"00000000"', '"XXXXXXXX"', "dynamic index is unknown (X)"),
+}
+_PLACES = {
+    "process": _IN_PROCESS,
+    "elaboration": _AT_ELABORATION,
+    "wakeup": _ON_WAKEUP,
+}
+
+FAILURES = {
+    f"{op}-{index}-{place}": (
+        template.format(ty=ty, good=good, bad=bad, access=access),
+        message.format(op=op))
+    for op, access in _ACCESSES.items()
+    for index, (ty, good, bad, message) in _INDICES.items()
+    for place, template in _PLACES.items()
+}
+FAILURES.update({
+    f"pointer-{op}": (_THROUGH_POINTER.format(access=access),
+                      "index 9 out of range for aggregate of 4 elements")
+    for op, access in (("ld", "%v = ld i8* %e"), ("st", "st i8* %e, %z"))
+})
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+@pytest.mark.parametrize("backend", ("interp", "blaze", "cycle"))
+def test_extf_out_of_range_raises(backend, case):
+    """A bad dynamic extf/insf index fails with one text on every engine,
+    wherever the access runs: a process step, the elaboration walk, an
+    entity re-activation, or a cell projection read or written."""
+    text, message = FAILURES[case]
+    with pytest.raises(SimulationError) as raised:
+        simulate(parse_module(text), "top", backend=backend)
+    assert str(raised.value) == message
 
 
 def test_max_function_steps_guard():

@@ -164,7 +164,7 @@ def blaze_process(case):
     proc = Process("p", *_unit_args(case))
     b, inst = _body(proc, proc.create_block("entry"), case)
     b.halt()
-    unit = ProcessCompiler(proc).compile_process()
+    unit = ProcessCompiler(proc).compile()
     # Bind each input to its index; the probe hook reads the operand.
     bindings = [None] * len(unit.slots)
     for k, arg in enumerate(proc.args):

@@ -60,6 +60,20 @@ def test_named_design_cross_check(capsys):
     assert "traces identical" in captured.err
 
 
+@pytest.mark.parametrize("batch", [[], ["--batch", "2"]],
+                         ids=["scalar", "batch"])
+def test_cross_check_includes_and_reports_the_selected_engine(batch, capsys):
+    """``-e cycle --cross-check`` compares cycle too and prints the cycle
+    run's statistics, not blaze's (their event counts differ on gray)."""
+    argv = ["--design", "gray", "--cycles", "8", "-e", "cycle", "--stats"]
+    assert main(argv + batch) == 0
+    cycle_stats = capsys.readouterr().err.splitlines()[-1]
+    assert main(argv + batch + ["--cross-check"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "traces identical across interp, blaze, cycle" in err[-2]
+    assert err[-1] == cycle_stats
+
+
 def test_list_designs(capsys):
     assert main(["--list-designs"]) == 0
     out = capsys.readouterr().out
