@@ -27,6 +27,12 @@ from .types import (
 from .values import Block, TimeValue, Value
 
 
+def _check_condition(what, cond):
+    """A branch, drive or storage condition is an ``i1``, if present."""
+    if cond is not None and (not cond.type.is_int or cond.type.width != 1):
+        raise TypeError(f"{what} condition must be i1, got {cond.type}")
+
+
 class Builder:
     """Inserts instructions at a position inside a block."""
 
@@ -353,6 +359,7 @@ class Builder:
                 f"drv value type {value.type} does not match signal {sig.type}")
         if not delay.type.is_time:
             raise TypeError(f"drv delay must be a time, got {delay.type}")
+        _check_condition("drv", cond)
         operands = [sig, value, delay]
         attrs = {"has_cond": cond is not None}
         if cond is not None:
@@ -382,6 +389,7 @@ class Builder:
         operands = [sig]
         descs = []
         for mode, value, trigger, cond, delay in triggers:
+            _check_condition("reg", cond)
             vi = len(operands)
             operands.append(value)
             ti = len(operands)
@@ -454,8 +462,7 @@ class Builder:
 
     def br_cond(self, cond, dest_false, dest_true):
         """Conditional branch: ``br %cond, %bb_false, %bb_true``."""
-        if not cond.type.is_int or cond.type.width != 1:
-            raise TypeError(f"branch condition must be i1, got {cond.type}")
+        _check_condition("branch", cond)
         return self.insert(Instruction(
             "br", void_type(), (cond, dest_false, dest_true)))
 

@@ -136,6 +136,13 @@ class Parser:
     # -- types ---------------------------------------------------------------
 
     def parse_type(self):
+        line = self.tok.line
+        try:
+            return self._parse_derived_type()
+        except (TypeError, ValueError) as exc:   # the type builders' checks
+            raise ParseError(str(exc), line) from None
+
+    def _parse_derived_type(self):
         ty = self._parse_base_type()
         while True:
             if self.accept("punct", "*"):
@@ -395,7 +402,10 @@ class Parser:
             handler = self._inst_cast
         if handler is None:
             raise ParseError(f"unknown instruction {op!r}", tok.line)
-        inst = handler(builder, op)
+        try:
+            inst = handler(builder, op)
+        except (TypeError, ValueError) as exc:   # the builder's checks
+            raise ParseError(str(exc), tok.line) from None
         if result_name is not None:
             if inst.type.is_void:
                 raise ParseError(

@@ -199,10 +199,16 @@ def label_type():
     return _intern("label", LabelType)
 
 
+#: The widest ``iN``/``lN`` type, LLVM's cap on integer widths (2**23
+#: bits); a wider constant's mask alone would not fit in memory.
+MAX_WIDTH = 1 << 23
+
+
 def int_type(width):
     """Return the interned ``iN`` type of the given bit width."""
-    if width < 1:
-        raise ValueError(f"integer width must be >= 1, got {width}")
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(
+            f"integer width must be in 1..{MAX_WIDTH}, got {width}")
     return _intern(("i", width), lambda: IntType(width))
 
 
@@ -215,8 +221,9 @@ def enum_type(states):
 
 def logic_type(width):
     """Return the interned ``lN`` nine-valued logic type."""
-    if width < 1:
-        raise ValueError(f"logic width must be >= 1, got {width}")
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(
+            f"logic width must be in 1..{MAX_WIDTH}, got {width}")
     return _intern(("l", width), lambda: LogicType(width))
 
 

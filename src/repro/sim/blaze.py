@@ -15,7 +15,12 @@ translates every unit into Python source once, compiles it with
   zero-argument ``__activate__`` closure that is the entity's entire
   re-activation — one straight-line function, no per-activation
   dispatch, with whole-signal probes inlined to ``sig.value`` reads;
-* functions become plain Python functions.
+* functions become plain Python functions that count their back edges
+  against the step budget every engine shares.
+
+A known, strong ``lN`` value may stay a plain ``int`` in generated code
+(:mod:`repro.sim.optable`); :meth:`UnitCompiler.boxed` boxes it wherever
+it leaves the unit.
 
 Aggregate and projection ops without an inline static form (``agg[i]``,
 the slice-concat ``insf``) call the interpreter's own functions:
@@ -39,13 +44,16 @@ from __future__ import annotations
 
 import io
 
+from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
 from .eval import extf, insf, path_of
-from .interp import Design, EntityInstance, ProcessInstance, elaborate_top
-from .optable import GLOBALS as _TABLE_GLOBALS
+from .interp import (
+    Design, EntityInstance, ProcessInstance, elaborate_top, steps_exceeded,
+)
+from .optable import GLOBALS as _TABLE_GLOBALS, UNBOXED, box, signature
 from .optable import emit as _emit_op
 from .plan import (
     Cell, fused_mux_arrays, load, project, promotable_cells, store,
@@ -87,6 +95,7 @@ _BASE_GLOBALS = {
     "LogicVec": LogicVec,
     "TimeValue": TimeValue,
     "SimulationError": SimulationError,
+    "steps_exceeded": steps_exceeded,
     **_TABLE_GLOBALS,
 }
 
@@ -152,6 +161,25 @@ class UnitCompiler:
 
     # -- expressions ----------------------------------------------------------
 
+    def boxed(self, value):
+        """``value``'s name, as a LogicVec if it is an ``lN`` value an op
+        may have left unboxed: for a drive, cell, aggregate or call."""
+        if self.may_be_int(value):
+            return box(self.name(value), value.type.width)
+        return self.name(value)
+
+    def may_be_int(self, value):
+        """Whether ``value`` may be an int standing for an ``lN`` value: a
+        table entry's unboxed result, or a phi, ``ld`` or fused mux
+        passing one on."""
+        if not value.type.is_logic or not isinstance(value, Instruction):
+            return False
+        op, ops = value.opcode, value.operands
+        if op == "mux" and id(ops[0]) in self._elided:
+            return any(self.may_be_int(o) for o in ops[0].operands)
+        return op in ("phi", "ld") or \
+            (op, signature([o.type for o in ops])) in UNBOXED
+
     def const_expr(self, inst):
         value = inst.attrs["value"]
         if isinstance(value, int):
@@ -168,16 +196,14 @@ class UnitCompiler:
             return self.const_expr(inst)
         if op == "array":
             if inst.attrs.get("splat"):
-                expr = f"({n(ops[0])},) * {inst.type.length}"
+                expr = f"({self.boxed(ops[0])},) * {inst.type.length}"
             else:
-                expr = "(" + ", ".join(n(o) for o in ops) + \
-                    ("," if len(ops) == 1 else "") + ")"
+                expr = self._tuple(ops)
             if inst.type.element.is_logic:
                 return f"_parr({expr})"
             return expr
         if op == "struct":
-            return "(" + ", ".join(n(o) for o in ops) + ("," if len(ops) == 1
-                                                         else "") + ")"
+            return self._tuple(ops)
         if op == "extf":
             return self._extf_expr(inst)
         if op == "insf":
@@ -198,6 +224,11 @@ class UnitCompiler:
         return _emit_op(op, [n(o) for o in ops], [o.type for o in ops],
                         inst.type, inst.attrs.get("offset"))
 
+    def _tuple(self, values):
+        """A tuple display of ``values``, boxed."""
+        tail = "," if len(values) == 1 else ""
+        return f"({', '.join(self.boxed(v) for v in values)}{tail})"
+
     def _extf_expr(self, inst):
         base = inst.operands[0]
         n = self.name
@@ -215,9 +246,10 @@ class UnitCompiler:
         n = self.name
         index = inst.attrs.get("index")
         if index is not None:
-            return (f"{n(agg)}[:{index}] + ({n(value)},) + "
+            return (f"{n(agg)}[:{index}] + ({self.boxed(value)},) + "
                     f"{n(agg)}[{index + 1}:]")
-        return f"insf({n(agg)}, {n(value)}, {n(inst.operands[2])})"
+        return (f"insf({n(agg)}, {self.boxed(value)}, "
+                f"{n(inst.operands[2])})")
 
     def _exts_expr(self, inst):
         base = inst.operands[0]
@@ -235,7 +267,8 @@ class UnitCompiler:
             m = mask(length)
             return (f"(({n(base)} & {hex(~(m << offset) & mask(base.type.width))}) "
                     f"| (({n(value)} & {hex(m)}) << {offset}))")
-        return f"_insert({n(base)}, ({path_of(inst)!r},), {n(value)})"
+        return (f"_insert({self.boxed(base)}, ({path_of(inst)!r},), "
+                f"{self.boxed(value)})")
 
     def probe_expr(self, inst):
         """Inline probe: direct ``.value`` read for whole signals."""
@@ -243,10 +276,7 @@ class UnitCompiler:
         return f"({s}.value if type({s}) is _Sig else probe({s}))"
 
     def _call_expr(self, inst):
-        n = self.name
-        args = ", ".join(n(o) for o in inst.operands)
-        tail = "," if len(inst.operands) == 1 else ""
-        return f"call({inst.callee!r}, ({args}{tail}))"
+        return f"call({inst.callee!r}, {self._tuple(inst.operands)})"
 
 
 class ProcessCompiler(UnitCompiler):
@@ -261,7 +291,9 @@ class ProcessCompiler(UnitCompiler):
     def compile(self):
         """The unit as one ``while True`` loop dispatching on the block
         index ``_b``: a generator for a process, a plain function for a
-        function."""
+        function.  A function's every back edge spends one of its
+        ``left`` steps (:attr:`~repro.sim.interp.Design.MAX_FUNCTION_STEPS`).
+        """
         unit = self.unit
         code = self.code
         self._promoted = promotable_cells(unit)
@@ -275,7 +307,7 @@ class ProcessCompiler(UnitCompiler):
             code.line("if 0: yield (None, ())")
         else:
             symbol = "__function__"
-            code.line("def __function__(B, call, intrinsic):")
+            code.line("def __function__(B, call, intrinsic, left):")
             code.indent += 1
         for arg in unit.args:
             slot = self.bind_slot(arg)
@@ -313,14 +345,16 @@ class ProcessCompiler(UnitCompiler):
                 prefix = f"if {n(cond)}: " if cond is not None else ""
                 code.line(
                     f"{prefix}drive({n(inst.drv_signal())}, "
-                    f"{n(inst.drv_value())}, {n(inst.drv_delay())})")
+                    f"{self.boxed(inst.drv_value())}, "
+                    f"{n(inst.drv_delay())})")
             elif op == "prb":
                 code.line(f"{n(inst)} = {self.probe_expr(inst)}")
             elif op == "var" or op == "alloc":
                 if id(inst) in self._promoted:
                     code.line(f"{n(inst)} = {n(inst.operands[0])}")
                 else:
-                    code.line(f"{n(inst)} = Cell({n(inst.operands[0])})")
+                    code.line(
+                        f"{n(inst)} = Cell({self.boxed(inst.operands[0])})")
             elif op == "free":
                 code.line("pass")
             elif op == "ld":
@@ -334,7 +368,8 @@ class ProcessCompiler(UnitCompiler):
                 if id(ptr) in self._promoted:
                     code.line(f"{n(ptr)} = {n(inst.operands[1])}")
                 else:
-                    code.line(f"store({n(ptr)}, {n(inst.operands[1])})")
+                    code.line(
+                        f"store({n(ptr)}, {self.boxed(inst.operands[1])})")
             elif op == "sig":
                 raise SimulationError(
                     "blaze: sig inside processes is not supported; "
@@ -353,7 +388,7 @@ class ProcessCompiler(UnitCompiler):
                 code.line("return")
             elif op == "ret":
                 if inst.operands:
-                    code.line(f"return {n(inst.operands[0])}")
+                    code.line(f"return {self.boxed(inst.operands[0])}")
                 else:
                     code.line("return None")
             else:
@@ -376,42 +411,36 @@ class ProcessCompiler(UnitCompiler):
         self.code.line(f"{dests} = {temps}")
 
     def _emit_branch(self, inst, block, block_index):
-        code = self.code
-        n = self.name
-        if inst.is_conditional_branch:
-            cond = n(inst.operands[0])
-            f_dest, t_dest = inst.operands[1], inst.operands[2]
-            code.line(f"if {cond}:")
-            code.indent += 1
-            self._phi_copies(t_dest, block)
-            code.line(f"_b = {block_index[id(t_dest)]}")
-            code.line("continue")
-            code.indent -= 1
-            code.line("else:")
-            code.indent += 1
-            self._phi_copies(f_dest, block)
-            code.line(f"_b = {block_index[id(f_dest)]}")
-            code.line("continue")
-            code.indent -= 1
-        else:
-            dest = inst.operands[0]
-            self._phi_copies(dest, block)
-            code.line(f"_b = {block_index[id(dest)]}")
-            code.line("continue")
+        if not inst.is_conditional_branch:
+            return self._jump(inst.operands[0], block, block_index)
+        cond, f_dest, t_dest = inst.operands
+        for head, dest in ((f"if {self.name(cond)}:", t_dest),
+                           ("else:", f_dest)):
+            self.code.line(head)
+            self.code.indent += 1
+            self._jump(dest, block, block_index)
+            self.code.indent -= 1
+
+    def _jump(self, dest, block, block_index):
+        """Phi copies and the jump; a function's back edge takes a step."""
+        self._phi_copies(dest, block)
+        target = block_index[id(dest)]
+        if not self.unit.is_process and target <= block_index[id(block)]:
+            self.code.line("left -= 1")
+            self.code.line(
+                f"if left < 0: raise steps_exceeded({self.unit.name!r})")
+        self.code.line(f"_b = {target}")
+        self.code.line("continue")
 
     def _emit_wait(self, inst, block, block_index):
-        code = self.code
         n = self.name
-        dest = inst.wait_dest()
         time_op = inst.wait_time()
         timeout = n(time_op) if time_op is not None else "None"
         signals = inst.wait_signals()
         sig_tuple = ", ".join(n(s) for s in signals)
         tail = "," if len(signals) == 1 else ""
-        self._phi_copies(dest, block)
-        code.line(f"yield ({timeout}, ({sig_tuple}{tail}))")
-        code.line(f"_b = {block_index[id(dest)]}")
-        code.line("continue")
+        self.code.line(f"yield ({timeout}, ({sig_tuple}{tail}))")
+        self._jump(inst.wait_dest(), block, block_index)
 
 
 class EntityCompiler(UnitCompiler):
@@ -490,7 +519,8 @@ class EntityCompiler(UnitCompiler):
                 prefix = f"if {n(cond)}: " if cond is not None else ""
                 activate.line(
                     f"{prefix}drive({n(inst.drv_signal())}, "
-                    f"{n(inst.drv_value())}, {n(inst.drv_delay())})")
+                    f"{self.boxed(inst.drv_value())}, "
+                    f"{n(inst.drv_delay())})")
             elif op == "reg":
                 self._emit_reg(inst)
             elif op == "call":
@@ -548,8 +578,8 @@ class EntityCompiler(UnitCompiler):
             delay = n(t["delay"]) if t["delay"] is not None else eps
             code.line(f"if not _fired and ({cond}):")
             code.indent += 1
-            code.line(f"drive_reg({id(inst)}, {sig}, {n(t['value'])}, "
-                      f"{delay})")
+            code.line(f"drive_reg({id(inst)}, {sig}, "
+                      f"{self.boxed(t['value'])}, {delay})")
             code.line("_fired = True")
             code.indent -= 1
             code.line(f"S[{slot}] = {cur}")
@@ -603,7 +633,8 @@ class BlazeDesign(Design):
             entry = (self.compiled(unit).fn, self.caller(f"in @{name}"))
             self._functions[name] = entry
         fn, inner_call = entry
-        return fn(args, inner_call, self.kernel.intrinsic)
+        return fn(args, inner_call, self.kernel.intrinsic,
+                  self.MAX_FUNCTION_STEPS)
 
     def caller(self, where):
         """A call hook carrying a fixed ``where`` context.

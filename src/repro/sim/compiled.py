@@ -120,12 +120,12 @@ def build_template(unit):
     for k, arg in enumerate(unit.inputs):
         placeholders[id(arg)] = f"__IN{k}__"
     lines = []
-    out_expr = None
+    out_value = None
     probes = 0
     for inst in unit.body:
         op = inst.opcode
         if op == "drv":
-            out_expr = comp.name(inst.drv_value())
+            out_value = inst.drv_value()
             continue
         if op == "prb":
             src = inst.operands[0]
@@ -154,8 +154,10 @@ def build_template(unit):
         except SimulationError as exc:
             raise TemplateError(str(exc))
         lines.append(f"{comp.name(inst)} = {expr}")
-    if out_expr is None:
+    if out_value is None:
         raise TemplateError("cell has no output drive")
+    # Boxed, so that t != V[slot] compares two LogicVec values.
+    out_expr = comp.boxed(out_value)
     if comp._const_counter:
         raise TemplateError("cell body binds runtime-only constants")
     return CellTemplate(unit, lines, out_expr, len(unit.inputs))

@@ -47,6 +47,10 @@ class Design:
     # the compiled variants (assigned after the classes are defined).
     entity_class = None
     process_class = None
+    #: The step budget of one function call on every engine.  A step is
+    #: a taken back edge: a branch to a block at or before the branching
+    #: one in layout order, so straight-line code pays nothing.
+    MAX_FUNCTION_STEPS = 2_000_000
 
     def __init__(self, module, top, kernel, units=None):
         self.module = module
@@ -152,10 +156,15 @@ class _FunctionFrame:
         self.result = None
 
 
+def steps_exceeded(name):
+    """The error a call of function ``@name`` raises past its budget."""
+    return SimulationError(
+        f"@{name}: function execution exceeded "
+        f"{Design.MAX_FUNCTION_STEPS} steps")
+
+
 class _FunctionInterpreter:
     """Immediate (zero-time) execution of a function body."""
-
-    MAX_STEPS = 2_000_000
 
     def __init__(self, design, kernel):
         self.design = design
@@ -173,18 +182,16 @@ class _FunctionInterpreter:
         for arg, value in zip(func.args, args):
             env[id(arg)] = value
         frame = _FunctionFrame(self, f"@{name}", design)
-        budget = self.MAX_STEPS
-        executed = 0
+        left = design.MAX_FUNCTION_STEPS
         while bp is not None:
-            steps = bp.steps
-            for step in steps:
+            for step in bp.steps:
                 step(env, frame)
-            executed += len(steps) + 1
-            if executed > budget:
-                raise SimulationError(
-                    f"@{name}: function execution exceeded "
-                    f"{self.MAX_STEPS} steps")
-            bp = bp.term(env, frame)
+            successor = bp.term(env, frame)
+            if successor is not None and successor.index <= bp.index:
+                left -= 1
+                if left < 0:
+                    raise steps_exceeded(name)
+            bp = successor
         return frame.result
 
 

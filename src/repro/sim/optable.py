@@ -18,15 +18,20 @@ Each opcode's two-valued semantics is written *once*, as an expression
 over the operands' integer values (:data:`_TWO_VALUED`).  That
 expression is the ``iN`` form, inlined at the use site.  For a class
 with an ``lN`` operand the same expression becomes the fast path of a
-generated module-level helper (``_add_ll``, ``_shl_li``, ...): guarded
-on the ``lN`` operands' ``_unk`` planes, it computes on their ``_val``
-planes and builds the result with ``LogicVec._make(w, ..., 0, 0, 0)``.
-When the guard fails the helper returns what :mod:`repro.sim.eval`
+generated module-level helper (``_add_ll``, ``_shl_li``, ...).  An
+``lN`` operand is a :class:`~repro.ir.LogicVec` or an ``int`` standing
+for a known, strong value (``type(x) is int``).  Guarded on the
+LogicVec operands' ``_unk`` planes, the helper computes on the integer
+values and returns an unboxed ``int``.  When the guard fails it boxes
+its other ``lN`` operands and returns what :mod:`repro.sim.eval`
 computes — its fallback is the call ``eval.py`` makes for the same op —
 so unknown-value semantics live in one place and ``eval.py`` stays the
 executable spec.  Ops that keep drive strength (``zext``, ``sext``,
-``trunc``, ``exts``) also guard on the ``_weak`` plane, so ``L``/``H``
-bits take the exact fallback.
+``trunc``, ``exts``) and the exact ``both`` edge also guard on the
+``_weak`` plane, so ``L``/``H`` bits take the exact fallback.  Wherever
+a value leaves the code that computed it, :func:`box` makes it a
+LogicVec again; the interpreter's steps box each :data:`UNBOXED`
+entry's result at once.
 
 Emitted forms use only literals and the names in :data:`GLOBALS`, so
 an emitted expression runs in any namespace holding those names.
@@ -87,12 +92,17 @@ _TWO_VALUED = {
     "fall": "{b} == 1 and {a} == 0",
     "high": "{a} == 1",
     "low": "{a} == 0",
+    # A 'both' edge fires on any change of the exact value (X -> 0
+    # counts), so it is plain inequality in every class.
+    "both": "{b} != {a}",
 }
 for _op in _DIVISION:
     _TWO_VALUED[_op] = f"_ibin({_op!r}, {{a}}, {{b}}, {{w}})"
 
 #: opcode -> {value class with an lN operand: fallback}.  Each fallback
-#: is the call eval.py makes for the op (or the LogicVec method it calls).
+#: is the call eval.py makes for the op (or the LogicVec method it calls);
+#: ``{A}``/``{B}`` are the operands boxed, where that call needs a
+#: LogicVec and the operand may be an int.
 _FALLBACK = {
     "not": {"lN": "{a}.not_()"},
     "neg": {"lN": "_lneg({a})"},
@@ -105,30 +115,45 @@ _FALLBACK = {
     "fall": {"lN": "_lvl({a}) == 0 and _lvl({b}) in (1, -1)"},
     "high": {"lN": "_lvl({a}) == 1"},
     "low": {"lN": "_lvl({a}) == 0"},
+    "both": {"lN": "{b} != {a}"},
 }
 for _op in ("add", "sub", "mul", "and", "or", "xor") + _DIVISION:
-    _FALLBACK[_op] = {"lN": f"_lbin({_op!r}, {{a}}, {{b}})"}
+    _FALLBACK[_op] = {"lN": f"_lbin({_op!r}, {{A}}, {{B}})"}
 for _op in _COMPARES:
-    _FALLBACK[_op] = {"lN": f"_lcmp({_op!r}, {{a}}, {{b}})"}
+    _FALLBACK[_op] = {"lN": f"_lcmp({_op!r}, {{A}}, {{B}})"}
 for _op in ("shl", "shr"):
     _FALLBACK[_op] = {
-        "lN": f"_lshift({_op!r}, {{a}}, {{b}})",
-        "lN,iN": f"_lshift({_op!r}, {{a}}, {{b}})",
+        "lN": f"_lshift({_op!r}, {{A}}, {{b}})",
+        "lN,iN": f"_lshift({_op!r}, {{A}}, {{b}})",
         "iN,lN": f"_ishift({_op!r}, {{a}}, {{b}}, {{w}})",
     }
 del _op
 
-#: Ops whose result keeps each bit's drive strength (an L stays L).
-_KEEPS_STRENGTH = frozenset({"zext", "sext", "trunc", "exts"})
+#: Ops that also guard on the weak plane: those whose result keeps each
+#: bit's drive strength (an L stays L), and 'both', where L is not 0.
+_GUARDS_WEAK = frozenset({"zext", "sext", "trunc", "exts", "both"})
 #: Ops whose result is an i1 flag, a chosen element or a bool, never a
 #: vector of the first operand's class.
-_RAW_RESULT = frozenset(_COMPARES + ("mux", "rise", "fall", "high", "low"))
+_RAW_RESULT = frozenset(_COMPARES + ("mux", "rise", "fall", "high", "low",
+                                     "both"))
+#: The entries whose fast path returns an int standing for an lN vector
+#: of the result width ``{w}``.
+UNBOXED = frozenset((op, cls) for op, classes in _FALLBACK.items()
+                    for cls in classes
+                    if op not in _RAW_RESULT and cls.startswith("lN"))
 
 _LETTER = {"iN": "i", "lN": "l", "agg": "a"}
 
 
 def _fields(template):
     return [f for _, f, _, _ in string.Formatter().parse(template) if f]
+
+
+def box(value, width):
+    """Source turning the ``lN`` value named ``value``, if an ``int``,
+    into ``LogicVec._make(width, value, 0, 0, 0)``."""
+    return (f"(_mk({width}, {value}, 0, 0, 0) if type({value}) is int "
+            f"else {value})")
 
 
 def _helper(op, cls):
@@ -139,26 +164,32 @@ def _helper(op, cls):
     if len(classes) == 1 and "{b}" in fast:
         classes *= 2
     names = ["a", "b"][:len(classes)]
-    wrap = op not in _RAW_RESULT and classes[0] == "lN"
-    params = list(names)
-    for field in _fields(fast) + _fields(fallback) + (["w"] if wrap else []):
-        if field not in params:
-            params.append(field)
+    vector = (op, cls) in UNBOXED
+    # A vector entry takes its result width, which the interpreter boxes
+    # the result with.
+    fields = _fields(fast) + _fields(fallback) + ["w"] * vector
+    params = list(dict.fromkeys(
+        names + [f for f in fields if f not in ("A", "B")]))
     same = {p: p for p in params}
-    guard = " | ".join(
-        f"{x}._unk | {x}._weak" if op in _KEEPS_STRENGTH else f"{x}._unk"
-        for x, c in zip(names, classes) if c == "lN")
-    body = fast.format(**{**same, **{
-        x: f"{x}._val" for x, c in zip(names, classes) if c == "lN"}})
-    if wrap:
-        body = f"_mk(w, ({body}), 0, 0, 0)"
+    logic = [x for x, c in zip(names, classes) if c == "lN"]
     name = f"_{op}_{''.join(_LETTER[c] for c in classes)}"
-    source = (f"def {name}({', '.join(params)}):\n"
-              f"    if {guard}:\n"
-              f"        return {fallback.format(**same)}\n"
-              f"    return {body}\n")
+    lines = [f"def {name}({', '.join(params)}):"]
+    for x in logic:
+        # The operand that failed its guard is a LogicVec already.  A
+        # vector op's operands are as wide as its result, a compare's as
+        # each other.
+        width = "w" if vector else f"{x}._width"
+        boxed = {y.upper(): y if y == x else box(y, width) for y in names}
+        planes = f"{x}._unk | {x}._weak" if op in _GUARDS_WEAK \
+            else f"{x}._unk"
+        lines += [f"    if type({x}) is int:", f"        {x}v = {x}",
+                  f"    elif {planes}:",
+                  f"        return {fallback.format(**same, **boxed)}",
+                  "    else:", f"        {x}v = {x}._val"]
+    lines.append("    return " + fast.format(
+        **{**same, **{x: x + "v" for x in logic}}))
     call = f"{name}({', '.join('{' + p + '}' for p in params)})"
-    return name, source, call
+    return name, "\n".join(lines) + "\n", call
 
 
 def _build():
@@ -170,9 +201,6 @@ def _build():
     # Aggregates (and times) only compare for equality.
     table["eq", "agg"] = _TWO_VALUED["eq"]
     table["neq", "agg"] = _TWO_VALUED["neq"]
-    # A 'both' edge fires on any change of the exact value (X -> 0
-    # counts), so it is plain inequality in every class.
-    table["both", "iN"] = table["both", "lN"] = "{b} != {a}"
     return table, sources
 
 
@@ -180,13 +208,14 @@ def _build():
 #: operand expressions ``{a}``/``{b}`` and the width constants.
 TABLE, _SOURCES = _build()
 
-#: Every name an emitted form may reference: the generated helpers and
-#: the runtime function the inline division forms call.
-GLOBALS = {"_ibin": _int_binary}
+#: Every name an emitted form may reference: the generated helpers, the
+#: runtime function the inline division forms call and the one :func:`box`
+#: calls.
+GLOBALS = {"_ibin": _int_binary, "_mk": LogicVec._make}
 _namespace = {
-    "_mk": LogicVec._make, "_ibin": _int_binary, "_lbin": _logic_binary,
-    "_lcmp": logic_compare, "_lneg": logic_neg, "_lshift": logic_shift,
-    "_ishift": int_shift, "_lvl": logic_level, "_mux": mux_select,
+    **GLOBALS, "_lbin": _logic_binary, "_lcmp": logic_compare,
+    "_lneg": logic_neg, "_lshift": logic_shift, "_ishift": int_shift,
+    "_lvl": logic_level, "_mux": mux_select,
 }
 for _name, _source in sorted(_SOURCES.items()):
     exec(compile(_source, f"<optable:{_name}>", "exec"), _namespace)

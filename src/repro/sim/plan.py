@@ -44,7 +44,7 @@ import functools
 from ..ir.values import TimeValue
 from .engine import SignalInstance, SignalRef
 from .eval import EVALUATORS, path_of
-from .optable import GLOBALS, TABLE, edge, entry
+from .optable import GLOBALS, TABLE, UNBOXED, box, edge, entry
 from .values import SimulationError, dynamic_index, extract_path, insert_path
 
 _EPSILON = TimeValue(0, 0, 1)
@@ -108,13 +108,15 @@ def probe_value(target, kernel):
 
 
 class BlockPlan:
-    """One basic block: straight-line steps plus a terminator."""
+    """One basic block: straight-line steps plus a terminator, and the
+    block's position in layout order."""
 
-    __slots__ = ("steps", "term")
+    __slots__ = ("steps", "term", "index")
 
-    def __init__(self):
+    def __init__(self, index):
         self.steps = ()
         self.term = None
+        self.index = index
 
 
 class _Timeout:
@@ -145,6 +147,9 @@ def _step_factory(key, constants):
     ``factory(dst, *operand keys, *constants)`` returns the step
     ``env[dst] = <entry's form>``.  The width constants are closure
     values, so one ``compile()`` serves every width the entry meets.
+    ``env`` holds only LogicVec ``lN`` values, so the step boxes an
+    entry's unboxed vector result (:data:`~repro.sim.optable.UNBOXED`)
+    inline.
     """
     form = TABLE[key]
     operands = [x for x in ("a", "b") if "{%s}" % x in form]
@@ -152,9 +157,13 @@ def _step_factory(key, constants):
                        + list(constants))
     loads = "".join(f"        {x} = env[k{x}]\n" for x in operands)
     names = {field: field for field in ("a", "b") + constants}
+    value = form.format(**names)
+    if key in UNBOXED:
+        loads += f"        r = {value}\n"
+        value = box("r", "w")
     source = (f"def factory({params}):\n"
               f"    def step(env, act):\n{loads}"
-              f"        env[dst] = {form.format(**names)}\n"
+              f"        env[dst] = {value}\n"
               f"    return step\n")
     namespace = dict(GLOBALS)
     exec(compile(source, f"<plan:{key[0]}:{key[1]}>", "exec"), namespace)
@@ -581,7 +590,7 @@ def promotable_cells(unit):
 
 def _build_cfg_plan(unit, allowed, terms, kind, kernel):
     where = f"@{unit.name}"
-    plans = {id(b): BlockPlan() for b in unit.blocks}
+    plans = {id(b): BlockPlan(i) for i, b in enumerate(unit.blocks)}
     consts = {}
     fused, promoted = fused_mux_arrays(unit), promotable_cells(unit)
     for block in unit.blocks:

@@ -5,7 +5,10 @@ Mapping from LLHD types to Python runtime values:
 =========  ==========================================
 ``iN``     ``int`` (unsigned, masked to N bits)
 ``nN``     ``int`` (0 .. N-1)
-``lN``     :class:`repro.ir.LogicVec`
+``lN``     :class:`repro.ir.LogicVec`; in a compiled
+           unit's locals also an ``int`` standing for
+           a known, strong value, boxed wherever it
+           leaves the unit (:mod:`repro.sim.optable`)
 ``time``   :class:`repro.ir.TimeValue`
 array      ``tuple`` of element values, or a
            :class:`PackedLogicArray` when the element

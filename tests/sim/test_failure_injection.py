@@ -4,6 +4,7 @@ import pytest
 
 from repro.ir import parse_module
 from repro.sim import SimulationError, simulate
+from repro.sim.interp import Design
 
 
 def test_zero_delay_feedback_loop_hits_delta_limit():
@@ -220,7 +221,9 @@ def test_extf_out_of_range_raises(backend, case):
 
 
 def test_max_function_steps_guard():
-    module = parse_module("""
+    """A function whose loop never ends is stopped with one text on
+    every engine (compiled functions used to hang)."""
+    text = """
     func @forever () void {
     entry:
       br %loop
@@ -235,6 +238,56 @@ def test_max_function_steps_guard():
       call void @forever ()
       halt
     }
-    """)
-    with pytest.raises(SimulationError, match="exceeded"):
-        simulate(module, "top")
+    """
+    for backend in ("interp", "blaze", "cycle"):
+        with pytest.raises(SimulationError) as raised:
+            simulate(parse_module(text), "top", backend=backend)
+        assert str(raised.value) == \
+            "@forever: function execution exceeded 2000000 steps"
+
+
+_COUNT_TO = """
+func @count (i32 %n) i32 {{
+entry:
+  %zero = const i32 0
+  br %loop
+loop:
+  %i = phi i32 [%zero, %entry], [%next, %body]
+  %done = eq i32 %i, %n
+  br %done, %body, %exit
+body:
+  %one = const i32 1
+  %next = add i32 %i, %one
+  br %loop
+exit:
+  ret i32 %i
+}}
+entity @top () -> () {{
+  %z = const i32 0
+  %s = sig i32 %z
+  inst @caller () -> (i32$ %s)
+}}
+proc @caller () -> (i32$ %s) {{
+entry:
+  %n = const i32 {n}
+  %r = call i32 @count (i32 %n)
+  %t = const time 1ns
+  drv i32$ %s, %r after %t
+  halt
+}}
+"""
+
+
+@pytest.mark.parametrize("backend", ("interp", "blaze", "cycle"))
+def test_function_step_budget_counts_back_edges(backend, monkeypatch):
+    """The budget is the number of taken back edges: a loop of exactly
+    the budget passes, one more iteration fails, on every engine."""
+    monkeypatch.setattr(Design, "MAX_FUNCTION_STEPS", 5)
+    result = simulate(parse_module(_COUNT_TO.format(n=5)), "top",
+                      backend=backend)
+    assert result.trace.history("top.s")[-1][1] == 5
+    with pytest.raises(SimulationError) as raised:
+        simulate(parse_module(_COUNT_TO.format(n=6)), "top",
+                 backend=backend)
+    assert str(raised.value) == \
+        "@count: function execution exceeded 5 steps"

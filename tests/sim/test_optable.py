@@ -1,15 +1,18 @@
 """Every opcode-table entry against the executable spec, ``eval.evaluate``.
 
 Each (opcode, value class) entry of :data:`repro.sim.optable.TABLE` is
-built three ways per width -- as a blaze process (probe the operands,
+built four ways per width -- as a blaze process (probe the operands,
 apply the op, drive the result), as a levelized cell template spliced
-into a settle function, and as the interpreter's plan step run on an
-``env`` holding the operands -- and each must return exactly what
-``evaluate`` returns, or raise the same error, on random operands over
-all nine states: forcing two-valued, two-valued with ``L``/``H`` bits
-(``unk == 0`` but ``weak != 0``), one unknown bit, and anything.
+into a settle function, as the interpreter's plan step run on an
+``env`` holding the operands, and as the bare emitted form called with
+every known, strong ``lN`` operand also passed as a plain ``int`` --
+and each must return exactly what ``evaluate`` returns, or raise the
+same error, on random operands over all nine states: forcing
+two-valued, two-valued with ``L``/``H`` bits (``unk == 0`` but
+``weak != 0``), one unknown bit, and anything.
 """
 
+import itertools
 import random
 
 import pytest
@@ -208,6 +211,49 @@ def plan_step(inst):
     return run
 
 
+#: Vector ops whose fast path also needs the weak plane clear.
+_STRENGTH_GUARDED = ("zext", "sext", "trunc", "exts")
+
+
+def _strong(value):
+    """A known, strong ``lN`` value: compiled code may hold it unboxed."""
+    return type(value) is LogicVec and not (value._unk | value._weak)
+
+
+def unboxed_mixes(values):
+    """``values`` with each known, strong ``lN`` operand as a LogicVec
+    and as its ``int``, in every combination."""
+    choices = [(v, v._val) if _strong(v) else (v,) for v in values]
+    return list(itertools.product(*choices))
+
+
+def emitted_form(case):
+    """Call the entry's emitted form directly, as compiled code does.
+
+    ``run(values)`` returns the form's result, boxed where compiled code
+    would box it, and asserts that a vector entry returns an ``int``
+    exactly when its fast path applies and a LogicVec otherwise.
+    """
+    op, result, types, attrs = case
+    form = optable.emit(op, ["a", "b"][:len(types)], types, result,
+                        attrs and attrs["offset"])
+    code = compile(form, _case_id(case), "eval")
+    vector = (op, optable.signature(types)) in optable.UNBOXED
+    guarded = [t.is_logic for t in types]
+
+    def run(values):
+        raw = eval(code, dict(optable.GLOBALS), dict(zip("ab", values)))
+        if vector:
+            fast = all(type(v) is int or not (
+                v._unk | (v._weak if op in _STRENGTH_GUARDED else 0))
+                for v, g in zip(values, guarded) if g)
+            assert type(raw) is (int if fast else LogicVec), (form, values)
+            if fast:
+                return LogicVec._make(result.width, raw, 0, 0, 0)
+        return raw
+    return run
+
+
 def _outcome(fn, values):
     try:
         result = fn(values)
@@ -226,11 +272,14 @@ def test_every_entry_matches_eval(width):
         process, inst = blaze_process(case)
         cell = levelized_cell(case)
         step = plan_step(inst)
+        form = emitted_form(case)
         for values in _operand_sets(case, width):
             want = _outcome(lambda v: evaluate(inst, list(v)), values)
             assert _outcome(process, values) == want, (case, values)
             assert _outcome(cell, values) == want, (case, values)
             assert _outcome(step, values) == want, (case, values)
+            for mixed in unboxed_mixes(values):
+                assert _outcome(form, mixed) == want, (case, mixed)
     edges = {(op, cls) for op in EDGES for cls in ("iN", "lN")}
     assert seen | edges == set(optable.TABLE)
 
@@ -278,10 +327,12 @@ def test_edge_entries_match_the_interpreter_rule(mode):
                 if cls == "lN" and cur.width != prev.width:
                     continue
                 want = _reference_edge(mode, cur, prev)
-                got = eval(test, dict(_BASE_GLOBALS),
-                           {"cur": cur, "prev": prev})
-                assert bool(got) == want, (mode, cur, prev)
-                assert fires(cur, prev) == want, (mode, cur, prev)
+                # Compiled code may hold either value unboxed.
+                for now, before in unboxed_mixes((cur, prev)):
+                    got = eval(test, dict(_BASE_GLOBALS),
+                               {"cur": now, "prev": before})
+                    assert bool(got) == want, (mode, now, before)
+                    assert fires(now, before) == want, (mode, now, before)
 
 
 def test_shift_by_2_pow_40_builds_no_huge_intermediate():
