@@ -110,8 +110,8 @@ def format_row(columns, widths):
 # its own speedup and future PRs inherit the trajectory.
 
 def trace_fingerprint(trace):
-    """A canonical byte string of a finalized trace (for identity checks)."""
-    items = sorted(trace.finalize().changes.items())
+    """A canonical byte string of a trace (for identity checks)."""
+    items = sorted(trace.changes.items())
     return repr([(name, [(fs, repr(v)) for fs, v in history])
                  for name, history in items])
 
@@ -261,7 +261,7 @@ def run_sim_benchmarks(designs, backends=("interp", "blaze"), runs=1,
                 # Netlist traces add cell nets; every *changing* signal
                 # of the behavioural run must survive under its own name
                 # and match exactly.
-                missing = active - set(nl.trace.finalize().changes)
+                missing = active - set(nl.trace.changes)
                 if missing:
                     raise AssertionError(
                         f"{name}: netlist run dropped live signals "

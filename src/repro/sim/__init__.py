@@ -61,23 +61,20 @@ class SimulationResult:
 
 
 def simulate(module, top, until_fs=None, backend="interp",
-             trace_filter=None, sanitize=False, cache_dir=None):
+             sanitize=False, cache_dir=None):
     """Elaborate and simulate ``module`` from entity ``top``.
 
     Returns a :class:`SimulationResult` whose trace records every signal
-    value change (filtered by ``trace_filter(signal) -> bool`` if given).
-    With ``sanitize=True`` the scheduler records drive races and
-    oscillations as :class:`~repro.sim.sanitize.Finding` objects instead
-    of raising, exposed as ``result.findings``.  ``cache_dir`` overrides
+    value change.  With ``sanitize=True`` the scheduler records drive
+    races and oscillations as :class:`~repro.sim.sanitize.Finding`
+    objects instead of raising, exposed as ``result.findings``.  ``cache_dir`` overrides
     the levelized engine's on-disk compile cache location.
     """
     options = {"cache_dir": cache_dir} if backend == "levelized" else {}
-    return _simulate(module, top, until_fs, backend, trace_filter,
-                     sanitize, **options)
+    return _simulate(module, top, until_fs, backend, sanitize, **options)
 
 
-def _simulate(module, top, until_fs, backend, trace_filter,
-              sanitize=False, **options):
+def _simulate(module, top, until_fs, backend, sanitize=False, **options):
     """:func:`simulate`, passing ``options`` to the backend's elaborator
     (the unit substitutions and shared compile cache of a batch run)."""
     if backend == "interp":
@@ -98,7 +95,7 @@ def _simulate(module, top, until_fs, backend, trace_filter,
     else:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    trace = Trace(trace_filter)
+    trace = Trace()
     kernel = kernel_class(trace=trace)
     if sanitize:
         from .sanitize import Sanitizer
@@ -106,7 +103,6 @@ def _simulate(module, top, until_fs, backend, trace_filter,
         kernel.sanitizer = Sanitizer()
     design = elaborator(module, top, kernel, **options)
     kernel.run(until_fs=until_fs)
-    trace.finalize()
     return SimulationResult(design, kernel, trace)
 
 

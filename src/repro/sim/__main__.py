@@ -38,13 +38,21 @@ _TIME_SUFFIXES = {
 
 
 def parse_time_fs(text):
-    """Parse ``100ns`` / ``2500`` (bare = femtoseconds) into fs."""
-    text = text.strip()
+    """Parse ``100ns`` / ``2500`` (bare = femtoseconds) into fs; a
+    :class:`ValueError` for anything else, negative times included."""
+    number, scale = text.strip(), None
     for suffix in sorted(_TIME_SUFFIXES, key=len, reverse=True):
-        if text.endswith(suffix):
-            number = text[: -len(suffix)].strip()
-            return int(float(number) * _TIME_SUFFIXES[suffix])
-    return int(text)
+        if number.endswith(suffix):
+            number, scale = number[: -len(suffix)], _TIME_SUFFIXES[suffix]
+            break
+    try:
+        fs = int(number) if scale is None else int(float(number) * scale)
+    except (ValueError, OverflowError):
+        fs = None
+    if fs is None or fs < 0:
+        raise ValueError(f"invalid time {text!r} (expected a non-negative "
+                         f"number with an optional fs/ps/ns/us/ms/s suffix)")
+    return fs
 
 
 def _build_parser():
@@ -279,6 +287,13 @@ def _run_batch_cli(module, top, until_fs, args, parser):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, value in (("--cycles", args.cycles), ("--batch", args.batch)):
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
+    try:
+        until_fs = None if args.until is None else parse_time_fs(args.until)
+    except ValueError as exc:
+        parser.error(f"--until: {exc}")
     if args.seed_stride is not None and args.batch is None:
         parser.error("--seed-stride requires --batch")
     if args.sanitize and args.batch is not None:
@@ -326,7 +341,6 @@ def main(argv=None):
                     print(f"{'':21s} {note}")
         return 0
     module, top = _load_module(args, parser)
-    until_fs = parse_time_fs(args.until) if args.until else None
 
     from . import simulate
 

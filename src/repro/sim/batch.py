@@ -83,7 +83,7 @@ class BatchSimulationResult:
 
 
 def simulate_batch(module, top, lanes, until_fs=None, backend="interp",
-                   stimulus=None, trace_filter=None):
+                   stimulus=None):
     """Simulate ``lanes`` stimulus sets of one design.
 
     With no ``stimulus`` every lane sees identical inputs, so the design
@@ -96,17 +96,19 @@ def simulate_batch(module, top, lanes, until_fs=None, backend="interp",
     """
     from . import _simulate
 
+    if lanes < 1:
+        raise ValueError(f"a batch needs at least one lane, got {lanes}")
     uniform = stimulus is None or not stimulus.units
     if (lanes > 1 or not uniform) and backend not in _BATCH_BACKENDS:
         raise ValueError(f"unknown batch backend {backend!r}; expected "
                          f"one of {_BATCH_BACKENDS}")
     if uniform:
-        result = _simulate(module, top, until_fs, backend, trace_filter)
+        result = _simulate(module, top, until_fs, backend)
         return BatchSimulationResult(
             [result], lanes, "scalar" if lanes == 1 else "vectorized")
     stimulus.validate(lanes)
     options = {} if backend == "interp" else {"compile_cache": {}}
-    runs = [_simulate(module, top, until_fs, backend, trace_filter,
+    runs = [_simulate(module, top, until_fs, backend,
                       units={name: variants[k] for name, variants
                              in stimulus.units.items()},
                       **options)

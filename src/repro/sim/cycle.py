@@ -33,6 +33,7 @@ import heapq
 from .engine import (
     DriverTimeline, Kernel, SignalRef, _combine_contributions,
 )
+from .trace import record
 from .values import SimulationError, insert_path
 
 
@@ -215,8 +216,7 @@ class CycleKernel:
         if new == old:
             return False
         sig.value = new
-        if self.trace is not None:
-            self.trace.record(now, sig, new)
+        record(sig.history, now[0], new)
         return True
 
 

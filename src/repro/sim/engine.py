@@ -34,6 +34,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 
 from ..ir.ninevalued import LogicVec, resolve_many
+from .trace import record
 from .values import SimulationError, extract_path, insert_path
 
 ZERO_TIME = (0, 0, 0)
@@ -193,24 +194,25 @@ class SignalInstance:
 
     ``con`` connections merge nets through union-find: all operations go
     through :meth:`find` so connected signals behave as one.
+    ``history`` holds the trace lists every change is recorded into, one
+    per name merged into this net, or none when the kernel keeps no trace.
     """
 
     __slots__ = ("name", "type", "value", "pending", "proc_waiters",
                  "entity_waiters", "_entity_list", "index", "_rep",
-                 "initial", "aliases")
+                 "history")
 
-    def __init__(self, name, type, initial, index):
+    def __init__(self, name, type, initial, index, history):
         self.name = name
         self.type = type
         self.value = initial
-        self.initial = initial
         self.index = index
         self.pending = {}         # driver_key -> DriverTimeline
         self.proc_waiters = {}    # activity.order -> activity (one-shot)
         self.entity_waiters = {}  # activity.order -> activity (persistent)
         self._entity_list = ()    # cached tuple of entity waiters
         self._rep = None
-        self.aliases = (name,)    # every name merged into this net (con)
+        self.history = history
 
     def find(self):
         """The representative net (after ``con`` merging)."""
@@ -251,7 +253,7 @@ class SignalInstance:
         # The merged net keeps recording trace history under every
         # member's name: a netlist `con` must not silently rename the
         # signals the pre-techmap design drove directly.
-        a.aliases = a.aliases + b.aliases
+        a.history = a.history + b.history
         if isinstance(a.value, LogicVec) and isinstance(b.value, LogicVec):
             a.value = a.value.resolve(b.value)
         elif a.value != b.value:
@@ -327,10 +329,12 @@ class Kernel:
     # -- construction -------------------------------------------------------
 
     def create_signal(self, name, type, initial):
-        sig = SignalInstance(name, type, initial, len(self.signals))
+        trace = self.trace
+        history = () if trace is None else \
+            (trace.changes.setdefault(name, []),)
+        sig = SignalInstance(name, type, initial, len(self.signals), history)
         self.signals.append(sig)
-        if self.trace is not None:
-            self.trace.record(ZERO_TIME, sig, initial)
+        record(history, 0, initial)
         return sig
 
     # -- scheduling ------------------------------------------------------------
@@ -522,8 +526,7 @@ class Kernel:
         if new == old:
             return False
         sig.value = new
-        if self.trace is not None:
-            self.trace.record(time, sig, new)
+        record(sig.history, time[0], new)
         return True
 
     # -- waiting -----------------------------------------------------------------

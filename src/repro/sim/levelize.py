@@ -34,9 +34,10 @@ so hybrid designs still simulate; the fallback reasons are recorded on
 ``design.report`` for ``--list-designs``.
 
 Traces stay byte-identical to interp/blaze/cycle because absorption
-never creates or renames signals (cells create none) and the trace is
-per-femtosecond last-wins: condensing a delta/epsilon cascade into one
-settle leaves the final per-instant values unchanged.
+never creates or renames signals (cells create none) and the trace
+keeps one value per femtosecond (:func:`repro.sim.trace.record`):
+condensing a delta/epsilon cascade into one settle leaves the final
+per-instant values unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .engine import Kernel, SignalInstance, SignalRef
 from .interp import elaborate_top
 from .optable import edge
 from .plan import fired_trigger
+from .trace import record
 from .values import SimulationError, dynamic_index, insert_path
 
 _ZERO = TimeValue(0)
@@ -283,12 +285,6 @@ class _Cone:
         # full-cone re-evaluation.
         self.comb_roots = frozenset(
             s for _t, in_slots, _o in plan.gates for s in in_slots)
-        # Per-slot resolved trace targets, filled lazily at first
-        # commit: () when the trace filter drops the signal, else the
-        # per-alias history lists — turning each record into a bare
-        # list append instead of a method call + dict lookups (commits
-        # dominate the marginal cost on change-dense cones).
-        self._hists = [None] * len(plan.slot_sigs)
         kernel.schedule_initial(self)
 
     def run(self, kernel):
@@ -391,11 +387,8 @@ class _Cone:
         if not changed:
             return
         kernel = self.kernel
-        trace = kernel.trace
-        now = kernel.now
-        fs = now[0]
+        fs = kernel.now[0]
         V = self.V
-        hists = self._hists
         my_order = self.order
         for i in sorted(changed):
             sig = self.slot_sigs[i]
@@ -403,22 +396,7 @@ class _Cone:
             if new == sig.value:
                 continue    # settled back to the committed value
             sig.value = new
-            if trace is not None:
-                # Inlined trace.record fast path: per-alias history
-                # lists resolved once per slot, then each record is a
-                # bare compare + append with identical semantics.
-                hs = hists[i]
-                if hs is None:
-                    keep = (trace.signal_filter is None
-                            or trace.signal_filter(sig))
-                    hs = tuple(trace.changes.setdefault(name, [])
-                               for name in sig.aliases) if keep else ()
-                    hists[i] = hs
-                for history in hs:
-                    if history and history[-1][0] == fs:
-                        history[-1] = (fs, new)
-                    else:
-                        history.append((fs, new))
+            record(sig.history, fs, new)
             waiters = sig.proc_waiters
             if waiters:
                 # Wake next delta; the process pops its subscriptions

@@ -2,8 +2,8 @@
 
 The paper's Table 2 claim "traces match between the two simulators for all
 designs" is reproduced by running every design under the interpreter, the
-compiled simulator, and the independent cycle simulator, and asserting
-:func:`Trace.equivalent` across the results.
+compiled simulator, and the independent cycle simulator, and asserting that
+:meth:`Trace.differences` between the results is empty.
 """
 
 from __future__ import annotations
@@ -11,6 +11,30 @@ from __future__ import annotations
 import io
 
 from .values import format_value
+
+
+def record(histories, fs, value):
+    """Record that a net holds ``value`` at femtosecond ``fs``.
+
+    Every engine writes its trace through this one rule, which keeps
+    each of the net's ``histories`` (one list per name it carries) at
+    one entry per femtosecond with no two consecutive values equal.
+    """
+    for history in histories:
+        if history:
+            last_fs, last_value = history[-1]
+            if last_fs == fs:
+                # Same instant: replace the last value, or cancel it when
+                # the net returns to the value before.  The first entry
+                # is never popped.
+                if len(history) > 1 and history[-2][1] == value:
+                    history.pop()
+                else:
+                    history[-1] = (fs, value)
+                continue
+            if last_value == value:
+                continue    # a con-merged name can already hold it
+        history.append((fs, value))
 
 
 class Trace:
@@ -22,37 +46,12 @@ class Trace:
     even when their internal delta sequences differ.
     """
 
-    def __init__(self, signal_filter=None):
+    def __init__(self):
         self.changes = {}       # signal name -> [(fs, value), ...]
-        self.signal_filter = signal_filter
-
-    def record(self, time, signal, value):
-        if self.signal_filter is not None and not self.signal_filter(signal):
-            return
-        changes = self.changes
-        fs = time[0]
-        # A net that absorbed others through `con` records under every
-        # merged name, so netlist-level traces stay comparable with the
-        # pre-techmap design signal-for-signal (aliases is a 1-tuple for
-        # the vast majority of nets, which never merged).
-        for name in signal.aliases:
-            history = changes.get(name)
-            if history is None:
-                history = changes[name] = []
-            if history and history[-1][0] == fs:
-                history[-1] = (fs, value)
-            else:
-                history.append((fs, value))
 
     def finalize(self):
-        """Collapse consecutive identical values (delta-step churn)."""
-        for name, history in self.changes.items():
-            collapsed = []
-            for fs, value in history:
-                if collapsed and collapsed[-1][1] == value:
-                    continue
-                collapsed.append((fs, value))
-            self.changes[name] = collapsed
+        """Identity: :func:`record` keeps every history final.  Kept
+        because the e2e benchmark harness calls it."""
         return self
 
     def signals(self):
@@ -66,7 +65,7 @@ class Trace:
         (declared-but-unused nets may legitimately be DCE'd away); this
         is the one shared definition of "live".
         """
-        return {name for name, history in self.finalize().changes.items()
+        return {name for name, history in self.changes.items()
                 if len(history) > 1}
 
     def history(self, name):
@@ -83,22 +82,17 @@ class Trace:
 
     # -- comparison ------------------------------------------------------------
 
-    def equivalent(self, other, signals=None):
-        """True if both traces record identical value sequences.
+    def differences(self, other, signals=None, limit=10):
+        """Human-readable list of trace mismatches (empty = equivalent).
 
         ``signals`` restricts the comparison (e.g. to the design's ports);
         by default all signals present in *both* traces are compared.
         """
-        return not self.differences(other, signals)
-
-    def differences(self, other, signals=None, limit=10):
-        """Human-readable list of trace mismatches (empty = equivalent)."""
-        a, b = self.finalize(), other.finalize()
         if signals is None:
-            signals = sorted(set(a.changes) & set(b.changes))
+            signals = sorted(set(self.changes) & set(other.changes))
         issues = []
         for name in signals:
-            ha, hb = a.history(name), b.history(name)
+            ha, hb = self.history(name), other.history(name)
             if ha == hb:
                 continue
             for i in range(max(len(ha), len(hb))):

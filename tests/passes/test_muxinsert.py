@@ -198,7 +198,7 @@ def test_rewritten_drives_reach_the_netlist_level():
     linked = netlist_design(module)
     low = simulate(linked, "top")
     active = ref.trace.live_signals()
-    assert active - set(low.trace.finalize().changes) == set()
+    assert active - set(low.trace.changes) == set()
     assert ref.trace.differences(low.trace) == []
     cells = [u.name for u in linked if u.name.startswith("cell_")]
     assert any("inss" in c for c in cells), cells

@@ -116,7 +116,7 @@ def test_staged_lowering_preserves_traces(references, name, stage):
         module = compile_design(name, cycles=_cycles(name))
         module = _apply_stage(module, stage)
         result = simulate(module, DESIGNS[name].top, backend=backend)
-        missing = active - set(result.trace.finalize().changes)
+        missing = active - set(result.trace.changes)
         assert not missing, \
             f"{name}/{stage}/{backend}: live signals dropped: {missing}"
         diffs = ref.trace.differences(result.trace)

@@ -14,8 +14,8 @@ k's stimulus.  This file pins that contract in both batch modes:
   stimulus sweep over the netlist-level fifo, whose dynamically indexed
   memory sees a different index in every lane.
 
-Plus the degenerate cases (K=1 is the scalar pipeline, bit for bit)
-and the compile cache the runs of a blaze or cycle batch share.
+Plus the degenerate cases (K=1 is the scalar pipeline, bit for bit;
+K<1 is rejected) and the compile cache the runs of a blaze or cycle batch share.
 """
 
 import pytest
@@ -207,7 +207,7 @@ def test_single_live_lane_runs_to_its_own_finish(backend):
     assert batch.mode == "replicated"
     lane0, lane1 = batch.lane(0), batch.lane(1)
     assert lane0.final_time_fs < lane1.final_time_fs
-    for _, history in lane0.trace.finalize().changes.items():
+    for _, history in lane0.trace.changes.items():
         assert all(fs <= lane0.final_time_fs for fs, _ in history)
     # Lane 1 is bit-for-bit the scalar run despite its dead neighbour.
     scalar_mod = _divergent_module(lanes, instantiate=1)
@@ -280,6 +280,13 @@ def test_single_lane_batch_is_the_scalar_pipeline(backend):
                    DESIGNS[name].top, backend=backend)
     assert ref.trace.differences(batch.lane(0).trace) == []
     assert ref.stats == batch.stats
+
+
+@pytest.mark.parametrize("lanes", [0, -2])
+def test_batch_without_lanes_is_rejected(lanes):
+    with pytest.raises(ValueError, match="at least one lane"):
+        simulate_batch(compile_design("gray", cycles=CYCLES["gray"]),
+                       DESIGNS["gray"].top, lanes)
 
 
 @pytest.mark.parametrize("backend", ENGINES)

@@ -55,8 +55,7 @@ def _run(name, backend):
 def test_interp_and_blaze_are_identical(name):
     interp = _run(name, "interp")
     blaze = _run(name, "blaze")
-    assert interp.trace.finalize().changes == \
-        blaze.trace.finalize().changes, \
+    assert interp.trace.changes == blaze.trace.changes, \
         interp.trace.differences(blaze.trace)
     assert interp.stats == blaze.stats
     assert interp.assertion_failures == blaze.assertion_failures
@@ -112,8 +111,7 @@ def test_fuzzed_stimulus_keeps_engines_identical(name, seed):
         # Every engine raised, with the same text.
         assert interp == blaze == cycle, f"{name}: {results}"
         return
-    assert interp.trace.finalize().changes == \
-        blaze.trace.finalize().changes, \
+    assert interp.trace.changes == blaze.trace.changes, \
         interp.trace.differences(blaze.trace)
     assert interp.stats == blaze.stats
     assert interp.trace.differences(cycle.trace) == []
@@ -278,7 +276,7 @@ def test_fuzzed_stimulus_survives_lowering_to_netlist(name):
     if isinstance(ref, str):
         return
     active = ref.trace.live_signals()
-    assert active <= set(low.trace.finalize().changes), \
+    assert active <= set(low.trace.changes), \
         f"{name}: live signals dropped at netlist level"
     assert ref.trace.differences(low.trace) == []
     assert ref.assertion_failures == low.assertion_failures
@@ -292,14 +290,13 @@ def test_random_nine_valued_networks_agree(seed):
         module = _random_logic_network(seed)
         runs[backend] = simulate(module, "fuzz_top", backend=backend)
     interp = runs["interp"]
-    assert interp.trace.finalize().changes == \
-        runs["blaze"].trace.finalize().changes, \
+    assert interp.trace.changes == runs["blaze"].trace.changes, \
         interp.trace.differences(runs["blaze"].trace)
     assert interp.stats == runs["blaze"].stats
     assert interp.trace.differences(runs["cycle"].trace) == []
     # The nets carry genuinely nine-valued traffic, not just 0/1.
     exotic = set()
-    for _, history in interp.trace.finalize().changes.items():
+    for _, history in interp.trace.changes.items():
         for _, value in history:
             exotic.update(str(value))
     assert exotic & set("XZLHWU-"), "stimulus never injected unknowns"

@@ -282,7 +282,7 @@ def test_latch_cell_absorbed(tmp_path):
     assert report["seqs"] == 1
     assert report["fallbacks"] == []
     # The latch tracked the data while transparent and held it after.
-    history = dict(res.trace.finalize().changes)["top.q"]
+    history = dict(res.trace.changes)["top.q"]
     assert history[-1][1] == 42
 
 
@@ -292,7 +292,7 @@ def test_register_cut_feedback_levelizes(tmp_path):
     assert report["gates"] == 1 and report["seqs"] == 1
     assert report["cycles"] == []
     # The register actually toggled.
-    history = dict(res.trace.finalize().changes)["top.q"]
+    history = dict(res.trace.changes)["top.q"]
     assert len(history) > 4
 
 
@@ -305,7 +305,7 @@ def test_combinational_cycle_diagnosed_and_settled(tmp_path):
     report = res.design.report
     assert report["cycles"], "cross-coupled NORs must be diagnosed"
     assert any("top.q" in members for members in report["cycles"])
-    history = dict(res.trace.finalize().changes)["top.q"]
+    history = dict(res.trace.changes)["top.q"]
     assert history[-1][1] == 0  # reset won
 
 

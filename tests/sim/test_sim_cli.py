@@ -32,6 +32,25 @@ def test_parse_time_fs():
     assert parse_time_fs("3ns") == 3_000_000
     assert parse_time_fs("1.5ps") == 1500
     assert parse_time_fs("1us") == 1_000_000_000
+    assert parse_time_fs("0") == 0
+    for bad in ("10xs", "-5ns", "-1", "ns", "", "nan", "infns"):
+        with pytest.raises(ValueError, match="invalid time"):
+            parse_time_fs(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--until", "10xs"], ["--until=-5ns"], ["--cycles", "-3"],
+    ["--cycles", "0"], ["--batch", "0"], ["--batch", "-2"],
+])
+def test_bad_numeric_options_are_usage_errors(argv, capsys):
+    """Exit 2 with one usage message, never a traceback or a run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--design", "gray"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.count("usage: ") == 1
+    assert err.splitlines()[-1].startswith(
+        f"python -m repro.sim: error: {argv[0].split('=')[0]}")
 
 
 def test_simulate_file_with_stats_and_trace(design_file, capsys):

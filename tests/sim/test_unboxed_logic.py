@@ -41,8 +41,7 @@ def assert_all_boxed(result):
     for sig in result.kernel.signals:
         element = sig.type.element
         assert_boxed(sig.value, element, sig.name)
-        for name in sig.aliases:
-            types[name] = element
+        types[sig.name] = element
     for name, history in result.trace.changes.items():
         for fs, value in history:
             assert_boxed(value, types[name], (name, fs))
