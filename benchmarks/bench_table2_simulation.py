@@ -2,8 +2,8 @@
 
 Paper columns: LLHD reference interpreter ("Int."), JIT-accelerated
 simulator ("JIT"), commercial simulator ("Comm." — here the independent
-cycle simulator, DESIGN.md substitution 1), over the ten evaluation
-designs.  The claims being reproduced:
+cycle simulator, as the commercial one is not available), over the ten
+evaluation designs.  The claims being reproduced:
 
 * the interpreter is orders of magnitude slower than compiled simulation;
 * the compiled (Blaze-style) simulator is competitive with the
@@ -13,48 +13,16 @@ designs.  The claims being reproduced:
 
 Run: ``pytest benchmarks/bench_table2_simulation.py --benchmark-only -s``
 
-The module is also an executable harness that records the performance
-trajectory for the repository::
-
-    python -m benchmarks.bench_table2_simulation --quick --label after
-
-measures the designs under interp and blaze, asserts the traces are
-byte-identical, and merges the timings into ``BENCH_sim.json`` under the
-given label (``before``/``after``), computing speedup ratios when both
-labels are present.
+CI gates performance with the end-to-end benchmark (``benchmarks/e2e``
+and ``benchmarks/gate.py``), not with these cells.
 """
 
 import pytest
 
-from repro.designs import (
-    ALL_DESIGNS, DESIGNS, NETLIST_DESIGNS, TABLE2_ORDER, compile_design,
-)
+from repro.designs import DESIGNS, TABLE2_ORDER, compile_design
 from repro.sim import simulate
 
-from .common import (
-    BENCH_CYCLES, baseline_from_results, compare_to_baseline, extrapolate,
-    format_row, merge_bench_json, run_sim_benchmarks, timed_simulation,
-)
-
-# Representative subset for --quick runs (CI smoke): covers a dataflow
-# filter, a FIFO with memory, the RISC-V core (process-heavy), the
-# sorter (compute-bound, where compiled execution dominates), two
-# nine-valued variants exercising the packed value representation, and
-# a loop-heavy core that now unrolls to the netlist level.
-QUICK_DESIGNS = ("gray", "fir", "fifo", "riscv", "sorter",
-                 "gray_l", "fir_l", "lzc_l")
-
-#: Four-state designs measured additionally at the netlist level
-#: (lowered + technology-mapped): BENCH_sim.json then records what
-#: gate-level granularity costs on nine-valued data.
-NETLIST_BENCH = tuple(d for d in NETLIST_DESIGNS if d.endswith("_l"))
-
-#: Designs measured under the levelized ahead-of-time compiled netlist
-#: engine (``levelized@netlist`` rows): the whole suite — the engine's
-#: acceptance target is netlist cost <= 1.5x the behavioural blaze
-#: marginal cost, enforced per design by the committed
-#: ``netlist_cost_ceilings`` in BENCH_baseline.json.
-LEVELIZED_BENCH = tuple(NETLIST_DESIGNS)
+from .common import BENCH_CYCLES, format_row, timed_simulation
 
 BACKENDS = ("interp", "blaze", "cycle")
 _PAPER_COLUMNS = {"interp": "Int.", "blaze": "JIT", "cycle": "Comm."}
@@ -164,123 +132,3 @@ def test_print_table2(capsys):
         print("\nTraces match across interp/blaze/cycle for all designs.")
         print(f"Comm/JIT range: {min(ratios):.2f}x – {max(ratios):.2f}x "
               f"(paper: 0.2x – 2.4x)")
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="bench_table2_simulation",
-        description="Record simulation timings into BENCH_sim.json")
-    parser.add_argument("--quick", action="store_true",
-                        help="benchmark the representative subset only")
-    parser.add_argument("--designs", nargs="*", metavar="NAME",
-                        help="explicit design list (default: table order)")
-    parser.add_argument("--label", default="after",
-                        choices=("before", "after"),
-                        help="label to file the measurements under")
-    parser.add_argument("--out", default="BENCH_sim.json",
-                        help="output JSON path (merged, not overwritten)")
-    parser.add_argument("--runs", type=int, default=1,
-                        help="timing repetitions per point (min is kept)")
-    parser.add_argument("--no-netlist", action="store_true",
-                        help="skip the netlist-level four-state rows")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="skip the K-lane batched blaze rows")
-    parser.add_argument("--batch-lanes", type=int, nargs="*",
-                        default=(1, 4, 16), metavar="K",
-                        help="lane counts for the batched rows "
-                             "(default: 1 4 16)")
-    parser.add_argument("--compare", metavar="BASELINE",
-                        help="compare marginal us/cycle against a "
-                             "committed baseline JSON; exit 1 when any "
-                             "engine regresses beyond --tolerance")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative regression for --compare "
-                             "(default 0.25 = 25%%)")
-    parser.add_argument("--no-normalize", action="store_true",
-                        help="with --compare: do not cancel the uniform "
-                             "machine-speed shift before gating")
-    parser.add_argument("--write-baseline", metavar="PATH",
-                        help="write the measurements as a new committed "
-                             "baseline JSON")
-    args = parser.parse_args(argv)
-
-    if args.designs:
-        unknown = [d for d in args.designs if d not in DESIGNS]
-        if unknown:
-            parser.error(f"unknown designs: {', '.join(unknown)}")
-        designs = args.designs
-    elif args.quick:
-        designs = QUICK_DESIGNS
-    else:
-        designs = ALL_DESIGNS
-
-    netlist_designs = () if args.no_netlist else \
-        tuple(d for d in designs if d in NETLIST_BENCH)
-    levelized_designs = () if args.no_netlist else \
-        tuple(d for d in designs if d in LEVELIZED_BENCH)
-    batch_designs = () if args.no_batch else tuple(designs)
-    results = run_sim_benchmarks(designs, runs=args.runs,
-                                 netlist_designs=netlist_designs,
-                                 batch_designs=batch_designs,
-                                 batch_lanes=tuple(args.batch_lanes),
-                                 levelized_designs=levelized_designs)
-    import platform
-
-    doc = merge_bench_json(
-        args.out, args.label, results,
-        meta={"python": platform.python_version(),
-              "designs": list(designs)})
-    widths = [16, 8, 12, 12, 12]
-    print(format_row(("Design", "Engine", "cycles", "wall[ms]",
-                      "marg[us/cy]"), widths))
-    for name in designs:
-        for engine, m in results[name]["backends"].items():
-            print(format_row(
-                (name, engine, m["cycles"], f"{m['wall_s']*1e3:.1f}",
-                 f"{m['per_cycle_us']:.1f}"), widths))
-    for name in designs:
-        speedup = doc["designs"][name].get("speedup", {})
-        if speedup:
-            print(f"{name}: " + ", ".join(
-                f"{k} {v:.2f}x" for k, v in sorted(speedup.items())))
-    print(f"wrote {args.out} [{args.label}] — traces identical across "
-          "engines for all measured designs")
-
-    if args.write_baseline:
-        import json
-
-        baseline = baseline_from_results(
-            results, meta={"python": platform.python_version(),
-                           "runs": args.runs,
-                           "designs": list(designs)})
-        with open(args.write_baseline, "w") as fh:
-            json.dump(baseline, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote baseline {args.write_baseline}")
-
-    if args.compare:
-        import json
-
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        regressions, lines = compare_to_baseline(
-            results, baseline, tolerance=args.tolerance,
-            normalize=not args.no_normalize)
-        print(f"bench-regression gate vs {args.compare} "
-              f"(tolerance {args.tolerance:.0%}):")
-        for line in lines:
-            print(line)
-        if regressions:
-            print(f"FAIL: {len(regressions)} cell(s) regressed beyond "
-                  f"{args.tolerance:.0%}:")
-            for name, engine, rel in regressions:
-                print(f"  {name}/{engine}: {rel:.2f}x")
-            return 1
-        print("gate passed: no engine regressed beyond the tolerance")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,8 +9,8 @@ testbench.
 
 The Figure 2 testbench's `check` assertion is shown as the paper prints
 it but — like the paper, whose `llhd.assert` is marked "not yet
-implemented" — the self-check used here accounts for the accumulator's
-two-cycle pipeline latency (see DESIGN.md).
+implemented" — the self-check used here, `assert (q > 0)` at the end of
+the testbench, allows for the accumulator's two-cycle pipeline latency.
 
 Run: ``python examples/accumulator_testbench.py``
 """

@@ -42,13 +42,6 @@ class Design:
             return self._module.source()
         return self._module.source(cycles=cycles)
 
-    @property
-    def default_cycles(self):
-        import inspect
-
-        return inspect.signature(self._module.source).parameters[
-            "cycles"].default
-
     def sv_loc(self, cycles=None):
         """Non-empty, non-comment source lines (the paper's LoC metric)."""
         lines = [ln.strip() for ln in self.source(cycles).splitlines()]

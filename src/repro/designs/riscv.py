@@ -3,8 +3,8 @@
 A single-cycle RV32I-subset core: fetch from a word-addressed instruction
 memory, decode, register file, ALU, branches/jumps, and a word-addressed
 data memory.  The paper uses an industrial RISC-V core (Snitch); this
-core plays the same role as the largest, most control-heavy design in the
-suite (DESIGN.md, substitution 4).
+core stands in for it as the largest, most control-heavy design in the
+suite.
 
 The testbench loads a program assembled by :mod:`repro.designs.riscv_asm`
 (iterative Fibonacci plus a memory checksum loop), runs it to completion

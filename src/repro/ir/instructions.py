@@ -164,12 +164,6 @@ class Instruction(Value):
         assert self.is_conditional_branch
         return self.operands[0]
 
-    def branch_dests(self):
-        """(false_dest, true_dest) for a conditional, (dest,) otherwise."""
-        if self.is_conditional_branch:
-            return (self.operands[1], self.operands[2])
-        return (self.operands[0],)
-
     def wait_dest(self):
         assert self.opcode == "wait"
         return self.operands[0]
@@ -243,13 +237,6 @@ class Instruction(Value):
                 "cond": ops[t.cond] if t.cond is not None else None,
                 "delay": ops[t.delay] if t.delay is not None else None,
             }
-
-    def ext_index(self):
-        """The static index of an extf/insf, or the dynamic index value."""
-        assert self.opcode in ("extf", "insf")
-        if self.attrs.get("index") is not None:
-            return self.attrs["index"]
-        return self.operands[-1]
 
     @property
     def has_dynamic_index(self):

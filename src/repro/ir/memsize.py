@@ -62,13 +62,3 @@ def module_size(module):
     total += deep_size(module.units, seen)
     total += deep_size(module.declarations, seen)
     return total
-
-
-def module_size_breakdown(module):
-    """Per-unit in-memory sizes (shared types counted with the first unit
-    that references them)."""
-    seen = set()
-    breakdown = {}
-    for name, unit in module.units.items():
-        breakdown[name] = deep_size(unit, seen)
-    return breakdown

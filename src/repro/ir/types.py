@@ -72,10 +72,6 @@ class Type:
         return isinstance(self, StructType)
 
     @property
-    def is_label(self):
-        return isinstance(self, LabelType)
-
-    @property
     def is_aggregate(self):
         return self.is_array or self.is_struct
 

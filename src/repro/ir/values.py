@@ -51,10 +51,6 @@ class TimeValue:
     def as_tuple(self):
         return (self.fs, self.delta, self.epsilon)
 
-    @property
-    def is_zero(self):
-        return self.fs == 0 and self.delta == 0 and self.epsilon == 0
-
     def __eq__(self, other):
         return (isinstance(other, TimeValue)
                 and self.as_tuple() == other.as_tuple())
@@ -125,14 +121,6 @@ class Value:
     @property
     def is_used(self):
         return bool(self.uses)
-
-    def users(self):
-        """Iterate over the distinct instructions using this value."""
-        seen = set()
-        for use in self.uses:
-            if id(use.user) not in seen:
-                seen.add(id(use.user))
-                yield use.user
 
     def replace_all_uses_with(self, new):
         """Rewrite every use of this value to refer to ``new`` instead."""

@@ -283,25 +283,3 @@ def _coalesce_group(exit_block, drvs):
     index = exit_block.index_of(last)
     last.erase()
     Builder(exit_block, index).drv(signal, value, delay, condition)
-
-
-def _strip_terminator(block):
-    """A tiny adapter letting Builder.at_end insert before the terminator."""
-    class _View:
-        def __init__(self, block):
-            self._block = block
-
-        def append(self, inst):
-            index = len(self._block.instructions)
-            if self._block.terminator is not None:
-                index -= 1
-            self._block.insert(index, inst)
-            return inst
-
-        def insert(self, index, inst):
-            return self._block.insert(index, inst)
-
-        def index_of(self, inst):
-            return self._block.index_of(inst)
-
-    return _View(block)

@@ -9,7 +9,7 @@ plus a levelized netlist engine:
   code objects ahead of simulation (the paper JIT-compiles to LLVM IR).
 * ``cycle`` — an independently implemented, statically scheduled
   compiled-code simulator standing in for the paper's commercial
-  simulator baseline (see DESIGN.md, substitution 1).
+  simulator baseline, which is not available here.
 * ``levelized`` — ahead-of-time compiled execution of netlist designs:
   techmap library cells are levelized into one straight-line generated
   settle function (its code object cached on disk, keyed by its own

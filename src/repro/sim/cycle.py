@@ -1,7 +1,7 @@
 """An independently implemented compiled-code simulator.
 
 This is the repository's stand-in for the *commercial simulator* column of
-the paper's Table 2 (see DESIGN.md, substitution 1).  Commercial
+the paper's Table 2, whose simulator is not available here.  Commercial
 simulators are compiled-code simulators with statically prepared
 scheduling; this module follows that architecture:
 
@@ -31,21 +31,10 @@ from __future__ import annotations
 import heapq
 
 from .engine import (
-    DriverTimeline, Kernel, SignalRef, _combine_contributions,
+    DriverTimeline, Kernel, SignalRef, _combine_contributions, advance_time,
 )
 from .trace import record
 from .values import SimulationError, insert_path
-
-
-def _advance(now, delay):
-    """Same visible semantics as engine.advance_time (zero -> next delta)."""
-    if delay.fs > 0:
-        return (now[0] + delay.fs, delay.delta, delay.epsilon)
-    if delay.delta > 0:
-        return (now[0], now[1] + delay.delta, delay.epsilon)
-    if delay.epsilon > 0:
-        return (now[0], now[1], now[2] + delay.epsilon)
-    return (now[0], now[1] + 1, 0)
 
 
 class _Round:
@@ -123,7 +112,7 @@ class CycleKernel:
             signal, path = target.signal.find(), target.path
         else:
             signal, path = target.find(), ()
-        when = _advance(self.now, delay)
+        when = advance_time(self.now, delay)
         timeline = signal.pending.get(driver_key)
         if timeline is None:
             timeline = signal.pending[driver_key] = DriverTimeline()
@@ -132,7 +121,7 @@ class CycleKernel:
         rnd.signals[signal.index] = signal
 
     def schedule_resume(self, activity, delay):
-        when = _advance(self.now, delay)
+        when = advance_time(self.now, delay)
         rnd = self._instant(when[0]).round_at((when[1], when[2]))
         rnd.resumes.append(activity)
         return when
@@ -157,29 +146,32 @@ class CycleKernel:
             # for the *same* femtosecond during execution must extend the
             # running instant (or the delta-limit accounting would reset).
             instant = self.calendar[fs]
-            self._run_instant(fs, instant)
+            if not self._run_instant(fs, instant):
+                heapq.heappush(self._fs_heap, fs)
+                break
             if not instant.keys:
                 del self.calendar[fs]
         self.now = (self.now[0], 0, 0)
 
     def _run_instant(self, fs, instant):
-        rounds = 0
+        """Run the rounds of instant ``fs``.  False when the delta limit
+        tripped under the sanitizer: like ``Kernel.run``, the run then
+        stops, with the unsettled rounds still queued.  As there, the
+        limit counts the rounds after the instant's first."""
+        deltas = -1
         while instant.keys and not self.finished:
-            key = heapq.heappop(instant.keys)
-            rnd = instant.rounds.pop(key)
-            rounds += 1
-            if rounds > self.MAX_DELTAS:
+            deltas += 1
+            if deltas > self.MAX_DELTAS:
                 if self.sanitizer is not None:
-                    hot = [s.find().name
+                    hot = [s.find().name for rnd in instant.rounds.values()
                            for s in rnd.signals.values()]
-                    for other in instant.rounds.values():
-                        hot.extend(s.find().name
-                                   for s in other.signals.values())
                     self.sanitizer.record_oscillation(self, fs, hot)
-                    break
+                    return False
                 raise SimulationError(
                     f"delta cycle limit exceeded at t={fs}fs "
                     f"(combinational loop?)")
+            key = heapq.heappop(instant.keys)
+            rnd = instant.rounds.pop(key)
             self.now = (fs, key[0], key[1])
             self.stats["deltas"] += 1
             # Phase 1: mature transactions, collect changed nets.
@@ -198,6 +190,7 @@ class CycleKernel:
             self.stats["activations"] += len(runnable)
             for order in sorted(runnable):
                 runnable[order].run(self)
+        return True
 
     def _mature(self, sig, now):
         old = sig.value

@@ -2,8 +2,9 @@
 
 The fourth engine (``--engine levelized``).  The event-driven kernels
 charge every techmap gate cell one activity wake plus one scheduled
-drive per input change — the reason BENCH_sim.json records netlist
-designs running multiples slower than their behavioural reference.
+drive per input change, which made event-driven netlist runs 2–9×
+slower than their behavioural reference (README, "Levelized netlist
+engine").
 This engine removes the scheduler from the combinational cone entirely:
 
 * during elaboration each ``inst`` of a library cell (recognized by

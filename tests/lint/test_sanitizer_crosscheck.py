@@ -61,6 +61,40 @@ def test_oscillation_reproduces_dynamically(backend):
     assert location.message
 
 
+# The corpus ring plus a net that a process drives 5 ns after the start.
+LATE_DRIVE = """
+proc @late_q () -> (i1$ %q) {
+entry:
+  %1 = const i1 1
+  %t = const time 5ns
+  drv i1$ %q, %1 after %t
+  halt
+}
+
+entity @top () -> () {
+  %0 = const i1 0
+  %q = sig i1 %0
+  inst @loop3 () -> ()
+  inst @late_q () -> (i1$ %q)
+}
+"""
+
+
+def test_oscillation_finishes_the_run_on_every_engine():
+    """The sanitizer stops the run at the oscillating instant: no engine
+    goes on to the drive scheduled 5 ns later."""
+    text = (CORPUS / "comb_loop.llhd").read_text(encoding="utf-8")
+    results = {backend: simulate(parse_module(text + LATE_DRIVE),
+                                 "top", backend=backend, sanitize=True)
+               for backend in BACKENDS}
+    for backend, result in results.items():
+        assert result.final_time_fs == 0, backend
+        assert [f.code for f in result.findings] == ["LOOP001"], backend
+        assert result.trace.changes == results["interp"].trace.changes, \
+            backend
+    assert results["interp"].trace.changes["top.q"] == [(0, 0)]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_oscillation_is_fatal_without_sanitizer(backend):
     module, top = _load("comb_loop.llhd", "loop3")
