@@ -19,7 +19,11 @@ signature (modes, conditions, delays) including write-port cells for
 ``reg`` on a projected sub-signal (the FIFO memory pattern), and signal
 projections (``extf``/``exts`` used as probe sources) become read-port
 wiring cells.  Drives preserve their delay: zero-delay drives become
-``con`` net merges, delayed drives go through a ``del`` node.
+``con`` net merges, delayed drives go through a ``del`` node.  Every
+cell is one monolithic model of its operator, one ``reg``, or one
+projection; the mapper only builds the library.  The simulator reads
+the cells back structurally (the levelized engine classifies each cell
+entity it instantiates), so nothing here is simulator-facing.
 
 With ``keep_behavioural=True`` the mapper accepts a module that still
 contains behavioural processes (the testbench left behind by a
@@ -38,29 +42,9 @@ from ..ir.dialects import (
 )
 from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
-from ..ir.types import int_type, logic_type, signal_type
+from ..ir.types import int_type, signal_type
 from ..ir.units import Entity, Module, UnitDecl
 from ..ir.values import TimeValue
-
-#: Bitwise nine-valued gates wider than this decompose pairwise: the
-#: cell body instantiates a *pair* of half-width gate cells on the low
-#: and high slices (a slice of the packed planes is the planes of the
-#: slice, so the split is exact) instead of modelling one monolithic
-#: ``lN`` operator per width.  Narrow widths stay monolithic; the halves
-#: are shared across every wide width that reaches them.
-#:
-#: The trade-off is real: sharing shrinks the library (a few narrow
-#: cells instead of one model per width — what a liberty file wants),
-#: but every internal wiring net multiplies *events* when the netlist
-#: is simulated — a hot ``l256`` gate costs ~14x more under the
-#: event-driven kernels once composed.  ``technology_map`` therefore
-#: takes ``pairwise_gates``: on by default for the library-oriented
-#: mapping flow, switched off by :func:`netlist_design` (the
-#: simulation-oriented wrapper the staged harness and the benchmarks
-#: use).
-PAIRWISE_FLOOR = 8
-
-_LN_PAIRWISE = frozenset({"and", "or", "xor", "not"})
 
 
 class TechmapError(Exception):
@@ -87,8 +71,7 @@ def _type_key(ty):
         .replace("$", "")
 
 
-def technology_map(module, gate_delay="100ps", keep_behavioural=False,
-                   pairwise_gates=True):
+def technology_map(module, gate_delay="100ps", keep_behavioural=False):
     """Map a Structural LLHD module into Netlist LLHD.
 
     Returns ``(netlist, library)``: the netlist module (cells appear as
@@ -118,8 +101,7 @@ def technology_map(module, gate_delay="100ps", keep_behavioural=False,
                 "input is not Structural LLHD:\n  " + "\n  ".join(issues))
     out = Module(module.name + "_netlist")
     library_module = Module(module.name + "_cells")
-    library = {"__module__": library_module, "__out__": out,
-               "__pairwise__": pairwise_gates}
+    library = {"__module__": library_module, "__out__": out}
     for unit in entities:
         _map_entity(unit, out, library, TimeValue.parse(gate_delay))
     # Check the level contract before consuming the input: on failure the
@@ -139,26 +121,20 @@ def technology_map(module, gate_delay="100ps", keep_behavioural=False,
 _STRUCTURAL_OK = STRUCTURAL_OPCODES
 
 
-def netlist_design(module, gate_delay="0s", name=None,
-                   pairwise_gates=False):
+def netlist_design(module):
     """Techmap ``module`` (lowered, testbench processes allowed) and link
     the netlist with its cell library into one simulatable module.
 
-    The default zero gate delay keeps the netlist trace-identical to the
-    structural module it was mapped from: every cell drive lands in the
-    same femtosecond, only delta steps differ — which traces collapse.
-    Pairwise-composed wide gates default *off* here: this is the
-    simulation-oriented flow, and composed cells multiply events (see
-    :data:`PAIRWISE_FLOOR`).  Consumes ``module`` (its processes move
-    into the netlist).
+    Zero gate delay keeps the netlist trace-identical to the structural
+    module it was mapped from: every cell drive lands in the same
+    femtosecond, only delta steps differ — which traces collapse.
+    Consumes ``module`` (its processes move into the netlist).
     """
     from ..ir.linker import link_modules
 
     netlist, library = technology_map(
-        module, gate_delay=gate_delay, keep_behavioural=True,
-        pairwise_gates=pairwise_gates)
-    return link_modules([netlist, library],
-                        name=name or module.name + "_nl")
+        module, gate_delay="0s", keep_behavioural=True)
+    return link_modules([netlist, library], name=module.name + "_nl")
 
 
 # -- cell construction ---------------------------------------------------------
@@ -188,12 +164,6 @@ def _cell(out, library, opcode, in_types, out_ty, delay, attrs=()):
     port_names = [f"a{i}" for i in range(len(in_types))]
     cell = Entity(name, [signal_type(t) for t in in_types], port_names,
                   [signal_type(out_ty)], ["y"])
-    if opcode in _LN_PAIRWISE and out_ty.is_logic \
-            and out_ty.width > PAIRWISE_FLOOR \
-            and library.get("__pairwise__", True):
-        _build_pairwise_gate(out, library, cell, opcode, out_ty, delay)
-        library[key] = _declare(out, library, cell)
-        return library[key]
     b = Builder.at_end(cell.body)
     ins = [b.prb(a) for a in cell.inputs]
     d = b.const_time(delay)
@@ -237,43 +207,6 @@ def _cell(out, library, opcode, in_types, out_ty, delay, attrs=()):
     b.drv(cell.outputs[0], result, d)
     library[key] = _declare(out, library, cell)
     return library[key]
-
-
-def _build_pairwise_gate(out, library, cell, opcode, out_ty, delay):
-    """Fill a wide ``lN`` gate cell with a pair of half-width gate cell
-    instances over the low/high slices of every operand.
-
-    The halves recurse down to :data:`PAIRWISE_FLOOR`-wide monolithic
-    gates, so all wide bitwise gates share one small set of narrow cells
-    instead of the library growing a distinct model per width.  The
-    internal wiring drives are zero-delay; the gate delay lives in the
-    leaf cells.
-    """
-    width = out_ty.width
-    lo_w = width // 2
-    hi_w = width - lo_w
-    halves = [
-        _cell(out, library, opcode,
-              [logic_type(w)] * len(cell.inputs), logic_type(w), delay)
-        for w in (lo_w, hi_w)]
-    b = Builder.at_end(cell.body)
-    ins = [b.prb(a) for a in cell.inputs]
-    zero = b.const_time(TimeValue(0))
-    results = []
-    for (half, w, off) in zip(halves, (lo_w, hi_w), (0, lo_w)):
-        part_sigs = []
-        for value in ins:
-            part = b.exts(value, off, w)
-            net = b.sig(b.const_logic(LogicVec.from_int(0, w)))
-            b.drv(net, part, zero)
-            part_sigs.append(net)
-        result = b.sig(b.const_logic(LogicVec.from_int(0, w)))
-        b.inst(half, part_sigs, [result])
-        results.append(b.prb(result))
-    whole = b.const_logic(LogicVec.from_int(0, width))
-    whole = b.inss(whole, results[0], 0, lo_w)
-    whole = b.inss(whole, results[1], lo_w, hi_w)
-    b.drv(cell.outputs[0], whole, zero)
 
 
 def _projection_steps(value):
@@ -787,191 +720,6 @@ class _MapContext:
             if t["cond"] is not None:
                 inputs.append(self.materialize(t["cond"]))
         self.builder.inst(name, inputs, [root_sig])
-
-
-# -- pure cell evaluation forms ------------------------------------------------
-#
-# The levelized netlist engine (repro.sim.levelize) compiles the whole
-# combinational cone into straight-line code.  For that it needs each
-# library cell reduced to a *pure evaluation form*: a guarantee that the
-# cell body is a side-effect-free function of its input ports (comb
-# cells), or exactly one ``reg`` storage element behind a static
-# projection (sequential cells).  The forms are recovered from the cell
-# entity itself, so any entity shaped like a library cell qualifies —
-# the classifier does not depend on mapper-private state.
-
-#: Side-effect-free opcodes allowed in a combinational cell body.
-_PURE_CELL_OPS = frozenset({
-    "const", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-    "srem", "and", "or", "xor", "not", "neg", "shl", "shr", "eq", "neq",
-    "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge", "zext", "sext",
-    "trunc", "array", "struct", "mux", "inss", "insf", "extf", "exts",
-})
-
-
-class CombCellForm:
-    """A combinational cell: pure ops from input probes to one drive.
-
-    ``delay`` is the cell's propagation delay (the drive's constant
-    delay).  The body itself (``unit.body``) is the evaluation recipe;
-    consumers walk it knowing every instruction is either a probe of an
-    input port (possibly through a static/dynamic projection), a pure
-    op, the delay constant, or the single output drive.
-    """
-
-    kind = "comb"
-    __slots__ = ("unit", "delay")
-
-    def __init__(self, unit, delay):
-        self.unit = unit
-        self.delay = delay
-
-
-class SeqCellForm:
-    """A sequential cell: one ``reg`` behind a projection of the output.
-
-    * ``steps`` — projection path from the output port to the storage
-      target: ``("field", int)``, ``("fielddyn", arg_pos)`` for a
-      dynamic index read from input port ``arg_pos``, or
-      ``("slice", offset, length)``;
-    * ``triggers`` — per-trigger tuples ``(mode, data_pos, trigger_pos,
-      cond_pos_or_None, delay_or_None)`` where positions index
-      ``unit.args`` and ``delay`` is the trigger's constant ``after``
-      time (``None`` meaning the implicit epsilon step).
-    """
-
-    kind = "seq"
-    __slots__ = ("unit", "steps", "triggers")
-
-    def __init__(self, unit, steps, triggers):
-        self.unit = unit
-        self.steps = tuple(steps)
-        self.triggers = tuple(triggers)
-
-
-def cell_eval_form(unit):
-    """Classify an entity as a library cell; None when it is not one.
-
-    Returns a :class:`CombCellForm` for bodies that are a pure function
-    of the inputs feeding exactly one unconditional constant-delay drive
-    of the sole output, a :class:`SeqCellForm` for bodies that are
-    exactly one ``reg`` on (a projection of) the sole output, and
-    ``None`` for anything else — hierarchical cells, mixed bodies, and
-    ordinary structural entities all fall out here.
-    """
-    if not getattr(unit, "is_entity", False):
-        return None
-    if len(unit.outputs) != 1:
-        return None
-    body = list(unit.body)
-    has_reg = any(i.opcode == "reg" for i in body)
-    if has_reg:
-        return _seq_cell_form(unit, body)
-    return _comb_cell_form(unit, body)
-
-
-def _prb_arg_pos(inst, arg_pos):
-    """The input-port position a ``prb`` reads, or None."""
-    if inst is None or inst.opcode != "prb":
-        return None
-    return arg_pos.get(id(inst.operands[0]))
-
-
-def _comb_cell_form(unit, body):
-    arg_pos = {id(a): i for i, a in enumerate(unit.args)}
-    inputs = {id(a) for a in unit.inputs}
-    out_arg = unit.outputs[0]
-    drive = None
-    for inst in body:
-        op = inst.opcode
-        if op == "drv":
-            if drive is not None or inst.drv_condition() is not None:
-                return None
-            if inst.drv_signal() is not out_arg:
-                return None
-            delay_op = inst.drv_delay()
-            if getattr(delay_op, "opcode", None) != "const":
-                return None
-            drive = inst
-        elif op == "prb":
-            src = inst.operands[0]
-            if id(src) in inputs:
-                continue
-            # A projected input port (read-port wiring cells): the
-            # chain must bottom out at an input, with dynamic indices
-            # probed from input ports.
-            root, steps = _projection_steps(src)
-            if root is None or id(root) not in inputs:
-                return None
-            for step in steps:
-                if step[0] == "field" and not isinstance(step[1], int) \
-                        and _prb_arg_pos(step[1], arg_pos) is None:
-                    return None
-        elif op in ("extf", "exts") and inst.type.is_signal:
-            continue  # part of an input projection chain, handled at prb
-        elif op in _PURE_CELL_OPS:
-            continue
-        else:
-            return None
-    if drive is None:
-        return None
-    return CombCellForm(unit, drive.drv_delay().attrs["value"])
-
-
-def _seq_cell_form(unit, body):
-    arg_pos = {id(a): i for i, a in enumerate(unit.args)}
-    inputs = {id(a) for a in unit.inputs}
-    out_arg = unit.outputs[0]
-    reg = None
-    for inst in body:
-        op = inst.opcode
-        if op == "reg":
-            if reg is not None:
-                return None
-            reg = inst
-        elif op == "prb":
-            if id(inst.operands[0]) not in inputs:
-                return None
-        elif op in ("extf", "exts") and inst.type.is_signal:
-            continue  # the storage projection chain, validated below
-        elif op == "const":
-            continue  # trigger delays
-        else:
-            return None
-    if reg is None:
-        return None
-    root, steps = _projection_steps(reg.reg_signal())
-    if root is not out_arg:
-        return None
-    form_steps = []
-    for step in steps:
-        if step[0] == "slice":
-            form_steps.append(step)
-        elif isinstance(step[1], int):
-            form_steps.append(("field", step[1]))
-        else:
-            pos = _prb_arg_pos(step[1], arg_pos)
-            if pos is None or id(unit.args[pos]) not in inputs:
-                return None
-            form_steps.append(("fielddyn", pos))
-    triggers = []
-    for t in reg.reg_triggers():
-        data_pos = _prb_arg_pos(t["value"], arg_pos)
-        trig_pos = _prb_arg_pos(t["trigger"], arg_pos)
-        if data_pos is None or trig_pos is None:
-            return None
-        cond_pos = None
-        if t["cond"] is not None:
-            cond_pos = _prb_arg_pos(t["cond"], arg_pos)
-            if cond_pos is None:
-                return None
-        delay = None
-        if t["delay"] is not None:
-            if getattr(t["delay"], "opcode", None) != "const":
-                return None
-            delay = t["delay"].attrs["value"]
-        triggers.append((t["mode"], data_pos, trig_pos, cond_pos, delay))
-    return SeqCellForm(unit, form_steps, triggers)
 
 
 def _default_const(builder, ty):

@@ -49,14 +49,15 @@ from ..ir.ninevalued import LogicVec
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
-from .eval import extf, insf, path_of
+from .eval import EVALUATORS, extf, insf, path_of
 from .interp import (
     Design, EntityInstance, ProcessInstance, elaborate_top, steps_exceeded,
 )
-from .optable import GLOBALS as _TABLE_GLOBALS, UNBOXED, box, signature
-from .optable import emit as _emit_op
+from .optable import GLOBALS as _TABLE_GLOBALS, UNBOXED, box, edge
+from .optable import emit as _emit_op, signature
 from .plan import (
-    Cell, fused_mux_arrays, load, project, promotable_cells, store,
+    Cell, fired_trigger, fused_mux_arrays, load, project, promotable_cells,
+    store,
 )
 from .values import (
     SimulationError, dynamic_index, extract_path, insert_path, mask,
@@ -79,9 +80,11 @@ def _rt_resolve(value):
     return value
 
 
-# The aggregate and projection rules are the ones the interpreter runs.
+# The aggregate, projection and trigger rules are the ones the
+# interpreter runs.
 _BASE_GLOBALS = {
     "Cell": Cell,
+    "fired_trigger": fired_trigger,
     "load": load,
     "store": store,
     "project": project,
@@ -98,15 +101,6 @@ _BASE_GLOBALS = {
     "steps_exceeded": steps_exceeded,
     **_TABLE_GLOBALS,
 }
-
-# Opcodes with no side effects: eligible for bind-time hoisting in
-# entities when every operand is already bound.
-_HOISTABLE_OPS = frozenset({
-    "const", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-    "srem", "and", "or", "xor", "not", "neg", "shl", "shr", "eq", "neq",
-    "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge", "zext", "sext",
-    "trunc", "array", "struct", "mux", "insf", "inss", "extf", "exts",
-})
 
 
 class _CodeBuffer:
@@ -129,8 +123,6 @@ class UnitCompiler:
         self.globals = dict(_BASE_GLOBALS)
         self.names = {}       # id(value) -> python variable name
         self.slots = {}       # id(value) -> binding slot (entities/args)
-        self.reg_slots = {}   # id(reg inst) -> (state_base, n_triggers)
-        self.n_state = 0
         self._counter = 0
         self._const_counter = 0
         self.code = _CodeBuffer()
@@ -496,7 +488,9 @@ class EntityCompiler(UnitCompiler):
                     f"{n(inst.operands[1])})")
                 emitted = True
                 continue
-            if op in _HOISTABLE_OPS and \
+            # A pure op (an evaluator table opcode) over bound values
+            # runs once, at bind time.
+            if op in EVALUATORS and \
                     all(id(o) in bound for o in inst.operands):
                 self.code = bind
                 bind.line(f"{n(inst)} = {self.expr(inst)}")
@@ -558,31 +552,28 @@ class EntityCompiler(UnitCompiler):
         return flag
 
     def _emit_reg(self, inst):
-        code = self.code
+        """One :func:`~repro.sim.plan.fired_trigger` call over a tuple of
+        the activation's values; ``S`` maps the reg to the instance's
+        ``reg_state`` list of previous trigger values."""
         n = self.name
-        base = self.n_state
-        triggers = list(inst.reg_triggers())
-        self.reg_slots[id(inst)] = (base, len(triggers))
-        self.n_state += len(triggers)
-        sig = n(inst.reg_signal())
         eps = self.runtime_const(_EPSILON)
-        code.line("_fired = False")
-        for i, t in enumerate(triggers):
-            slot = base + i
-            cur = n(t["trigger"])
-            # The edge test is a table entry over (now, previous).
-            cond = _emit_op(t["mode"], [cur, f"S[{slot}]"],
-                            [t["trigger"].type])
+        values, triggers = [], []
+        for t in inst.reg_triggers():
+            data = len(values)
+            values += [self.boxed(t["value"]), n(t["trigger"])]
+            cond = None
             if t["cond"] is not None:
-                cond = f"({cond}) and {n(t['cond'])}"
-            delay = n(t["delay"]) if t["delay"] is not None else eps
-            code.line(f"if not _fired and ({cond}):")
-            code.indent += 1
-            code.line(f"drive_reg({id(inst)}, {sig}, "
-                      f"{self.boxed(t['value'])}, {delay})")
-            code.line("_fired = True")
-            code.indent -= 1
-            code.line(f"S[{slot}] = {cur}")
+                cond = len(values)
+                values.append(n(t["cond"]))
+            values.append(n(t["delay"]) if t["delay"] is not None else eps)
+            triggers.append((edge(t["mode"], t["trigger"].type), data,
+                             data + 1, cond, len(values) - 1))
+        key = id(inst)
+        trigs = self.runtime_const(tuple(triggers))
+        self.code.line(f"_r = ({', '.join(values)},)")
+        self.code.line(f"_h = fired_trigger({trigs}, S[{key}], _r)")
+        self.code.line(f"if _h is not None: drive_reg({key}, "
+                       f"{n(inst.reg_signal())}, _r[_h[1]], _r[_h[4]])")
 
 
 class CompiledUnit:
@@ -593,8 +584,6 @@ class CompiledUnit:
         self.source = source
         self.fn = fn
         self.slots = compiler.slots
-        self.n_state = compiler.n_state
-        self.reg_slots = compiler.reg_slots
 
 
 class BlazeDesign(Design):
@@ -708,11 +697,6 @@ class BlazeEntityInstance(EntityInstance):
         bindings = [None] * len(cu.slots)
         for key, slot in cu.slots.items():
             bindings[slot] = _rt_resolve(self.env[key])
-        state = [0] * cu.n_state
-        for inst_id, (base, count) in cu.reg_slots.items():
-            prev = self.reg_state.get(inst_id, [])
-            for i in range(count):
-                state[base + i] = prev[i]
         kernel = design.kernel
         order = self.order
 
@@ -726,8 +710,8 @@ class BlazeEntityInstance(EntityInstance):
             kernel.schedule_drive(("reg", order, key), sig, value, delay)
 
         self._activate = cu.fn(
-            bindings, state, kernel.probe, drive, drive_del, drive_reg,
-            design.caller(f"in {self.path}"), kernel.intrinsic)
+            bindings, self.reg_state, kernel.probe, drive, drive_del,
+            drive_reg, design.caller(f"in {self.path}"), kernel.intrinsic)
 
     def run(self, kernel):
         fn = self._activate
@@ -741,7 +725,7 @@ BlazeDesign.entity_class = BlazeEntityInstance
 BlazeDesign.process_class = BlazeProcessInstance
 
 
-def elaborate_compiled(module, top, kernel=None, trace=None, units=None,
+def elaborate_compiled(module, top, kernel=None, units=None,
                        compile_cache=None):
     """Elaborate ``module`` for compiled (Blaze) execution.
 
@@ -749,6 +733,6 @@ def elaborate_compiled(module, top, kernel=None, trace=None, units=None,
     ``compile_cache`` is a :class:`BlazeDesign` compile cache to share.
     """
     if kernel is None:
-        kernel = Kernel(trace=trace)
+        kernel = Kernel()
     return elaborate_top(BlazeDesign, module, top, kernel, units=units,
                          compile_cache=compile_cache)

@@ -2,9 +2,10 @@
 
 Two halves:
 
-* **templates** — each library cell *type* compiles once to a short
-  straight-line Python recipe via the blaze :class:`UnitCompiler` (the
-  per-opcode expression emitter is shared with the event-driven
+* **templates** — :func:`build_template` decides which library cells
+  are combinational gates and compiles each such cell *type* once to a
+  short straight-line Python recipe via the blaze :class:`UnitCompiler`
+  (the per-opcode expression emitter is shared with the event-driven
   compiled engine; the input ports become ``__INk__`` placeholders that
   are substituted with ``V[slot]`` reads per gate instance);
 * **cone modules** — :func:`generate_source` concatenates the gate
@@ -41,7 +42,7 @@ from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
 from .blaze import _BASE_GLOBALS, UnitCompiler
-from .eval import path_of
+from .eval import EVALUATORS, path_of
 from .values import SimulationError
 
 
@@ -107,25 +108,29 @@ def _projection_probe_expr(comp, placeholders, src):
 
 
 def build_template(unit):
-    """Compile one library cell entity into a :class:`CellTemplate`.
+    """Classify one library cell as combinational and compile it into a
+    :class:`CellTemplate`.
 
-    Only called for bodies that already passed
-    :func:`repro.interop.techmap.cell_eval_form` comb classification;
-    raises :class:`TemplateError` for anything it cannot express as
-    self-contained source (the caller falls back to event-driven
-    execution for that cell type).
+    A cell qualifies when its body is exactly one unconditional drive of
+    its sole output with a constant zero delay, fed by probes of its
+    input ports (directly or through ``extf``/``exts`` chains over them)
+    and pure ops (every opcode in :data:`repro.sim.eval.EVALUATORS`).
+    Anything else raises :class:`TemplateError`, whose text is the
+    levelized engine's reason for running the cell event-driven.
     """
     comp = UnitCompiler(unit)
     placeholders = {}
     for k, arg in enumerate(unit.inputs):
         placeholders[id(arg)] = f"__IN{k}__"
     lines = []
-    out_value = None
+    drive = None
     probes = 0
     for inst in unit.body:
         op = inst.opcode
         if op == "drv":
-            out_value = inst.drv_value()
+            if drive is not None:
+                raise TemplateError("cell drives more than once")
+            drive = inst
             continue
         if op == "prb":
             src = inst.operands[0]
@@ -141,6 +146,8 @@ def build_template(unit):
             continue
         if op in ("extf", "exts") and inst.type.is_signal:
             continue   # input projection chain, folded at the probe
+        if op not in EVALUATORS:
+            raise TemplateError(f"'{op}' is not a pure cell op")
         if op == "const":
             value = inst.attrs["value"]
             if isinstance(value, TimeValue):
@@ -154,10 +161,20 @@ def build_template(unit):
         except SimulationError as exc:
             raise TemplateError(str(exc))
         lines.append(f"{comp.name(inst)} = {expr}")
-    if out_value is None:
+    if drive is None:
         raise TemplateError("cell has no output drive")
+    if drive.drv_condition() is not None or len(unit.outputs) != 1 \
+            or drive.drv_signal() is not unit.outputs[0]:
+        raise TemplateError("cell drive is conditional or not of its "
+                            "sole output")
+    delay = drive.drv_delay()
+    if delay.opcode != "const":
+        raise TemplateError("gate delay is not a constant")
+    d = delay.attrs["value"]
+    if d.fs or d.delta or d.epsilon:
+        raise TemplateError(f"non-zero gate delay {d}")
     # Boxed, so that t != V[slot] compares two LogicVec values.
-    out_expr = comp.boxed(out_value)
+    out_expr = comp.boxed(drive.drv_value())
     if comp._const_counter:
         raise TemplateError("cell body binds runtime-only constants")
     return CellTemplate(unit, lines, out_expr, len(unit.inputs))

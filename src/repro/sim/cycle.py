@@ -74,10 +74,9 @@ class CycleKernel:
 
     MAX_DELTAS = 10_000
 
-    def __init__(self, trace=None, max_time_fs=None):
+    def __init__(self, trace=None):
         self.now = (0, 0, 0)
         self.trace = trace
-        self.max_time_fs = max_time_fs
         self.signals = []
         self.calendar = {}
         self._fs_heap = []
@@ -132,14 +131,13 @@ class CycleKernel:
     # -- main loop ---------------------------------------------------------------
 
     def run(self, until_fs=None):
-        limit = until_fs if until_fs is not None else self.max_time_fs
         if self._initials:
             rnd = self._instant(0).round_at((0, 0))
             rnd.resumes[:0] = self._initials
             self._initials = []
         while self._fs_heap and not self.finished:
             fs = heapq.heappop(self._fs_heap)
-            if limit is not None and fs > limit:
+            if until_fs is not None and fs > until_fs:
                 heapq.heappush(self._fs_heap, fs)
                 break
             # Keep the instant registered while it runs: work scheduled
@@ -213,7 +211,7 @@ class CycleKernel:
         return True
 
 
-def elaborate_cycle(module, top, kernel=None, trace=None, units=None,
+def elaborate_cycle(module, top, kernel=None, units=None,
                     compile_cache=None):
     """Elaborate for the cycle simulator (compiled units, cycle kernel);
     ``units`` and ``compile_cache`` as for
@@ -221,6 +219,6 @@ def elaborate_cycle(module, top, kernel=None, trace=None, units=None,
     from .blaze import elaborate_compiled
 
     if kernel is None:
-        kernel = CycleKernel(trace=trace)
+        kernel = CycleKernel()
     return elaborate_compiled(module, top, kernel, units=units,
                               compile_cache=compile_cache)

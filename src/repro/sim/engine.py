@@ -304,10 +304,9 @@ class Kernel:
 
     MAX_DELTAS = 10_000
 
-    def __init__(self, trace=None, max_time_fs=None):
+    def __init__(self, trace=None):
         self.now = ZERO_TIME
         self.trace = trace
-        self.max_time_fs = max_time_fs
         self.signals = []
         self._heap = []
         self._seq = 0
@@ -393,14 +392,13 @@ class Kernel:
 
     def run(self, until_fs=None):
         """Run until the queue drains, ``llhd.finish``, or the time limit."""
-        limit = until_fs if until_fs is not None else self.max_time_fs
         deltas_at_fs = 0
         current_fs = -1
         heap = self._heap
         try:
             while heap and not self.finished:
                 time = heap[0][0]
-                if limit is not None and time[0] > limit:
+                if until_fs is not None and time[0] > until_fs:
                     break
                 if time[0] != current_fs:
                     current_fs = time[0]

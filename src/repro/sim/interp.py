@@ -115,13 +115,13 @@ class Design:
                 bind()
 
 
-def elaborate(module, top, kernel=None, trace=None, units=None):
+def elaborate(module, top, kernel=None, units=None):
     """Elaborate ``module`` starting at entity ``top``; returns a Design.
 
     ``units`` maps a unit name to the unit instantiated in its place.
     """
     if kernel is None:
-        kernel = Kernel(trace=trace)
+        kernel = Kernel()
     return elaborate_top(Design, module, top, kernel, units=units)
 
 

@@ -7,12 +7,13 @@ slower than their behavioural reference (README, "Levelized netlist
 engine").
 This engine removes the scheduler from the combinational cone entirely:
 
-* during elaboration each ``inst`` of a library cell (recognized by
-  :func:`repro.interop.techmap.cell_eval_form` — the classification is
-  structural, not mapper-private) is *absorbed* instead of
-  instantiated: combinational cells become straight-line gate records,
-  ``reg`` storage cells (flip-flops, latches, memory write ports)
-  become sequential cut points;
+* during elaboration each ``inst`` of a library cell is *absorbed*
+  instead of instantiated.  :meth:`LevelizedDesign.cell` classifies the
+  cell entity itself, once per unit, so any entity shaped like a
+  library cell qualifies: :func:`repro.sim.compiled.build_template`
+  turns a combinational cell into a straight-line gate record, and
+  :func:`_storage_form` reads a ``reg`` storage cell (flip-flop, latch,
+  memory write port) into a sequential cut point;
 * at finalize the gates are levelized: Kahn's ordering over the cell
   nets, with storage cells cutting the feedback.  Gates that do not
   levelize form zero-delay cycles; they are diagnosed with the same
@@ -45,11 +46,13 @@ from __future__ import annotations
 
 import heapq
 
-from ..interop.techmap import cell_eval_form
+from ..ir.instructions import Instruction
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .blaze import BlazeDesign, BlazeEntityInstance
+from .compiled import TemplateError, build_template, compile_cone
 from .engine import Kernel, SignalInstance, SignalRef
+from .eval import path_of
 from .interp import elaborate_top
 from .optable import edge
 from .plan import fired_trigger
@@ -99,22 +102,61 @@ def _resolve_path(proto, V):
     return tuple(path)
 
 
-def _path_proto(root_ty, steps, port_slots):
-    """Positional SeqCellForm steps -> insert_path steps over slots."""
-    ty = root_ty
-    proto = []
-    for step in steps:
-        if step[0] == "field":
-            proto.append(step)
-            ty = ty.fields[step[1]] if ty.is_struct else ty.element
-        elif step[0] == "fielddyn":
-            proto.append(("fielddyn", port_slots[step[1]]))
-            ty = ty.element
-        else:
-            kind = "int" if ty.is_int else \
-                "logic" if ty.is_logic else "array"
-            proto.append(("slice", step[1], step[2], kind))
-    return tuple(proto)
+def _storage_form(unit):
+    """A storage cell's one ``reg`` as ``(triggers, steps)`` over its
+    input-port positions; raises :class:`TemplateError` for any other
+    body.
+
+    ``triggers`` are :func:`~repro.sim.plan.fired_trigger` tuples whose
+    data, trigger and condition are port positions and whose delay is
+    the constant ``after`` time (None: the implicit epsilon step);
+    ``steps`` is the :func:`~repro.sim.values.insert_path` path from the
+    sole output to the ``reg`` target, a dynamic index being
+    ``("fielddyn", position)``.
+    """
+    port = {id(a): k for k, a in enumerate(unit.inputs)}
+    probes = {}   # id(prb) -> the input position it reads
+    regs = []
+    for inst in unit.body:
+        op = inst.opcode
+        if op == "reg":
+            regs.append(inst)
+        elif op == "prb":
+            if id(inst.operands[0]) not in port:
+                raise TemplateError("probe source is not an input port")
+            probes[id(inst)] = port[id(inst.operands[0])]
+        elif op != "const" and not (op in ("extf", "exts")
+                                    and inst.type.is_signal):
+            raise TemplateError(f"'{op}' in a storage cell")
+    if len(regs) != 1:
+        raise TemplateError("storage cell has more than one reg")
+
+    def position(value):
+        pos = probes.get(id(value))
+        if pos is None:
+            raise TemplateError("reg operand is not an input-port probe")
+        return pos
+
+    steps = []
+    target = regs[0].reg_signal()
+    while isinstance(target, Instruction) and target.opcode in ("extf",
+                                                                "exts"):
+        steps.append(("fielddyn", position(target.operands[1]))
+                     if target.has_dynamic_index else path_of(target))
+        target = target.operands[0]
+    if len(unit.outputs) != 1 or target is not unit.outputs[0]:
+        raise TemplateError("reg target is not the sole output")
+    triggers = []
+    for t in regs[0].reg_triggers():
+        delay = t["delay"]
+        if delay is not None and delay.opcode != "const":
+            raise TemplateError("reg delay is not a constant")
+        triggers.append((
+            edge(t["mode"], t["trigger"].type), position(t["value"]),
+            position(t["trigger"]),
+            None if t["cond"] is None else position(t["cond"]),
+            None if delay is None else delay.attrs["value"]))
+    return tuple(triggers), tuple(reversed(steps))
 
 
 # -- the levelization plan -----------------------------------------------------
@@ -151,7 +193,7 @@ def _build_plan(design):
 
     raw_gates = []
     producer = {}   # out slot -> producing gate index
-    for unit, template, ins, out in design.comb_cells:
+    for template, ins, out in design.comb_cells:
         in_slots = tuple(slot(p) for p in ins)
         out_slot = slot(out)
         if out_slot in producer:
@@ -162,21 +204,20 @@ def _build_plan(design):
         raw_gates.append((template, in_slots, out_slot))
 
     seqs = []
-    for index, (unit, form, ports) in enumerate(design.seq_cells):
+    for index, ((triggers, steps), ports) in enumerate(design.seq_cells):
         port_slots = [slot(p) for p in ports]
-        root_slot = port_slots[len(unit.inputs)]
+        root_slot = port_slots[-1]
         if root_slot in producer:
             raise LevelizeError(
                 f"levelized: net {slot_sigs[root_slot].name} is driven by "
                 f"both a combinational cell and a storage cell")
         triggers = tuple(
-            (edge(mode, unit.args[trig].type.element), port_slots[data],
-             port_slots[trig], None if cond is None else port_slots[cond],
-             delay)
-            for mode, data, trig, cond, delay in form.triggers)
+            (test, port_slots[data], port_slots[trig],
+             None if cond is None else port_slots[cond], delay)
+            for test, data, trig, cond, delay in triggers)
         prev = [slot_sigs[t[2]].value for t in triggers]
-        proto = _path_proto(unit.outputs[0].type.element, form.steps,
-                            port_slots)
+        proto = tuple(("fielddyn", port_slots[s[1]])
+                      if s[0] == "fielddyn" else s for s in steps)
         seqs.append(_SeqCell(index, triggers, prev, proto, root_slot,
                              frozenset(port_slots)))
 
@@ -419,61 +460,47 @@ class LevelizedDesign(BlazeDesign):
         super().__init__(module, top, kernel)
         self.cache_dir = cache_dir
         self.analysis = analysis
-        self._cell_forms = {}       # id(unit) -> eval form or None
-        self._cell_templates = {}   # id(unit) -> template | TemplateError
-        self.comb_cells = []        # (unit, template, in_ports, out_port)
-        self.seq_cells = []         # (unit, form, ports)
+        self._cells = {}            # id(unit) -> (kind, recipe or reason)
+        self.comb_cells = []        # (template, in_ports, out_port)
+        self.seq_cells = []         # ((triggers, steps), ports)
         self.fallback_cells = []    # (instance path, reason)
         self.cone = None
         self.report = {}
 
-    def cell_form(self, unit):
-        key = id(unit)
-        if key not in self._cell_forms:
-            self._cell_forms[key] = cell_eval_form(unit)
-        return self._cell_forms[key]
-
-    def cell_template(self, unit):
-        from .compiled import TemplateError, build_template
-
-        key = id(unit)
-        entry = self._cell_templates.get(key)
+    def cell(self, unit):
+        """How the cone runs the entity ``unit``, decided once per unit:
+        ``("comb", template)``, ``("seq", storage form)``, or
+        ``(None, reason)`` to run it event-driven, where ``reason`` is
+        None for a structural container elaborated as usual."""
+        entry = self._cells.get(id(unit))
         if entry is None:
+            ops = {inst.opcode for inst in unit.body}
             try:
-                entry = build_template(unit)
+                if ops & {"inst", "sig", "con", "del"}:
+                    entry = None, None
+                elif "reg" in ops:
+                    entry = "seq", _storage_form(unit)
+                else:
+                    entry = "comb", build_template(unit)
             except TemplateError as exc:
-                entry = exc
-            self._cell_templates[key] = entry
-        if isinstance(entry, TemplateError):
-            raise entry
+                entry = None, str(exc)
+            self._cells[id(unit)] = entry
         return entry
 
     def absorb_cell(self, parent, inst, callee):
         """Try to absorb one cell instance; (absorbed, fallback_reason)."""
-        from .compiled import TemplateError
-
-        form = self.cell_form(callee)
-        if form is None:
-            for body_inst in callee.body:
-                if body_inst.opcode in ("inst", "sig", "con", "del"):
-                    return False, None   # structural container: recurse
-            return False, "cell body is not a recognized pure form"
+        kind, recipe = self.cell(callee)
+        if kind is None:
+            return False, recipe
         ports = [parent.env[id(op)]
                  for op in inst.inst_inputs() + inst.inst_outputs()]
         for p in ports:
             if type(p) is not SignalInstance:
                 return False, "cell port bound to a projected sub-signal"
-        if form.kind == "comb":
-            d = form.delay
-            if d.fs or d.delta or d.epsilon:
-                return False, f"non-zero gate delay {d}"
-            try:
-                template = self.cell_template(callee)
-            except TemplateError as exc:
-                return False, str(exc)
-            self.comb_cells.append((callee, template, ports[:-1], ports[-1]))
+        if kind == "comb":
+            self.comb_cells.append((recipe, ports[:-1], ports[-1]))
         else:
-            self.seq_cells.append((callee, form, ports))
+            self.seq_cells.append((recipe, ports))
         return True, None
 
     def finalize(self):
@@ -498,8 +525,6 @@ class LevelizedDesign(BlazeDesign):
         stats["cone_seqs"] = len(plan.seqs)
         if self.analysis:
             return
-        from .compiled import compile_cone
-
         ns = compile_cone(plan, self.cache_dir, stats)
         self.cone = _Cone(self, plan, ns)
 
@@ -526,8 +551,8 @@ class LevelizedEntityInstance(BlazeEntityInstance):
 LevelizedDesign.entity_class = LevelizedEntityInstance
 
 
-def elaborate_levelized(module, top, kernel=None, trace=None,
-                        cache_dir=None, analysis=False):
+def elaborate_levelized(module, top, kernel=None, cache_dir=None,
+                        analysis=False):
     """Elaborate ``module`` for levelized execution.
 
     ``analysis=True`` builds the absorption report and the plan but
@@ -535,7 +560,7 @@ def elaborate_levelized(module, top, kernel=None, trace=None,
     ``--list-designs`` engine-support column.
     """
     if kernel is None:
-        kernel = Kernel(trace=trace)
+        kernel = Kernel()
     if getattr(kernel, "sanitizer", None) is not None:
         raise SimulationError(
             "levelized: the scheduler sanitizer is not supported "

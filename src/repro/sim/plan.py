@@ -12,7 +12,8 @@ operand lists:
   ``compile()``.  Ops without an entry (aggregates) call their
   :mod:`repro.sim.eval` evaluator, and ``reg`` edge tests call the
   table's :func:`~repro.sim.optable.edge` from :func:`fired_trigger`,
-  the trigger loop the levelized storage cells share;
+  the one trigger loop, which blaze's generated ``reg`` code and the
+  levelized storage cells call too;
 * ``extf``/``exts`` through a signal or pointer call :func:`project`,
   and ``ld``/``st`` call :func:`load`/:func:`store`.  The code blaze
   and cycle generate calls the same functions (and ``eval.extf``/
@@ -347,9 +348,9 @@ def fired_trigger(triggers, prev_list, values):
     ``triggers`` are ``(edge test, data, trigger, condition, delay)``
     tuples whose data, trigger and condition (None when unconditional)
     are keys into ``values``: the interpreter's ``env``, a levelized
-    cone's ``V``.  Every trigger's previous value in ``prev_list``
-    updates; the first trigger whose edge fires and whose condition
-    holds wins.
+    cone's ``V``, the tuple blaze's ``reg`` code builds.  Every
+    trigger's previous value in ``prev_list`` updates; the first
+    trigger whose edge fires and whose condition holds wins.
     """
     hit = None
     for i, trigger in enumerate(triggers):

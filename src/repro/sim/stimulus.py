@@ -27,6 +27,12 @@ FUZZ_ALPHABET = "0011" * 4 + "XZLHWU-"
 
 STIMULUS_NAME = "__fuzz_stim__"
 
+#: A stimulus process drives up to ``TARGETS`` nets, in ``WAVES`` waves
+#: of ``DRIVES_PER_WAVE`` drives each.
+TARGETS = 4
+WAVES = 6
+DRIVES_PER_WAVE = 3
+
 
 def random_logic_text(rng, width):
     return "".join(rng.choice(FUZZ_ALPHABET) for _ in range(width))
@@ -76,17 +82,16 @@ def design_driven_names(module, top_name):
     return frozenset(driven)
 
 
-def stimulus_targets(module, top_name, seed, exclude_names=frozenset(),
-                     limit=4):
-    """Pick up to ``limit`` target nets from the base seed alone."""
+def stimulus_targets(module, top_name, seed, exclude_names=frozenset()):
+    """Pick up to ``TARGETS`` target nets from the base seed alone."""
     candidates = stimulus_candidates(module, top_name, exclude_names)
     if not candidates:
         return []
     rng = random.Random(f"{seed}:targets")
-    return rng.sample(candidates, min(len(candidates), limit))
+    return rng.sample(candidates, min(len(candidates), TARGETS))
 
 
-def _emit_waves(proc, rng, waves, drives_per_wave, phase_fs=0):
+def _emit_waves(proc, rng, phase_fs=0):
     """Fill a stimulus process body with randomized drive waves.
 
     A nonzero ``phase_fs`` makes the stimulus *race-free*: every drive
@@ -98,13 +103,13 @@ def _emit_waves(proc, rng, waves, drives_per_wave, phase_fs=0):
     (behavioural vs netlist) need race-free stimulus; same-module
     cross-engine comparisons do not (all engines see the same races).
     """
-    blocks = [proc.create_block(f"wave{i}") for i in range(waves + 1)]
+    blocks = [proc.create_block(f"wave{i}") for i in range(WAVES + 1)]
     b = Builder.at_end(blocks[0])
     now_fs = 0
     used_fs = set()
     for wave, block in enumerate(blocks[:-1]):
         b.set_insert_point(block)
-        for _ in range(drives_per_wave):
+        for _ in range(DRIVES_PER_WAVE):
             target = rng.choice(proc.outputs)
             elem = target.type.element
             if elem.is_logic:
@@ -124,44 +129,44 @@ def _emit_waves(proc, rng, waves, drives_per_wave, phase_fs=0):
     b.halt()
 
 
-def build_stimulus_process(module, name, targets, seed, waves=6,
-                           drives_per_wave=3):
+def build_stimulus_process(module, name, targets, seed):
     """One stimulus process over fixed ``targets``, waveform from
     ``seed``.  Added to ``module`` but not instantiated."""
     proc = Process(name, (), (), [s.type for s in targets],
                    [f"t{i}" for i in range(len(targets))])
     module.add(proc)
-    _emit_waves(proc, random.Random(seed), waves, drives_per_wave)
+    _emit_waves(proc, random.Random(seed))
     return proc
 
 
-def inject_stimulus(module, top_name, seed, waves=6, drives_per_wave=3,
-                    exclude_names=frozenset(), phase_fs=0):
+def inject_stimulus(module, top_name, seed, exclude_names=frozenset(),
+                    phase_fs=0):
     """Splice a randomized stimulus process into the design's top entity.
 
     Drives random values — nine-valued strings with X/Z/L/H/W/U/-
     injections on ``lN`` nets, random integers on ``iN`` nets — onto up
-    to four of the top's internal signals at randomized times.  Returns
-    True if any signal was targeted.  Built from ``Random(seed)`` only,
-    so every backend sees a byte-identical module.  ``phase_fs`` shifts
-    the drive times off the testbench clock grid (see ``_emit_waves``).
+    to ``TARGETS`` of the top's internal signals at randomized times.
+    Returns True if any signal was targeted.  Built from ``Random(seed)``
+    only, so every backend sees a byte-identical module.  ``phase_fs``
+    shifts the drive times off the testbench clock grid (see
+    ``_emit_waves``).
     """
     rng = random.Random(seed)
     candidates = stimulus_candidates(module, top_name, exclude_names)
     if not candidates:
         return False
-    targets = rng.sample(candidates, min(len(candidates), 4))
+    targets = rng.sample(candidates, min(len(candidates), TARGETS))
     proc = Process(STIMULUS_NAME, (), (), [s.type for s in targets],
                    [f"t{i}" for i in range(len(targets))])
     module.add(proc)
-    _emit_waves(proc, rng, waves, drives_per_wave, phase_fs)
+    _emit_waves(proc, rng, phase_fs)
     top = module.get(top_name)
     Builder.at_end(top.body).inst(proc, [], targets)
     return True
 
 
-def inject_batch_stimulus(module, top_name, seed, lane_seeds, waves=6,
-                          drives_per_wave=3, exclude_names=frozenset()):
+def inject_batch_stimulus(module, top_name, seed, lane_seeds,
+                          exclude_names=frozenset()):
     """Inject a K-lane divergent stimulus into the top entity.
 
     Targets come from the base ``seed``; lane k's waveform from
@@ -179,15 +184,15 @@ def inject_batch_stimulus(module, top_name, seed, lane_seeds, waves=6,
     units = []
     for k, lane_seed in enumerate(lane_seeds):
         name = STIMULUS_NAME if k == 0 else f"{STIMULUS_NAME}l{k}"
-        units.append(build_stimulus_process(
-            module, name, targets, lane_seed, waves, drives_per_wave))
+        units.append(
+            build_stimulus_process(module, name, targets, lane_seed))
     top = module.get(top_name)
     Builder.at_end(top.body).inst(units[0], [], targets)
     return BatchStimulus({units[0].name: units})
 
 
-def inject_lane_stimulus(module, top_name, seed, lane_seed, waves=6,
-                         drives_per_wave=3, exclude_names=frozenset()):
+def inject_lane_stimulus(module, top_name, seed, lane_seed,
+                         exclude_names=frozenset()):
     """The scalar reference of one batch lane: same targets (from the
     base ``seed``), same exclusions, waveform from ``lane_seed``.
     Returns True if any signal was targeted."""
@@ -196,8 +201,7 @@ def inject_lane_stimulus(module, top_name, seed, lane_seed, waves=6,
     targets = stimulus_targets(module, top_name, seed, exclude_names)
     if not targets:
         return False
-    proc = build_stimulus_process(
-        module, STIMULUS_NAME, targets, lane_seed, waves, drives_per_wave)
+    proc = build_stimulus_process(module, STIMULUS_NAME, targets, lane_seed)
     top = module.get(top_name)
     Builder.at_end(top.body).inst(proc, [], targets)
     return True

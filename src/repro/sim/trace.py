@@ -82,8 +82,9 @@ class Trace:
 
     # -- comparison ------------------------------------------------------------
 
-    def differences(self, other, signals=None, limit=10):
-        """Human-readable list of trace mismatches (empty = equivalent).
+    def differences(self, other, signals=None):
+        """Human-readable list of up to ten trace mismatches, one per
+        signal (empty = equivalent).
 
         ``signals`` restricts the comparison (e.g. to the design's ports);
         by default all signals present in *both* traces are compared.
@@ -101,17 +102,18 @@ class Trace:
                 if ea != eb:
                     issues.append(
                         f"{name}: change {i}: {_fmt(ea)} vs {_fmt(eb)}")
-                    if len(issues) >= limit:
+                    if len(issues) >= 10:
                         return issues
                     break
         return issues
 
     # -- export -----------------------------------------------------------------
 
-    def to_vcd(self, timescale="1fs"):
-        """Render as a Value Change Dump (two-valued signals only)."""
+    def to_vcd(self):
+        """Render as a Value Change Dump (two-valued signals only), in
+        femtoseconds."""
         out = io.StringIO()
-        out.write(f"$timescale {timescale} $end\n")
+        out.write("$timescale 1fs $end\n")
         idents = {}
         for i, name in enumerate(self.signals()):
             ident = _vcd_ident(i)

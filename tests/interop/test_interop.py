@@ -222,11 +222,9 @@ def test_techmap_rejects_conditional_drives():
 
 
 def test_wide_logic_gates_compose_as_shared_pairs():
-    """An `l32` AND cell is not a monolithic per-width model: its body
-    instantiates a pair of `l16` gate cells over the low/high slices,
-    which recurse down to the `l8` monolithic floor — and the traces
-    stay exact (a slice of the packed planes is the planes of the
-    slice)."""
+    """An `l32` AND maps onto one monolithic nine-valued gate cell (the
+    mapper no longer splits wide gates into shared half-width pairs),
+    and the netlist traces exactly like the source."""
     from repro.sim import simulate
 
     source = """
@@ -260,26 +258,10 @@ def test_wide_logic_gates_compose_as_shared_pairs():
     }
     """
     ref = simulate(parse_module(source), "top")
-    module = parse_module(source)
-    linked = netlist_design(module, pairwise_gates=True)
+    linked = netlist_design(parse_module(source))
     low = simulate(linked, "top")
     assert ref.trace.differences(low.trace) == []
-    wide = next(u for u in linked
-                if u.name.startswith("cell_and") and "l32" in u.name)
-    insts = [i for i in wide.body if i.opcode == "inst"]
-    assert len(insts) == 2  # the pair of l16 halves
-    assert all("l16" in i.callee for i in insts)
-    half = next(u for u in linked
-                if u.name.startswith("cell_and") and "l16" in u.name)
-    assert all("l8" in i.callee for i in half.body
-               if i.opcode == "inst")
-    leaf = next(u for u in linked
-                if u.name.startswith("cell_and") and u.name.endswith("l8_l8"))
-    assert not any(i.opcode == "inst" for i in leaf.body)  # monolithic
-    # The simulation-oriented flow keeps gates monolithic by default:
-    # composed cells trade library size for event count.
-    plain = netlist_design(parse_module(source))
-    mono = next(u for u in plain
+    mono = next(u for u in linked
                 if u.name.startswith("cell_and") and "l32" in u.name)
     assert not any(i.opcode == "inst" for i in mono.body)
 

@@ -3,8 +3,9 @@
 The 22-design staged harness (test_semantic_preservation) already holds
 the levelized engine to byte-identical traces at the netlist level; the
 tests here pin down the corners: latch cells, register-cut feedback,
-multi-clock-domain cones, zero-delay combinational cycles, per-cell
-event-driven fallbacks, the multi-driver diagnosis, and the on-disk
+multi-clock-domain cones, zero-delay combinational cycles, memory read
+and write ports, the reasons a cell falls back to event-driven
+execution, the multi-driver diagnosis, and the on-disk
 compile cache (cold/warm, corrupted/truncated/misplaced entries, and
 entries from another code generator or another Python).
 """
@@ -265,6 +266,267 @@ entity @top () -> () {
 }
 """
 
+# A memory read port: the entity probes one element of a signal array
+# through a dynamic index, which techmap maps onto one read-port wiring
+# cell.
+_READ_PORT = """
+entity @rd (i2$ %i, [4 x i8]$ %m) -> (i8$ %y) {
+  %iv = prb i2$ %i
+  %e = extf i8$, [4 x i8]$ %m, %iv
+  %v = prb i8$ %e
+  %t = const time 0s
+  drv i8$ %y, %v after %t
+}
+
+proc @stim () -> (i2$ %i, [4 x i8]$ %m) {
+b0:
+  %t = const time 1ns
+  %t0 = const time 0s
+  %a = const i8 11
+  %b = const i8 22
+  %c = const i8 33
+  %d = const i8 44
+  %arr = [i8 %a, %b, %c, %d]
+  %i1 = const i2 1
+  %i3 = const i2 3
+  drv [4 x i8]$ %m, %arr after %t0
+  wait %b1 for %t
+b1:
+  drv i2$ %i, %i1 after %t0
+  wait %b2 for %t
+b2:
+  drv i2$ %i, %i3 after %t0
+  wait %b3 for %t
+b3:
+  halt
+}
+
+entity @top () -> () {
+  %z2 = const i2 0
+  %z8 = const i8 0
+  %zm = [4 x i8 %z8]
+  %i = sig i2 %z2
+  %m = sig [4 x i8] %zm
+  %y = sig i8 %z8
+  inst @rd (i2$ %i, [4 x i8]$ %m) -> (i8$ %y)
+  inst @stim () -> (i2$ %i, [4 x i8]$ %m)
+}
+"""
+
+# Storage cells whose reg writes part of their output: a memory write
+# port (an element picked by a dynamic index) and a register on a bit
+# slice, the latter with the implicit epsilon delay.
+_PARTIAL_STORAGE = """
+entity @cell_wp (i2$ %i0, i8$ %d0, i1$ %t0) -> ([4 x i8]$ %q) {
+  %0 = prb i2$ %i0
+  %1 = extf i8$, [4 x i8]$ %q, %0
+  %2 = prb i8$ %d0
+  %3 = prb i1$ %t0
+  %4 = const time 0s
+  reg i8$ %1, %2 rise %3 after %4
+}
+
+entity @cell_slice (i4$ %d0, i1$ %t0) -> (i8$ %q) {
+  %0 = exts i4$, i8$ %q, 2, 4
+  %1 = prb i4$ %d0
+  %2 = prb i1$ %t0
+  reg i4$ %0, %1 rise %2
+}
+
+proc @stim () -> (i2$ %i, i8$ %d, i4$ %n, i1$ %clk) {
+b0:
+  %t = const time 1ns
+  %t0 = const time 0s
+  %one = const i1 1
+  %zero = const i1 0
+  %i2 = const i2 2
+  %i1 = const i2 1
+  %d1 = const i8 77
+  %d2 = const i8 99
+  %n1 = const i4 13
+  %n2 = const i4 6
+  drv i2$ %i, %i2 after %t0
+  drv i8$ %d, %d1 after %t0
+  drv i4$ %n, %n1 after %t0
+  wait %b1 for %t
+b1:
+  drv i1$ %clk, %one after %t0
+  wait %b2 for %t
+b2:
+  drv i1$ %clk, %zero after %t0
+  drv i2$ %i, %i1 after %t0
+  drv i8$ %d, %d2 after %t0
+  drv i4$ %n, %n2 after %t0
+  wait %b3 for %t
+b3:
+  drv i1$ %clk, %one after %t0
+  wait %b4 for %t
+b4:
+  halt
+}
+
+entity @top () -> () {
+  %z1 = const i1 0
+  %z2 = const i2 0
+  %z4 = const i4 0
+  %z8 = const i8 0
+  %zm = [4 x i8 %z8]
+  %i = sig i2 %z2
+  %d = sig i8 %z8
+  %n = sig i4 %z4
+  %clk = sig i1 %z1
+  %m = sig [4 x i8] %zm
+  %q = sig i8 %z8
+  inst @cell_wp (i2$ %i, i8$ %d, i1$ %clk) -> ([4 x i8]$ %m)
+  inst @cell_slice (i4$ %n, i1$ %clk) -> (i8$ %q)
+  inst @stim () -> (i2$ %i, i8$ %d, i4$ %n, i1$ %clk)
+}
+"""
+
+# Cell-shaped entities the cone must not absorb: each runs event-driven,
+# with its reason recorded.  ``%b`` is driven by no one but the cell.
+_NOT_A_CELL = """
+entity @cell (i1$ %a, i1$ %b, i1$ %clk, time$ %d) -> (i1$ %y) {{
+{body}
+}}
+
+proc @stim () -> (i1$ %a, i1$ %clk) {{
+b0:
+  %t = const time 1ns
+  %t0 = const time 0s
+  %one = const i1 1
+  %zero = const i1 0
+  drv i1$ %a, %one after %t0
+  drv i1$ %clk, %one after %t0
+  wait %b1 for %t
+b1:
+  drv i1$ %clk, %zero after %t0
+  wait %b2 for %t
+b2:
+  drv i1$ %a, %zero after %t0
+  drv i1$ %clk, %one after %t0
+  wait %b3 for %t
+b3:
+  halt
+}}
+
+func @inv (i1 %x) i1 {{
+entry:
+  %r = not i1 %x
+  ret i1 %r
+}}
+
+entity @top () -> () {{
+  %z1 = const i1 0
+  %zt = const time 1ns
+  %a = sig i1 %z1
+  %b = sig i1 %z1
+  %clk = sig i1 %z1
+  %d = sig time %zt
+  %y = sig i1 %z1
+  inst @cell (i1$ %a, i1$ %b, i1$ %clk, time$ %d) -> (i1$ %y)
+  inst @stim () -> (i1$ %a, i1$ %clk)
+}}
+"""
+
+#: body -> the fallback reason it records.
+_NOT_A_CELL_BODIES = {
+    "conditional drive": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %clk
+  %t = const time 0s
+  drv i1$ %y, %0 after %t if %1""", "conditional"),
+    "drive of an input": ("""
+  %0 = prb i1$ %a
+  %t = const time 0s
+  %n = not i1 %0
+  drv i1$ %b, %n after %t""", "sole output"),
+    "non-constant delay": ("""
+  %0 = prb i1$ %a
+  %1 = prb time$ %d
+  %n = not i1 %0
+  drv i1$ %y, %n after %1""", "gate delay is not a constant"),
+    "two drives": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %clk
+  %t = const time 0s
+  drv i1$ %y, %0 after %t
+  drv i1$ %y, %1 after %t""", "drives more than once"),
+    "function call": ("""
+  %0 = prb i1$ %a
+  %t = const time 0s
+  %n = call i1 @inv (i1 %0)
+  drv i1$ %y, %n after %t""", "'call' is not a pure cell op"),
+    "no drive": ("""
+  %0 = prb i1$ %a""", "no output drive"),
+    "probe of a non-input": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %y
+  %t = const time 0s
+  %o = or i1 %0, %1
+  drv i1$ %y, %o after %t""", "not an input port"),
+    "two regs": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %clk
+  %2 = prb i1$ %b
+  reg i1$ %y, %0 rise %1
+  reg i1$ %y, %2 fall %1""", "more than one reg"),
+    "reg data not a port probe": ("""
+  %1 = prb i1$ %clk
+  %c = const i1 1
+  reg i1$ %y, %c rise %1""", "not an input-port probe"),
+    "reg with a non-constant delay": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %clk
+  %2 = prb time$ %d
+  reg i1$ %y, %0 rise %1 after %2""", "reg delay is not a constant"),
+    "reg of an input": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %clk
+  reg i1$ %b, %0 rise %1""", "not the sole output"),
+    "probe of a non-input beside a reg": ("""
+  %0 = prb i1$ %y
+  %1 = prb i1$ %clk
+  reg i1$ %y, %0 rise %1""", "not an input port"),
+    "pure op beside a reg": ("""
+  %0 = prb i1$ %a
+  %1 = prb i1$ %clk
+  %n = not i1 %0
+  reg i1$ %y, %n rise %1""", "'not' in a storage cell"),
+}
+
+
+# A gate whose input port is bound to a slice of a net: the cone only
+# reads whole nets, so this instance runs event-driven.
+_PROJECTED_PORT = """
+entity @cell_inv_i1 (i1$ %a0) -> (i1$ %y) {
+  %0 = prb i1$ %a0
+  %t = const time 0s
+  %n = not i1 %0
+  drv i1$ %y, %n after %t
+}
+
+proc @stim () -> (i2$ %p) {
+b0:
+  %t = const time 1ns
+  %v = const i2 1
+  drv i2$ %p, %v after %t
+  wait %b1 for %t
+b1:
+  halt
+}
+
+entity @top () -> () {
+  %z1 = const i1 0
+  %z2 = const i2 0
+  %p = sig i2 %z2
+  %y = sig i1 %z1
+  %lo = exts i1$, i2$ %p, 0, 1
+  inst @cell_inv_i1 (i1$ %lo) -> (i1$ %y)
+  inst @stim () -> (i2$ %p)
+}
+"""
+
 
 def _run_both(source, top="top", until_fs=None, cache_dir=None):
     """Simulate under interp and levelized; assert identical traces."""
@@ -316,6 +578,48 @@ def test_nonzero_delay_cell_falls_back(tmp_path):
     path, reason = fallbacks[0]
     assert "cell_slow_inv" in path
     assert "delay" in reason
+
+
+def test_read_port_cell_absorbed_as_one_gate(tmp_path):
+    from repro.interop import netlist_design
+
+    ref = simulate(parse_module(_READ_PORT), "top")
+    linked = netlist_design(parse_module(_READ_PORT))
+    cells = [u.name for u in linked if u.name.startswith("cell_")]
+    assert len(cells) == 1 and cells[0].startswith("cell_readport")
+    res = simulate(linked, "top", backend="levelized",
+                   cache_dir=str(tmp_path))
+    assert ref.trace.differences(res.trace) == []
+    report = res.design.report
+    assert report["gates"] == 1 and report["seqs"] == 0
+    assert report["fallbacks"] == []
+    history = dict(res.trace.changes)["top.y"]
+    assert [v for _t, v in history] == [11, 22, 44]
+
+
+def test_partial_storage_cells_absorbed(tmp_path):
+    res = _run_both(_PARTIAL_STORAGE, cache_dir=str(tmp_path))
+    report = res.design.report
+    assert report["seqs"] == 2
+    assert report["fallbacks"] == []
+    changes = dict(res.trace.changes)
+    assert changes["top.m"][-1][1] == (0, 99, 77, 0)
+    assert changes["top.q"][-1][1] == 6 << 2
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_CELL_BODIES))
+def test_unabsorbable_body_falls_back(case, tmp_path):
+    body, reason = _NOT_A_CELL_BODIES[case]
+    res = _run_both(_NOT_A_CELL.format(body=body), cache_dir=str(tmp_path))
+    [(path, why)] = res.design.fallback_cells
+    assert path == "top.cell" and reason in why
+
+
+def test_projected_port_falls_back(tmp_path):
+    res = _run_both(_PROJECTED_PORT, cache_dir=str(tmp_path))
+    assert res.design.fallback_cells == [
+        ("top.cell_inv_i1", "cell port bound to a projected sub-signal")]
+    assert dict(res.trace.changes)["top.y"] == [(0, 1), (1_000_000, 0)]
 
 
 def test_multi_driven_net_raises():
