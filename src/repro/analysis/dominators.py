@@ -69,9 +69,6 @@ class DominatorTree:
                 return False
             b = nxt
 
-    def strictly_dominates(self, a, b):
-        return a is not b and self.dominates(a, b)
-
     def common_dominator(self, a, b):
         """The closest block dominating both ``a`` and ``b`` (or None)."""
         if id(a) not in self.idom or id(b) not in self.idom:

@@ -68,12 +68,6 @@ class AnalysisManager:
             return None
         return per_unit.get(name)
 
-    def domtree(self, unit):
-        return self.get("domtree", unit)
-
-    def temporal(self, unit):
-        return self.get("temporal", unit)
-
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self, unit, preserved=frozenset()):

@@ -75,9 +75,6 @@ class TemporalRegions:
     def region(self, block):
         return self.region_of[id(block)]
 
-    def same_region(self, a, b):
-        return self.region_of.get(id(a)) == self.region_of.get(id(b))
-
     def exiting_blocks(self, tr):
         """Blocks of ``tr`` with a successor outside ``tr`` (or a wait)."""
         out = []
@@ -93,7 +90,3 @@ class TemporalRegions:
                     out.append(block)
                     break
         return out
-
-    def region_of_instruction(self, inst):
-        """The TR of the block containing ``inst``."""
-        return self.region_of[id(inst.parent)]

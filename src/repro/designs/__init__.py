@@ -138,79 +138,58 @@ STAGES = ("behavioural", "cleanup", "prepare", "lower", "netlist")
 
 
 def stage_reach(name, cycles=4):
-    """Which pipeline stages ``name`` reaches.
+    """Which pipeline stages ``name`` reaches, and which engines run its
+    netlist; compiles, lowers and maps the design once.
 
-    Returns ``(stages, rejections)``: a dict ``stage -> bool`` over
-    :data:`STAGES` and the design-process rejection list (empty when the
-    design lowers completely).
+    Returns ``(stages, rejections, engines, notes)``: a dict ``stage ->
+    bool`` over :data:`STAGES`; the design-process rejection list (empty
+    when the design lowers completely); and, when the design reaches
+    the netlist level, the engines that simulate that netlist in
+    :data:`repro.sim.BACKENDS` order with human-readable notes — the
+    levelized-ineligibility reason when that engine is absent, or its
+    per-cell event-driven fallbacks and combinational-cycle diagnoses
+    when it is present but degraded (both empty below the netlist
+    level).  The event-driven engines simulate any well-formed module,
+    so only the levelized engine is probed (in analysis mode:
+    absorption + levelization without code generation).
     """
     from ..interop import netlist_design
     from ..interop.techmap import TechmapError
     from ..passes.pipeline import lower_to_structural
+    from ..sim import BACKENDS, SimulationError
+    from ..sim.levelize import elaborate_levelized
 
     module = compile_design(name, cycles=cycles)
     report = lower_to_structural(module, strict=False, verify=False)
     rejections = report.design_rejections()
     reach = {"behavioural": True, "cleanup": True, "prepare": True,
              "lower": not rejections, "netlist": False}
-    if not rejections:
-        try:
-            netlist_design(module)
-        except TechmapError:
-            pass
-        else:
-            reach["netlist"] = True
-    return reach, rejections
-
-
-def deepest_level(name, cycles=4):
-    """The deepest pipeline stage ``name`` reaches (see :data:`STAGES`)."""
-    reach, _ = stage_reach(name, cycles=cycles)
-    return [s for s in STAGES if reach[s]][-1]
-
-
-def netlist_engine_report(name, cycles=4):
-    """Which simulation engines the design's netlist level supports.
-
-    Returns ``(engines, notes)``: the supported engine names in
-    :data:`repro.sim.BACKENDS` order, and human-readable notes — the
-    levelized-ineligibility reason when that engine is absent, or its
-    per-cell event-driven fallbacks and combinational-cycle diagnoses
-    when it is present but degraded.  The event-driven engines simulate
-    any well-formed module, so only the levelized engine needs probing
-    (in analysis mode: absorption + levelization without code
-    generation).  Raises if the design does not reach the netlist level
-    — gate on :func:`stage_reach` first.
-    """
-    from ..interop import netlist_design
-    from ..passes.pipeline import lower_to_structural
-    from ..sim import BACKENDS, SimulationError
-    from ..sim.levelize import elaborate_levelized
-
-    module = compile_design(name, cycles=cycles)
-    lower_to_structural(module, strict=False, verify=False)
-    linked = netlist_design(module)
+    if rejections:
+        return reach, rejections, [], []
+    try:
+        linked = netlist_design(module)
+    except TechmapError:
+        return reach, rejections, [], []
+    reach["netlist"] = True
     engines = [e for e in BACKENDS if e != "levelized"]
-    notes = []
     try:
         design = elaborate_levelized(linked, DESIGNS[name].top,
                                      analysis=True)
     except SimulationError as exc:
-        notes.append(f"levelized ineligible: {exc}")
-        return engines, notes
+        return reach, rejections, engines, [f"levelized ineligible: {exc}"]
+    except Exception as exc:  # the probe must never break a listing
+        return reach, rejections, [], [f"engine probe failed: {exc}"]
     engines.append("levelized")
-    report = design.report
-    for path, why in report.get("fallbacks", []):
-        notes.append(f"levelized event-driven fallback {path}: {why}")
-    for members in report.get("cycles", []):
+    notes = [f"levelized event-driven fallback {path}: {why}"
+             for path, why in design.report.get("fallbacks", [])]
+    for members in design.report.get("cycles", []):
         notes.append("levelized iterative settle (combinational "
                      f"cycle): {', '.join(members[:4])}"
                      + (" ..." if len(members) > 4 else ""))
-    return engines, notes
+    return reach, rejections, engines, notes
 
 
 __all__ = ["ALL_DESIGNS", "DESIGNS", "Design", "FOUR_STATE_ORDER",
            "NETLIST_DESIGNS", "STAGES", "TABLE2_ORDER",
-           "base_design_name", "compile_design", "deepest_level",
-           "expand_cycle_budgets", "netlist_engine_report",
+           "base_design_name", "compile_design", "expand_cycle_budgets",
            "simulate_design", "stage_reach"]

@@ -101,7 +101,8 @@ def technology_map(module, gate_delay="100ps", keep_behavioural=False):
                 "input is not Structural LLHD:\n  " + "\n  ".join(issues))
     out = Module(module.name + "_netlist")
     library_module = Module(module.name + "_cells")
-    library = {"__module__": library_module, "__out__": out}
+    library = {"__module__": library_module, "__out__": out,
+               "__counts__": {}}
     for unit in entities:
         _map_entity(unit, out, library, TimeValue.parse(gate_delay))
     # Check the level contract before consuming the input: on failure the
@@ -146,6 +147,16 @@ def _declare(out, library, cell):
         cell.name, "entity",
         [a.type for a in cell.inputs], [a.type for a in cell.outputs]))
     return cell.name
+
+
+def _numbered_name(library, kind, ty):
+    """``cell_{kind}{n}_{type}``, numbering each storage or port kind
+    from 0 in creation order, so the name does not depend on how many
+    other cells the library caches."""
+    counts = library["__counts__"]
+    n = counts.get(kind, 0)
+    counts[kind] = n + 1
+    return f"cell_{kind}{n}_{_type_key(ty)}"
 
 
 def _cell(out, library, opcode, in_types, out_ty, delay, attrs=()):
@@ -288,9 +299,8 @@ def _reg_cell(out, library, inst, root_ty, steps, index_types):
     name = library.get(key)
     if name is not None:
         return name
-    n = len(library)
-    kind = "writeport" if steps else "dff"
-    name = f"cell_{kind}{n}_{_type_key(root_ty)}"
+    name = _numbered_name(library, "writeport" if steps else "dff",
+                          root_ty)
     in_types, in_names = [], []
     for i, ty in enumerate(index_types):
         in_types.append(signal_type(ty))
@@ -530,8 +540,7 @@ class _MapContext:
         name = self.library.get(key)
         if name is not None:
             return name
-        n = len(self.library)
-        name = f"cell_readport{n}_{_type_key(root_ty)}"
+        name = _numbered_name(self.library, "readport", root_ty)
         in_types = [signal_type(root_ty)] + \
             [signal_type(t) for t in index_types]
         in_names = ["m"] + [f"i{j}" for j in range(len(index_types))]

@@ -343,16 +343,6 @@ class LogicVec:
             self._weak & keep | other._weak << offset,
             self._aux & keep | other._aux << offset)
 
-    def concat(self, low):
-        """This vector as the high bits above ``low``."""
-        shift = low._width
-        return LogicVec._make(
-            self._width + shift,
-            self._val << shift | low._val,
-            self._unk << shift | low._unk,
-            self._weak << shift | low._weak,
-            self._aux << shift | low._aux)
-
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other):

@@ -198,9 +198,6 @@ class DesignModel:
         a.names.extend(b.names)
         return a
 
-    def canonical_nets(self):
-        return [net for net in self.nets if net._rep is None]
-
     # -- value resolution --------------------------------------------------------
 
     def _sigref(self, value, env):

@@ -56,9 +56,7 @@ def materialize_constant(value, ty, emit):
     specialized drive values into an entity) and the loop unroller
     (staging per-iteration constants into the preheader).
     """
-    from ..sim.values import PackedLogicArray
-
-    if isinstance(value, (tuple, PackedLogicArray)):
+    if isinstance(value, tuple):
         if ty.is_array:
             parts = [materialize_constant(v, ty.element, emit)
                      for v in value]

@@ -307,9 +307,7 @@ def main(argv=None):
             parser.error(
                 "--batch does not support the levelized engine")
     if args.list_designs:
-        from ..designs import (
-            ALL_DESIGNS, DESIGNS, netlist_engine_report, stage_reach,
-        )
+        from ..designs import ALL_DESIGNS, DESIGNS, stage_reach
         from ..lint import lint_design
 
         for name in ALL_DESIGNS:
@@ -324,21 +322,16 @@ def main(argv=None):
             if args.no_reach:
                 print(f"{prefix} lint {lint:12s} {design.paper_name}")
                 continue
-            reach, rejections = stage_reach(name)
+            reach, rejections, engines, notes = stage_reach(name)
             deepest = [s for s, ok in reach.items() if ok][-1]
             if reach["netlist"]:
-                try:
-                    engines, notes = netlist_engine_report(name)
-                except Exception as exc:  # must never break the listing
-                    engines, notes = [], [f"engine probe failed: {exc}"]
                 deepest = f"{deepest}[{','.join(engines)}]"
             print(f"{prefix} reach {deepest} lint {lint:12s} "
                   f"{design.paper_name}")
             for proc, why in rejections:
                 print(f"{'':21s} rejected @{proc}: {why}")
-            if reach["netlist"]:
-                for note in notes:
-                    print(f"{'':21s} {note}")
+            for note in notes:
+                print(f"{'':21s} {note}")
         return 0
     module, top = _load_module(args, parser)
 

@@ -37,10 +37,6 @@ class BatchStimulus:
     def __init__(self, units=None):
         self.units = dict(units or {})
 
-    def replace(self, name, per_lane_units):
-        self.units[name] = list(per_lane_units)
-        return self
-
     def validate(self, lanes):
         for name, units in self.units.items():
             if len(units) != lanes:

@@ -61,7 +61,6 @@ from .plan import (
 )
 from .values import (
     SimulationError, dynamic_index, extract_path, insert_path, mask,
-    pack_array,
 )
 
 _EPSILON = TimeValue(0, 0, 1)
@@ -93,7 +92,6 @@ _BASE_GLOBALS = {
     "dynamic_index": dynamic_index,
     "_extract": extract_path,
     "_insert": insert_path,
-    "_parr": pack_array,
     "_Sig": SignalInstance,
     "LogicVec": LogicVec,
     "TimeValue": TimeValue,
@@ -188,12 +186,8 @@ class UnitCompiler:
             return self.const_expr(inst)
         if op == "array":
             if inst.attrs.get("splat"):
-                expr = f"({self.boxed(ops[0])},) * {inst.type.length}"
-            else:
-                expr = self._tuple(ops)
-            if inst.type.element.is_logic:
-                return f"_parr({expr})"
-            return expr
+                return f"({self.boxed(ops[0])},) * {inst.type.length}"
+            return self._tuple(ops)
         if op == "struct":
             return self._tuple(ops)
         if op == "extf":

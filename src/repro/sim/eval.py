@@ -36,7 +36,7 @@ from __future__ import annotations
 from ..ir.ninevalued import LogicVec
 from .values import (
     SimulationError, dynamic_index, extract_path, from_signed, insert_path,
-    mask, pack_array, to_signed,
+    mask, to_signed,
 )
 
 
@@ -307,12 +307,8 @@ def _eval_trunc(inst, operands):
 
 def _eval_array(inst, operands):
     if inst.attrs.get("splat"):
-        elems = tuple(operands[0] for _ in range(inst.type.length))
-    else:
-        elems = tuple(operands)
-    if inst.type.element.is_logic:
-        return pack_array(elems)
-    return elems
+        return (operands[0],) * inst.type.length
+    return tuple(operands)
 
 
 def _eval_struct(inst, operands):

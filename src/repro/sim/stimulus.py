@@ -165,8 +165,7 @@ def inject_stimulus(module, top_name, seed, exclude_names=frozenset(),
     return True
 
 
-def inject_batch_stimulus(module, top_name, seed, lane_seeds,
-                          exclude_names=frozenset()):
+def inject_batch_stimulus(module, top_name, seed, lane_seeds):
     """Inject a K-lane divergent stimulus into the top entity.
 
     Targets come from the base ``seed``; lane k's waveform from
@@ -176,9 +175,8 @@ def inject_batch_stimulus(module, top_name, seed, lane_seeds,
     :func:`design_driven_names`).  Returns None when the top has no
     injectable nets.
     """
-    exclude_names = (frozenset(exclude_names)
-                     | design_driven_names(module, top_name))
-    targets = stimulus_targets(module, top_name, seed, exclude_names)
+    targets = stimulus_targets(module, top_name, seed,
+                               design_driven_names(module, top_name))
     if not targets:
         return None
     units = []
@@ -191,14 +189,12 @@ def inject_batch_stimulus(module, top_name, seed, lane_seeds,
     return BatchStimulus({units[0].name: units})
 
 
-def inject_lane_stimulus(module, top_name, seed, lane_seed,
-                         exclude_names=frozenset()):
+def inject_lane_stimulus(module, top_name, seed, lane_seed):
     """The scalar reference of one batch lane: same targets (from the
     base ``seed``), same exclusions, waveform from ``lane_seed``.
     Returns True if any signal was targeted."""
-    exclude_names = (frozenset(exclude_names)
-                     | design_driven_names(module, top_name))
-    targets = stimulus_targets(module, top_name, seed, exclude_names)
+    targets = stimulus_targets(module, top_name, seed,
+                               design_driven_names(module, top_name))
     if not targets:
         return False
     proc = build_stimulus_process(module, STIMULUS_NAME, targets, lane_seed)

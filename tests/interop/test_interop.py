@@ -195,6 +195,29 @@ def test_techmap_maps_reg_onto_storage_cell():
     assert next(regs[0].reg_triggers())["mode"] == "rise"
 
 
+@pytest.mark.parametrize("gates", (0, 3))
+def test_storage_cells_are_numbered_per_kind_from_zero(gates):
+    """A storage cell's number counts only earlier cells of its kind, so
+    it does not depend on how many gate cells the library holds."""
+    ops = "".join(f"  %v{k + 1} = {op} i8 %v{k}, %bp\n"
+                  for k, op in enumerate(("and", "or", "xor")[:gates]))
+    module = parse_module(f"""
+    entity @ff (i1$ %clk, i8$ %a, i8$ %b) -> (i8$ %q, i8$ %r) {{
+      %t = const time 0s
+      %clkp = prb i1$ %clk
+      %v0 = prb i8$ %a
+      %bp = prb i8$ %b
+    {ops}
+      reg i8$ %q, %v{gates} rise %clkp after %t
+      reg i8$ %r, %v0 fall %clkp after %t
+    }}
+    """)
+    _, library = technology_map(module)
+    names = [unit.name for unit in library]
+    assert len(names) == gates + 2
+    assert names[gates:] == ["cell_dff0_i8", "cell_dff1_i8"]
+
+
 def test_techmap_preserves_nonzero_drive_delays_with_del():
     module = parse_module("""
     entity @dly (i8$ %a) -> (i8$ %y) {

@@ -97,8 +97,6 @@ def test_slice_and_splice_match_string_semantics(text, data):
     spliced = v.splice(offset, LogicVec(repl))
     assert spliced.bits == \
         text[:w - offset - length] + repl + text[w - offset:]
-    assert LogicVec(text[:max(1, w // 2)]).concat(v).bits == \
-        text[:max(1, w // 2)] + text
 
 
 @given(wide_text, st.data())

@@ -748,9 +748,10 @@ def test_analysis_mode_skips_codegen(tmp_path):
 
 
 def test_netlist_engine_report_lists_levelized():
-    from repro.designs import netlist_engine_report
+    from repro.designs import stage_reach
 
-    engines, notes = netlist_engine_report("gray", cycles=4)
+    reach, rejections, engines, notes = stage_reach("gray", cycles=4)
+    assert reach["netlist"] and rejections == []
     assert engines == ["interp", "blaze", "cycle", "levelized"]
     assert notes == []
 

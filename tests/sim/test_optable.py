@@ -29,7 +29,7 @@ from repro.sim.blaze import _BASE_GLOBALS, ProcessCompiler
 from repro.sim.compiled import build_template, generate_source
 from repro.sim.eval import evaluate, int_shift, logic_level, logic_shift
 from repro.sim.plan import _PROC_OPS, _step_factory, _step_for
-from repro.sim.values import SimulationError, mask, pack_array
+from repro.sim.values import SimulationError, mask
 
 WIDTHS = (1, 8, 64, 65, 130)
 EDGES = ("rise", "fall", "high", "low", "both")
@@ -112,8 +112,7 @@ def _value(rng, ty, kind):
         return rng.randrange(ty.states)
     if ty.is_logic:
         return _logic(rng, ty.width, kind)
-    elements = tuple(_value(rng, ty.element, kind) for _ in range(ty.length))
-    return pack_array(elements)
+    return tuple(_value(rng, ty.element, kind) for _ in range(ty.length))
 
 
 def _amounts(ty, width):

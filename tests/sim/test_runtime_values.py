@@ -1,5 +1,4 @@
-"""Runtime value helpers: path projection, signed helpers, defaults,
-and the tuple protocol of plane-packed ``lN`` arrays."""
+"""Runtime value helpers: path projection, signed helpers, defaults."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +6,8 @@ from hypothesis import given, strategies as st
 from repro.ir import LogicVec, parse_type_text
 from repro.ir.values import TimeValue
 from repro.sim.values import (
-    PackedLogicArray, SimulationError, default_value, extract_path,
-    format_value, from_signed, insert_path, pack_array, to_signed,
+    SimulationError, default_value, extract_path, format_value, from_signed,
+    insert_path, to_signed,
 )
 
 
@@ -31,9 +30,9 @@ def test_default_values():
     assert lv == LogicVec("UUUU")
     assert default_value(parse_type_text("time")) == TimeValue(0)
     assert default_value(parse_type_text("i4$")) == 0
-    packed = default_value(parse_type_text("{l2, [2 x l3]}"))
-    assert packed == (LogicVec("UU"), (LogicVec("UUU"), LogicVec("UUU")))
-    assert type(packed[1]) is PackedLogicArray
+    nested = default_value(parse_type_text("{l2, [2 x l3]}"))
+    assert nested == (LogicVec("UU"), (LogicVec("UUU"), LogicVec("UUU")))
+    assert type(nested[1]) is tuple
     with pytest.raises(SimulationError):
         default_value(parse_type_text("i8*"))
 
@@ -102,47 +101,22 @@ def test_out_of_range_field_raises():
         insert_path((1, 2), (("field", 2),), 0)
 
 
-_ELEMS = (LogicVec("01X"), LogicVec("ZZ1"), LogicVec("HLW"), LogicVec("U-0"))
-
-
-def test_packed_array_reads_like_a_tuple():
-    arr = pack_array(_ELEMS)
-    assert type(arr) is PackedLogicArray
-    assert arr.elem_width == 3 and arr.data.width == 12
-    assert len(arr) == 4 and list(arr) == list(_ELEMS)
-    assert arr[-1] == _ELEMS[-1]
-    with pytest.raises(IndexError):
-        arr[4]
-    assert arr[1:3] == _ELEMS[1:3] and type(arr[1:3]) is PackedLogicArray
-    assert arr[::2] == _ELEMS[::2]
-    assert arr[2:2] == ()
-    assert arr == _ELEMS and hash(arr) == hash(_ELEMS)
-    assert arr != _ELEMS[:3] and arr.__eq__(7) is NotImplemented
-    assert format_value(arr) == "[01X, ZZ1, HLW, U-0]"
-    assert repr(arr).startswith("PackedLogicArray(")
-    assert PackedLogicArray.from_elements(()) == ()
-
-
-def test_packed_array_concatenation():
-    arr = pack_array(_ELEMS)
-    assert arr[:1] + arr[1:] == _ELEMS
-    assert arr[:0] + arr is arr
-    assert arr[:2] + _ELEMS[2:] == _ELEMS
-    assert type(arr[:2] + _ELEMS[2:]) is PackedLogicArray
-    assert _ELEMS[:2] + arr[2:] == _ELEMS
-    assert type(_ELEMS[:2] + arr[2:]) is PackedLogicArray
-    assert arr + () is arr and () + arr is arr
-    # Elements that do not pack fall back to a plain tuple.
-    assert arr + (1,) == _ELEMS + (1,)
-    assert (1,) + arr == (1,) + _ELEMS
-
-
-@pytest.mark.parametrize("pack_new", (False, True))
-def test_packed_array_slice_paths(pack_new):
-    arr = pack_array(_ELEMS)
+@pytest.mark.parametrize("nested", (False, True))
+def test_packed_array_slice_paths(nested):
+    """Slice paths over an ``[N x lM]`` array, alone or as a struct field."""
+    elems = (LogicVec("01X"), LogicVec("ZZ1"), LogicVec("HLW"),
+             LogicVec("U-0"))
     path = (("slice", 1, 2, "array"),)
-    assert extract_path(arr, path) == _ELEMS[1:3]
+    value = elems
+    if nested:
+        path = (("field", 1),) + path
+        value = (LogicVec("10"), elems)
+    assert extract_path(value, path) == elems[1:3]
     new = (LogicVec("111"), LogicVec("000"))
-    updated = insert_path(arr, path, pack_array(new) if pack_new else new)
-    assert type(updated) is PackedLogicArray
-    assert updated == (_ELEMS[0],) + new + (_ELEMS[3],)
+    updated = insert_path(value, path, new)
+    if nested:
+        assert updated[0] == value[0]
+        updated = updated[1]
+    assert type(updated) is tuple
+    assert updated == (elems[0],) + new + (elems[3],)
+    assert format_value(updated) == "[01X, 111, 000, U-0]"

@@ -93,10 +93,23 @@ def test_cross_check_includes_and_reports_the_selected_engine(batch, capsys):
     assert err[-1] == cycle_stats
 
 
-def test_list_designs(capsys):
+def test_list_designs(capsys, monkeypatch):
+    from repro.designs import ALL_DESIGNS
+    from repro.passes import pipeline
+
+    lowered = []
+    lower = pipeline.lower_to_structural
+
+    def counting_lower(module, *args, **kwargs):
+        lowered.append(module.name)
+        return lower(module, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "lower_to_structural", counting_lower)
     assert main(["--list-designs"]) == 0
     out = capsys.readouterr().out
     assert "riscv" in out and "sorter" in out
+    # Each design is compiled, lowered and mapped once for the listing.
+    assert sorted(lowered) == sorted(ALL_DESIGNS)
 
 
 def test_unknown_design_errors():

@@ -14,7 +14,6 @@ import pytest
 from repro.designs import DESIGNS, compile_design
 from repro.ir import LogicVec, parse_module
 from repro.sim import simulate
-from repro.sim.values import PackedLogicArray
 
 ENGINES = ("interp", "blaze", "cycle")
 FOUR_STATE = ("gray_l", "fir_l", "lfsr_l", "lzc_l", "fifo_l", "cdc_gray_l",
@@ -23,15 +22,18 @@ FOUR_STATE = ("gray_l", "fir_l", "lfsr_l", "lzc_l", "fifo_l", "cdc_gray_l",
 
 
 def assert_boxed(value, ty, where):
-    """Every ``lN`` part of ``value`` (of type ``ty``) is a LogicVec."""
+    """Every ``lN`` part of ``value`` (of type ``ty``) is a LogicVec, and
+    every array and struct is a tuple."""
     if ty.is_logic:
         assert type(value) is LogicVec, (where, value)
     elif ty.is_array:
-        if ty.element.is_logic and ty.length:
-            assert type(value) is PackedLogicArray, (where, value)
+        assert type(value) is tuple and len(value) == ty.length, \
+            (where, value)
         for element in value:
             assert_boxed(element, ty.element, where)
     elif ty.is_struct:
+        assert type(value) is tuple and len(value) == len(ty.fields), \
+            (where, value)
         for field, field_type in zip(value, ty.fields):
             assert_boxed(field, field_type, where)
 
