@@ -9,21 +9,25 @@ an instance of a gate-library cell (itself an entity), producing a valid
 Netlist-LLHD module.  It exists to exercise the Netlist dialect and the
 level verifier, not to be a logic synthesizer.
 
-The library is *typed*: every cell is keyed by its operator and operand
-types, so two-valued (``iN``) and nine-valued (``lN``) operators map to
-distinct cells — an ``lN`` AND cell computes the IEEE 1164 AND on the
-packed planes, an ``lN`` adder degrades to all-``X`` on unknown inputs,
-exactly like the behavioural entity it replaces.  Sequential storage
-(``reg``) maps onto flip-flop/latch cells keyed by their trigger
-signature (modes, conditions, delays) including write-port cells for
-``reg`` on a projected sub-signal (the FIFO memory pattern), and signal
-projections (``extf``/``exts`` used as probe sources) become read-port
-wiring cells.  Drives preserve their delay: zero-delay drives become
-``con`` net merges, delayed drives go through a ``del`` node.  Every
-cell is one monolithic model of its operator, one ``reg``, or one
-projection; the mapper only builds the library.  The simulator reads
-the cells back structurally (the levelized engine classifies each cell
-entity it instantiates), so nothing here is simulator-facing.
+One rule makes every gate cell: a data-flow instruction maps onto a
+cell that probes its ports, computes one copy of the instruction and
+drives ``y``.  Each value operand is an input port (a ``mux``'s choices
+are one port each, then the selector); the static ``index``/``offset``/
+``length`` attributes and a constant ``shl``/``shr`` amount are built
+into the cell and name it (``cell_exts_4_8_i16``, ``cell_shl_3_i8``).
+The library is *typed*: a cell is keyed by its opcode, its operand and
+result types and those built-in values, so two-valued (``iN``) and
+nine-valued (``lN``) operators map to distinct cells, each computing
+exactly what the instruction computed in the entity it replaces.
+Sequential storage (``reg``) maps onto flip-flop/latch cells keyed by
+their trigger signature (modes, conditions, delays) including
+write-port cells for ``reg`` on a projected sub-signal (the FIFO memory
+pattern), and signal projections (``extf``/``exts`` used as probe
+sources) become read-port wiring cells.  Drives preserve their delay:
+zero-delay drives become ``con`` net merges, delayed drives go through
+a ``del`` node.  The mapper only builds the library.  The simulator
+reads the cells back structurally (the levelized engine classifies each
+cell entity it instantiates), so nothing here is simulator-facing.
 
 With ``keep_behavioural=True`` the mapper accepts a module that still
 contains behavioural processes (the testbench left behind by a
@@ -40,7 +44,7 @@ from ..ir.builder import Builder
 from ..ir.dialects import (
     NETLIST, STRUCTURAL, STRUCTURAL_OPCODES, level_violations,
 )
-from ..ir.instructions import Instruction
+from ..ir.instructions import CAST_OPS, DATAFLOW_OPS, Instruction
 from ..ir.ninevalued import LogicVec
 from ..ir.types import int_type, signal_type
 from ..ir.units import Entity, Module, UnitDecl
@@ -51,17 +55,8 @@ class TechmapError(Exception):
     """Raised when a construct has no gate-library mapping."""
 
 
-# Operators realizable as generic library cells (one cell per op/types).
-_BINARY_OPS = frozenset({
-    "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem", "srem",
-    "and", "or", "xor",
-})
-_COMPARE_OPS = frozenset({
-    "eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge",
-})
-_UNARY_OPS = frozenset({"not", "neg"})
-_CAST_OPS = frozenset({"zext", "sext", "trunc"})
-_MAPPABLE = _BINARY_OPS | _COMPARE_OPS | _UNARY_OPS | _CAST_OPS | {"mux"}
+# The attributes a gate cell builds in: static indices and slice bounds.
+_STATIC_ATTRS = ("index", "offset", "length")
 
 
 def _type_key(ty):
@@ -95,7 +90,7 @@ def technology_map(module, gate_delay="100ps", keep_behavioural=False):
         issues = [f"@{entity.name}: instruction '{i.opcode}' is not "
                   f"allowed in structural LLHD"
                   for i in entity.instructions()
-                  if i.opcode not in _STRUCTURAL_OK]
+                  if i.opcode not in STRUCTURAL_OPCODES]
         if issues:
             raise TechmapError(
                 "input is not Structural LLHD:\n  " + "\n  ".join(issues))
@@ -115,11 +110,6 @@ def technology_map(module, gate_delay="100ps", keep_behavioural=False):
         module.remove(unit.name)
         out.add(unit)
     return out, library_module
-
-
-# The per-entity structural check reuses the dialect's own opcode set so
-# the two can never drift apart.
-_STRUCTURAL_OK = STRUCTURAL_OPCODES
 
 
 def netlist_design(module):
@@ -159,18 +149,30 @@ def _numbered_name(library, kind, ty):
     return f"cell_{kind}{n}_{_type_key(ty)}"
 
 
-def _cell(out, library, opcode, in_types, out_ty, delay, attrs=()):
-    """Get or create the library cell computing ``opcode`` over values of
-    ``in_types``, producing ``out_ty``; ``attrs`` folds static operands
-    (shift amounts, slice offsets) into the cell identity."""
-    key = (opcode, tuple(map(str, in_types)), str(out_ty), tuple(attrs))
+def _cell(out, library, opcode, in_types, out_ty, delay, attrs=None,
+          amount=None):
+    """Get or create the gate cell computing ``opcode`` over inputs of
+    ``in_types``, producing ``out_ty``.
+
+    The body probes every port, computes one copy of the instruction and
+    drives ``y`` after ``delay``: a ``mux`` first gathers its choice
+    ports into an ``array``, a constant shift builds its ``amount`` as
+    an ``i32`` constant, and ``attrs`` (the static ``index``/``offset``/
+    ``length``) are the copy's own.  Those attribute values and the
+    amount key the cell and name it.  ``buf``, the one body that is not
+    an instruction, drives its input unchanged."""
+    attrs = attrs or {}
+    tags = [v for v in attrs.values() if v is not None]
+    if amount is not None:
+        tags.append(amount)
+    key = (opcode, tuple(map(str, in_types)), str(out_ty), tuple(tags))
     name = library.get(key)
     if name is not None:
         return name
-    suffix = "".join(f"_{a}" for a in attrs)
+    suffix = "".join(f"_{t}" for t in tags)
     name = f"cell_{opcode}{suffix}_" + "_".join(
         _type_key(t) for t in in_types)
-    if opcode in _CAST_OPS:  # same input, several output widths
+    if opcode in CAST_OPS:  # same input, several output widths
         name += f"_to_{_type_key(out_ty)}"
     port_names = [f"a{i}" for i in range(len(in_types))]
     cell = Entity(name, [signal_type(t) for t in in_types], port_names,
@@ -178,43 +180,14 @@ def _cell(out, library, opcode, in_types, out_ty, delay, attrs=()):
     b = Builder.at_end(cell.body)
     ins = [b.prb(a) for a in cell.inputs]
     d = b.const_time(delay)
-    if opcode in _BINARY_OPS:
-        result = b.binary(opcode, ins[0], ins[1])
-    elif opcode in _COMPARE_OPS:
-        result = b.compare(opcode, ins[0], ins[1])
-    elif opcode == "not":
-        result = b.not_(ins[0])
-    elif opcode == "neg":
-        result = b.neg(ins[0])
-    elif opcode in _CAST_OPS:
-        result = getattr(b, opcode)(ins[0], out_ty)
-    elif opcode == "mux":
-        arr = b.array(ins[:-1])
-        result = b.mux(arr, ins[-1])
-    elif opcode == "buf":
+    if opcode == "buf":
         result = ins[0]
-    elif opcode in ("shl", "shr"):
-        if attrs:  # static shift: the amount is folded into the cell
-            amt = b.const_int(int_type(32), attrs[0])
-            result = b.binary(opcode, ins[0], amt)
-        else:      # barrel shifter: the amount is a second input
-            result = b.binary(opcode, ins[0], ins[1])
-    elif opcode == "exts":
-        result = b.exts(ins[0], attrs[0], attrs[1])
-    elif opcode == "extf":
-        if attrs:
-            result = b.extf(ins[0], attrs[0])
-        else:
-            result = b.extf(ins[0], ins[1])
-    elif opcode == "inss":
-        result = b.inss(ins[0], ins[1], attrs[0], attrs[1])
-    elif opcode == "insf":
-        if attrs:
-            result = b.insf(ins[0], ins[1], attrs[0])
-        else:
-            result = b.insf(ins[0], ins[1], ins[2])
     else:
-        raise TechmapError(f"no cell recipe for '{opcode}'")
+        if opcode == "mux":
+            ins = [b.array(ins[:-1]), ins[-1]]
+        elif amount is not None:
+            ins.append(b.const_int(int_type(32), amount))
+        result = b.insert(Instruction(opcode, out_ty, ins, attrs))
     b.drv(cell.outputs[0], result, d)
     library[key] = _declare(out, library, cell)
     return library[key]
@@ -352,8 +325,8 @@ def _map_entity(entity, out, library, delay):
     consts = {}       # id(inst) -> const instruction (lazily cloned)
     aggregates = {}   # id(inst) -> array/struct constant tree
 
-    ctx = _MapContext(entity, mapped, builder, out, library, delay,
-                      signal_of, consts, aggregates)
+    ctx = _MapContext(entity, builder, out, library, delay, signal_of,
+                      consts, aggregates)
 
     for inst in entity.body:
         op = inst.opcode
@@ -370,6 +343,8 @@ def _map_entity(entity, out, library, delay):
             signal_of[id(inst)] = ctx.source_signal(inst.operands[0])
         elif op in ("extf", "exts"):
             continue  # materialized lazily, at the probing/driving use
+        elif op in DATAFLOW_OPS:
+            signal_of[id(inst)] = ctx.map_gate(inst)
         elif op == "drv":
             ctx.map_drive(inst)
         elif op == "reg":
@@ -381,14 +356,6 @@ def _map_entity(entity, out, library, delay):
             signal_of[id(inst)] = builder.delayed(
                 ctx.as_signal(inst.operands[0]),
                 ctx.materialize_time(inst.operands[1]))
-        elif op == "mux":
-            signal_of[id(inst)] = ctx.map_mux(inst)
-        elif op in ("inss", "insf"):
-            signal_of[id(inst)] = ctx.map_insert(inst)
-        elif op in ("shl", "shr"):
-            signal_of[id(inst)] = ctx.map_shift(inst)
-        elif op in _MAPPABLE:
-            signal_of[id(inst)] = ctx.map_op(inst)
         elif op == "inst":
             inputs = [ctx.as_signal(o) for o in inst.inst_inputs()]
             outputs = [ctx.as_signal(o) for o in inst.inst_outputs()]
@@ -402,10 +369,9 @@ def _map_entity(entity, out, library, delay):
 class _MapContext:
     """Per-entity mapping state and helpers."""
 
-    def __init__(self, entity, mapped, builder, out, library, delay,
-                 signal_of, consts, aggregates):
+    def __init__(self, entity, builder, out, library, delay, signal_of,
+                 consts, aggregates):
         self.entity = entity
-        self.mapped = mapped
         self.builder = builder
         self.out = out
         self.library = library
@@ -449,32 +415,12 @@ class _MapContext:
             if value.operands[0].type.is_signal:
                 sig = self.project_source(value)
             else:
-                sig = self.value_projection(value)
+                sig = self.map_gate(value)
             self.signal_of[id(value)] = sig
             return sig
         raise TechmapError(
             f"@{self.entity.name}: no netlist signal for "
             f"%{value.name or '?'}")
-
-    def value_projection(self, value):
-        """A wiring cell for extf/exts applied to a plain value: a bit
-        slice or element select of a bus, pure wiring in hardware."""
-        op = value.opcode
-        operands = [value.operands[0]]
-        if op == "exts":
-            attrs = (value.attrs["offset"], value.attrs["length"])
-        else:
-            index = value.attrs.get("index")
-            if index is None:
-                operands.append(value.operands[1])
-                attrs = ()
-            else:
-                attrs = (index,)
-        sigs = [self.materialize(o) for o in operands]
-        cell = _cell(self.out, self.library, op,
-                     [o.type for o in operands], value.type, self.delay,
-                     attrs=attrs)
-        return self._instantiate(cell, sigs, value)
 
     def materialize_time(self, value):
         const = self.consts.get(id(value))
@@ -527,12 +473,8 @@ class _MapContext:
         index_sigs = [self.materialize(v) for v in index_values]
         name = self._readport_cell(root.type.element, elem, steps,
                                    [v.type for v in index_values])
-        init = _default_const(self.builder, elem)
-        result = self.builder.sig(init, name=value.name)
-        self._owned.add(id(result))
-        self._sig_inits[id(result)] = init
-        self.builder.inst(name, [root_sig] + index_sigs, [result])
-        return result
+        return self._instantiate(name, [root_sig] + index_sigs, elem,
+                                 value.name)
 
     def _readport_cell(self, root_ty, elem_ty, steps, index_types):
         key = ("readport", str(root_ty), _steps_signature(steps),
@@ -554,84 +496,42 @@ class _MapContext:
         self.library[key] = _declare(self.out, self.library, cell)
         return self.library[key]
 
-    # -- instruction mappers ----------------------------------------------
+    # -- gates ------------------------------------------------------------
 
-    def map_op(self, inst):
+    def map_gate(self, inst):
+        """An instance of the gate cell computing ``inst``: each value
+        operand feeds an input port (a ``mux``'s choice array one port
+        per element), and a constant shift amount is built in."""
         op = inst.opcode
-        if op in _UNARY_OPS or op in _CAST_OPS:
-            operands = [inst.operands[0]]
-        else:
-            operands = list(inst.operands[:2])
+        operands = list(inst.operands)
+        amount = None
+        if op == "mux":
+            choices = operands[0]
+            if not isinstance(choices, Instruction) \
+                    or choices.opcode != "array" \
+                    or choices.attrs.get("splat"):
+                raise TechmapError(
+                    "mux choices must be an explicit array to map")
+            operands[:1] = choices.operands
+        elif op in ("shl", "shr") and id(operands[1]) in self.consts:
+            amount = self.consts[id(operands.pop())].attrs["value"]
+            if isinstance(amount, LogicVec):
+                if not amount.is_two_valued:
+                    raise TechmapError(
+                        f"@{self.entity.name}: '{op}' by an unknown "
+                        f"amount has no library mapping")
+                amount = amount.to_int()
         sigs = [self.materialize(o) for o in operands]
-        cell = _cell(self.out, self.library, op,
-                     [o.type for o in operands], inst.type, self.delay)
-        return self._instantiate(cell, sigs, inst)
-
-    def map_mux(self, inst):
-        arr = inst.operands[0]
-        if not isinstance(arr, Instruction) or arr.opcode != "array" \
-                or arr.attrs.get("splat"):
-            raise TechmapError(
-                "mux choices must be an explicit array to map")
-        choices = list(arr.operands)
-        sel = inst.operands[1]
-        sigs = [self.materialize(c) for c in choices] \
-            + [self.materialize(sel)]
-        # Typed N-way mux cell: one cell per (way count, choice/selector
-        # types); a 2-way mux keeps its classic shape, wider selections
-        # map to a single N-way cell instead of a 2-way tower.
-        cell = _cell(self.out, self.library, "mux",
-                     [c.type for c in choices] + [sel.type], inst.type,
-                     self.delay)
-        return self._instantiate(cell, sigs, inst)
-
-    def map_insert(self, inst):
-        """Slice/element insertion (``inss``/``insf``) as a wiring cell:
-        the mux-insertion pass uses these to turn partial drives into
-        whole-signal drives, and in hardware they are pure wiring."""
-        op = inst.opcode
-        operands = [inst.operands[0], inst.operands[1]]
-        if op == "inss":
-            attrs = (inst.attrs["offset"], inst.attrs["length"])
-        else:
-            index = inst.attrs.get("index")
-            if index is None:
-                operands.append(inst.operands[2])
-                attrs = ()
-            else:
-                attrs = (index,)
-        sigs = [self.materialize(o) for o in operands]
+        attrs = {k: inst.attrs[k] for k in _STATIC_ATTRS if k in inst.attrs}
         cell = _cell(self.out, self.library, op,
                      [o.type for o in operands], inst.type, self.delay,
-                     attrs=attrs)
-        return self._instantiate(cell, sigs, inst)
+                     attrs, amount)
+        return self._instantiate(cell, sigs, inst.type, inst.name)
 
-    def map_shift(self, inst):
-        amount_const = self.consts.get(id(inst.operands[1]))
-        if amount_const is None:
-            # Barrel shifter: a two-input cell keyed by value and amount
-            # types, like any other binary operator.
-            value, amount = inst.operands[:2]
-            sigs = [self.materialize(value), self.materialize(amount)]
-            cell = _cell(self.out, self.library, inst.opcode,
-                         [value.type, amount.type], inst.type, self.delay)
-            return self._instantiate(cell, sigs, inst)
-        amount = amount_const.attrs["value"]
-        if isinstance(amount, LogicVec):
-            if not amount.is_two_valued:
-                raise TechmapError(
-                    f"@{self.entity.name}: '{inst.opcode}' by an unknown "
-                    f"amount has no library mapping")
-            amount = amount.to_int()
-        cell = _cell(self.out, self.library, inst.opcode,
-                     [inst.operands[0].type], inst.type, self.delay,
-                     attrs=(amount,))
-        a_sig = self.materialize(inst.operands[0])
-        return self._instantiate(cell, [a_sig], inst)
-
-    def _instantiate(self, cell, input_sigs, inst):
-        init = _default_const(self.builder, inst.type)
-        result = self.builder.sig(init, name=inst.name)
+    def _instantiate(self, cell, input_sigs, ty, name):
+        """An instance of ``cell`` driving a fresh ``ty`` result net."""
+        init = _default_const(self.builder, ty)
+        result = self.builder.sig(init, name=name)
         self._owned.add(id(result))
         self._sig_inits[id(result)] = init
         self.builder.inst(cell, input_sigs, [result])

@@ -15,6 +15,8 @@ as increasingly strict verifier modes rather than separate IRs.
 
 from __future__ import annotations
 
+from .instructions import DATAFLOW_OPS
+
 BEHAVIOURAL = "behavioural"
 STRUCTURAL = "structural"
 NETLIST = "netlist"
@@ -22,12 +24,7 @@ NETLIST = "netlist"
 LEVELS = (BEHAVIOURAL, STRUCTURAL, NETLIST)
 
 # Opcodes allowed inside an entity at the STRUCTURAL level.
-STRUCTURAL_OPCODES = frozenset({
-    "const", "array", "struct", "insf", "extf", "inss", "exts", "mux",
-    "not", "neg", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod",
-    "urem", "srem", "and", "or", "xor", "shl", "shr",
-    "eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge",
-    "zext", "sext", "trunc",
+STRUCTURAL_OPCODES = DATAFLOW_OPS | frozenset({
     "sig", "prb", "drv", "reg", "inst", "con", "del",
 })
 

@@ -37,6 +37,14 @@ COMPARE_OPS = frozenset({
 
 CAST_OPS = frozenset({"zext", "sext", "trunc"})
 
+DIVISION_OPS = frozenset({"udiv", "sdiv", "umod", "smod", "urem", "srem"})
+
+# Pure data-flow instructions: a value computed from operand values alone
+# (``sim.eval`` has one evaluator for each).
+DATAFLOW_OPS = UNARY_OPS | BINARY_OPS | COMPARE_OPS | CAST_OPS | frozenset({
+    "const", "array", "struct", "insf", "extf", "inss", "exts", "mux",
+})
+
 # Instructions that must never be removed even when their result is unused.
 SIDE_EFFECTS = frozenset({
     "drv", "st", "call", "inst", "con", "reg", "free",
@@ -47,14 +55,10 @@ SIDE_EFFECTS = frozenset({
 # occurrences are not interchangeable (CSE must skip them).
 STATEFUL = frozenset({"prb", "ld", "var", "alloc", "sig", "del", "phi"})
 
-ALL_OPCODES = (
-    TERMINATORS | UNARY_OPS | BINARY_OPS | COMPARE_OPS | CAST_OPS
-    | frozenset({
-        "const", "array", "struct", "insf", "extf", "inss", "exts",
-        "mux", "phi", "sig", "prb", "drv", "con", "del", "reg", "inst",
-        "var", "ld", "st", "alloc", "free", "call",
-    })
-)
+ALL_OPCODES = TERMINATORS | DATAFLOW_OPS | frozenset({
+    "phi", "sig", "prb", "drv", "con", "del", "reg", "inst",
+    "var", "ld", "st", "alloc", "free", "call",
+})
 
 
 class RegTrigger:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 
+from .instructions import BINARY_OPS, CAST_OPS, COMPARE_OPS, UNARY_OPS
 from .ninevalued import LogicVec
 from .values import Block, TimeValue
 
@@ -133,13 +134,11 @@ def format_instruction(inst, namer=None):
         if inst.type.is_time:
             return f"{lhs()}const {_const_text(value)}"
         return f"{lhs()}const {inst.type} {_const_text(value)}"
-    if op in ("add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-              "srem", "and", "or", "xor", "shl", "shr", "eq", "neq", "ult",
-              "ugt", "ule", "uge", "slt", "sgt", "sle", "sge"):
+    if op in BINARY_OPS or op in COMPARE_OPS:
         return f"{lhs()}{op} {ops[0].type} {n(ops[0])}, {n(ops[1])}"
-    if op in ("not", "neg"):
+    if op in UNARY_OPS:
         return f"{lhs()}{op} {ops[0].type} {n(ops[0])}"
-    if op in ("zext", "sext", "trunc"):
+    if op in CAST_OPS:
         return f"{lhs()}{op} {ops[0].type} {n(ops[0])} to {inst.type}"
     if op == "array":
         if inst.attrs.get("splat"):

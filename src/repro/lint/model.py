@@ -45,8 +45,7 @@ from ..passes.dnf import FALSE, build_dnf, literals, negate_dnf, terms
 #: bit-permutation oscillators, which we accept as a documented false
 #: negative) sustain a delta-cycle oscillation.
 _STABLE_OPS = frozenset((
-    "mux", "array", "array_splat", "struct", "insf", "inss", "extf",
-    "exts", "prb",
+    "mux", "array", "struct", "insf", "inss", "extf", "exts", "prb",
 ))
 
 
@@ -278,7 +277,7 @@ class DesignModel:
             for operand in value.operands[2:]:
                 self._cone(operand, env, out, False, _seen)
             return out
-        if op in ("extf", "exts", "array", "array_splat", "struct"):
+        if op in ("extf", "exts", "array", "struct"):
             for operand in value.operands:
                 self._cone(operand, env, out, stable, _seen)
             return out

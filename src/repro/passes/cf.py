@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from ..analysis.cfg import prune_phi_incoming, remove_unreachable_blocks
 from ..analysis.manager import AnalysisManager
-from ..ir.instructions import Instruction
+from ..ir.instructions import DATAFLOW_OPS, Instruction
 from ..sim.eval import evaluate
 from ..sim.values import SimulationError
 from .manager import PRESERVE_ALL, UnitPass, register_pass
 
-_FOLDABLE = frozenset({
-    "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem", "srem",
-    "and", "or", "xor", "not", "neg", "shl", "shr",
-    "eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge",
-    "zext", "sext", "trunc", "exts", "mux", "extf",
-})
+_FOLDABLE = DATAFLOW_OPS - {"const", "array", "struct", "insf", "inss"}
 
 
 def _const_value(value):

@@ -4,7 +4,6 @@ desequentialization (which copies the drive DFG into a new entity)."""
 from __future__ import annotations
 
 from ..ir.instructions import Instruction, RegTrigger
-from ..ir.values import Block
 
 
 def clone_instruction(inst, value_map):
@@ -69,33 +68,3 @@ def materialize_constant(value, ty, emit):
     if ty.is_int:
         value &= (1 << ty.width) - 1
     return emit(Instruction("const", ty, (), {"value": value}))
-
-
-def clone_dfg_into(values, builder, value_map, on_clone=None):
-    """Clone the transitive data-flow graph of ``values`` via ``builder``.
-
-    Pure producers (and ``prb``) reached through operands are cloned in
-    dependency order.  Pre-seeded entries of ``value_map`` act as the
-    cut-off frontier (e.g. process arguments mapped to entity arguments).
-    Returns the mapped values in input order.
-    """
-    def visit(value):
-        mapped = value_map.get(id(value))
-        if mapped is not None:
-            return mapped
-        if isinstance(value, Block):
-            raise ValueError("clone_dfg_into cannot cross control flow")
-        if not isinstance(value, Instruction):
-            # Unmapped argument or foreign value: caller must pre-seed it.
-            raise KeyError(
-                f"value %{value.name or '?'} is not mapped and is not "
-                f"cloneable")
-        for op in value.operands:
-            visit(op)
-        clone = clone_instruction(value, value_map)
-        builder.insert(clone)
-        if on_clone is not None:
-            on_clone(value, clone)
-        return clone
-
-    return [visit(v) for v in values]

@@ -11,16 +11,9 @@ of the paper).
 from __future__ import annotations
 
 from ..analysis.manager import AnalysisManager
-from ..ir.instructions import Instruction
+from ..ir.instructions import DATAFLOW_OPS, DIVISION_OPS, Instruction
 from ..ir.values import Argument, Block
 from .manager import PRESERVE_ALL, UnitPass, register_pass
-
-_MOVABLE = frozenset({
-    "const", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-    "srem", "and", "or", "xor", "not", "neg", "shl", "shr", "eq", "neq",
-    "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge", "zext", "sext",
-    "trunc", "array", "struct", "insf", "extf", "inss", "exts", "mux",
-})
 
 
 def run(unit, am=None):
@@ -76,9 +69,9 @@ def _hoist_target(inst, block, domtree, regions, unit):
                 and _operands_available(inst, entry, domtree):
             return entry
         return None
-    if op not in _MOVABLE:
+    if op not in DATAFLOW_OPS:
         return None
-    if op in ("udiv", "sdiv", "umod", "smod", "urem", "srem"):
+    if op in DIVISION_OPS:
         # Division must not be speculated onto paths that guarded it:
         # hoist only when the divisor is a non-zero constant.
         divisor = inst.operands[1]

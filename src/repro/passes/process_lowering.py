@@ -8,18 +8,12 @@ the instructions into an entity with the same signature.
 
 from __future__ import annotations
 
-from ..ir.instructions import Instruction
+from ..ir.instructions import DATAFLOW_OPS, Instruction
 from ..ir.units import Entity
 from .clone import clone_instruction
 from .manager import PRESERVE_ALL, ModulePass, register_pass
 
-_ENTITY_OK = frozenset({
-    "const", "add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-    "srem", "and", "or", "xor", "not", "neg", "shl", "shr", "eq", "neq",
-    "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge", "zext", "sext",
-    "trunc", "array", "struct", "insf", "extf", "inss", "exts", "mux",
-    "sig", "prb", "drv", "call",
-})
+_ENTITY_OK = DATAFLOW_OPS | frozenset({"sig", "prb", "drv", "call"})
 
 
 def can_lower(proc):

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from ..analysis.cfg import rebuild_phi, remove_unreachable_blocks
 from ..ir.builder import Builder
+from ..ir.instructions import DIVISION_OPS
 from ..ir.values import Block
 from .manager import UnitPass, register_pass
 
 #: Cap on instructions hoisted out of one side block per conversion;
 #: conversions accumulate code up a cascade, so this bounds the growth.
 SPECULATE_LIMIT = 256
-
-_DIV_OPS = frozenset({"udiv", "sdiv", "umod", "smod", "urem", "srem"})
 
 
 def _speculatable(inst):
@@ -39,7 +38,7 @@ def _speculatable(inst):
     if not inst.is_pure:
         return False
     op = inst.opcode
-    if op in _DIV_OPS:
+    if op in DIVISION_OPS:
         return False  # division by zero
     if op == "mux" and inst.operands[1].type.is_logic:
         return False  # an X selector is a runtime error

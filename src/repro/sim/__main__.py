@@ -126,10 +126,6 @@ def _build_parser():
         "--list-designs", action="store_true",
         help="list the named designs of the evaluation suite with the "
              "deepest pipeline level each reaches, then exit")
-    parser.add_argument(
-        "--no-reach", action="store_true",
-        help="with --list-designs: skip the (slower) per-design lowering "
-             "that computes the reach column")
     return parser
 
 
@@ -319,9 +315,6 @@ def main(argv=None):
                     ",".join(sorted(diagnostics.codes()))
             except Exception as exc:  # lint must never break the listing
                 lint = f"error({type(exc).__name__})"
-            if args.no_reach:
-                print(f"{prefix} lint {lint:12s} {design.paper_name}")
-                continue
             reach, rejections, engines, notes = stage_reach(name)
             deepest = [s for s, ok in reach.items() if ok][-1]
             if reach["netlist"]:

@@ -33,6 +33,7 @@ text on every engine.
 
 from __future__ import annotations
 
+from ..ir.instructions import BINARY_OPS, COMPARE_OPS, DIVISION_OPS
 from ..ir.ninevalued import LogicVec
 from .values import (
     SimulationError, dynamic_index, extract_path, from_signed, insert_path,
@@ -48,7 +49,7 @@ def _int_binary(op, a, b, width):
         return (a - b) & m
     if op == "mul":
         return (a * b) & m
-    if op in ("udiv", "sdiv", "umod", "smod", "urem", "srem") and (
+    if op in DIVISION_OPS and (
             b == 0 or (op[0] == "s" and to_signed(b, width) == 0)):
         raise SimulationError(f"{op}: division by zero")
     if op == "udiv":
@@ -355,11 +356,9 @@ EVALUATORS = {
     "inss": _eval_inss,
     "mux": _eval_mux,
 }
-for _op in ("add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-            "srem", "and", "or", "xor"):
+for _op in sorted(BINARY_OPS - {"shl", "shr"}):
     EVALUATORS[_op] = _eval_binary
-for _op in ("eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle",
-            "sge"):
+for _op in sorted(COMPARE_OPS):
     EVALUATORS[_op] = _eval_compare
 del _op
 

@@ -42,16 +42,13 @@ from __future__ import annotations
 import functools
 import string
 
+from ..ir.instructions import BINARY_OPS, COMPARE_OPS, DIVISION_OPS
 from ..ir.ninevalued import LogicVec
 from .eval import (
     _int_binary, _logic_binary, int_shift, logic_compare, logic_level,
     logic_neg, logic_shift, mux_select,
 )
 from .values import SimulationError, mask
-
-_DIVISION = ("udiv", "sdiv", "umod", "smod", "urem", "srem")
-_COMPARES = ("eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle",
-             "sge")
 
 #: Two-valued semantics over integer operand values ``{a}``/``{b}``.
 #: Width constants: ``{w}`` result width, ``{m}`` its mask, ``{s}`` the
@@ -96,7 +93,7 @@ _TWO_VALUED = {
     # counts), so it is plain inequality in every class.
     "both": "{b} != {a}",
 }
-for _op in _DIVISION:
+for _op in sorted(DIVISION_OPS):
     _TWO_VALUED[_op] = f"_ibin({_op!r}, {{a}}, {{b}}, {{w}})"
 
 #: opcode -> {value class with an lN operand: fallback}.  Each fallback
@@ -117,9 +114,9 @@ _FALLBACK = {
     "low": {"lN": "_lvl({a}) == 0"},
     "both": {"lN": "{b} != {a}"},
 }
-for _op in ("add", "sub", "mul", "and", "or", "xor") + _DIVISION:
+for _op in sorted(BINARY_OPS - {"shl", "shr"}):
     _FALLBACK[_op] = {"lN": f"_lbin({_op!r}, {{A}}, {{B}})"}
-for _op in _COMPARES:
+for _op in sorted(COMPARE_OPS):
     _FALLBACK[_op] = {"lN": f"_lcmp({_op!r}, {{A}}, {{B}})"}
 for _op in ("shl", "shr"):
     _FALLBACK[_op] = {
@@ -134,8 +131,7 @@ del _op
 _GUARDS_WEAK = frozenset({"zext", "sext", "trunc", "exts", "both"})
 #: Ops whose result is an i1 flag, a chosen element or a bool, never a
 #: vector of the first operand's class.
-_RAW_RESULT = frozenset(_COMPARES + ("mux", "rise", "fall", "high", "low",
-                                     "both"))
+_RAW_RESULT = COMPARE_OPS | {"mux", "rise", "fall", "high", "low", "both"}
 #: The entries whose fast path returns an int standing for an lN vector
 #: of the result width ``{w}``.
 UNBOXED = frozenset((op, cls) for op, classes in _FALLBACK.items()

@@ -328,6 +328,142 @@ def test_techmap_maps_non_constant_shifts_to_barrel_cells():
     assert len(shifter.inputs) == 2
 
 
+# -- the one gate-cell rule -----------------------------------------------------
+
+#: The stimulus values a port of each type cycles through.
+_VALUES = {
+    "i2": ("2", "1", "0"),  # a dynamic index into three elements
+    "i3": ("3", "6", "1"),
+    "i4": ("9", "6", "15"),
+    "i8": ("33", "200", "77"),
+    "l4": ('"0110"', '"01X1"', '"1H0L"'),
+    "l8": ('"00010110"', '"1Z000011"', '"0101X0L1"'),
+}
+_ARRAY = "[3 x i8]"
+
+#: (port types, result type, the entity's body over probes %p0, %p1, ...)
+_GATES = {
+    "add": (["i8", "i8"], "i8", ["%r = add i8 %p0, %p1"]),
+    "eq": (["l4", "l4"], "i1", ["%r = eq l4 %p0, %p1"]),
+    "not": (["l4"], "l4", ["%r = not l4 %p0"]),
+    "zext": (["i4"], "i8", ["%r = zext i4 %p0 to i8"]),
+    "mux": (["i8", "i8", "i8", "i2"], "i8",
+            ["%c = [i8 %p0, %p1, %p2]", "%r = mux i8 %c, %p3"]),
+    "shl_const": (["l8"], "l8",
+                  ['%n = const l4 "0011"', "%r = shl l8 %p0, %n"]),
+    "shr_port": (["i8", "i3"], "i8", ["%r = shr i8 %p0, %p1"]),
+    "exts": (["i8"], "i4", ["%r = exts i4, i8 %p0, 2, 4"]),
+    "extf_static": ([_ARRAY], "i8", [f"%r = extf i8, {_ARRAY} %p0, 1"]),
+    "extf_dynamic": ([_ARRAY, "i2"], "i8",
+                     [f"%r = extf i8, {_ARRAY} %p0, %p1"]),
+    "inss": (["i8", "i4"], "i8", ["%r = inss i8 %p0, i4 %p1, 2, 4"]),
+    "insf_static": ([_ARRAY, "i8"], _ARRAY,
+                    [f"%r = insf {_ARRAY} %p0, i8 %p1, 1"]),
+    "insf_dynamic": ([_ARRAY, "i8", "i2"], _ARRAY,
+                     [f"%r = insf {_ARRAY} %p0, i8 %p1, %p2"]),
+}
+
+
+def _const(name, ty, k):
+    """Lines defining ``%name`` as the ``k``-th stimulus value of ``ty``,
+    or as zero when ``k`` is None."""
+    if ty == _ARRAY:
+        lines = [line for j in range(3) for line in _const(
+            f"{name}_{j}", "i8", None if k is None else (k + j) % 3)]
+        return lines + [f"%{name} = [i8 %{name}_0, %{name}_1, %{name}_2]"]
+    if k is not None:
+        value = _VALUES[ty][k]
+    elif ty.startswith("l"):
+        value = '"' + "0" * int(ty[1:]) + '"'
+    else:
+        value = "0"
+    return [f"%{name} = const {ty} {value}"]
+
+
+def _gate_design(port_types, out_ty, body):
+    """A one-gate entity ``@g`` and a testbench ``@top`` that drives its
+    ports with four rounds of values, 1 ns apart; in rounds 0 and 2 all
+    ports of one type carry the same value."""
+    ports = ", ".join(f"{t}$ %a{j}" for j, t in enumerate(port_types))
+    gate = [f"%p{j} = prb {t}$ %a{j}" for j, t in enumerate(port_types)]
+    gate += body + ["%t = const time 0s", f"drv {out_ty}$ %y, %r after %t"]
+    top = []
+    for j, t in enumerate(port_types):
+        top += _const(f"z{j}", t, None) + [f"%a{j} = sig {t} %z{j}"]
+    top += _const("zy", out_ty, None) + [f"%y = sig {out_ty} %zy"]
+    top += [f"inst @g ({ports}) -> ({out_ty}$ %y)",
+            f"inst @stim () -> ({ports})"]
+    stim = ["entry:", "%t = const time 1ns"]
+    for k in range(4):
+        for j, t in enumerate(port_types):
+            stim += _const(f"v{k}_{j}", t, (k + j * (k % 2)) % 3)
+            stim.append(f"drv {t}$ %a{j}, %v{k}_{j} after %t")
+        stim += [f"wait %s{k} for %t", f"s{k}:"]
+    stim.append("halt")
+    lines = "\n  ".join
+    entity = (f"entity @g ({ports}) -> ({out_ty}$ %y) {{\n  "
+              f"{lines(gate)}\n}}\n")
+    bench = (f"entity @top () -> () {{\n  {lines(top)}\n}}\n"
+             f"proc @stim () -> ({ports}) {{\n  {lines(stim)}\n}}\n")
+    return entity, bench
+
+
+@pytest.mark.parametrize("case", sorted(_GATES))
+def test_gate_cell_is_the_instruction_over_port_probes(case, tmp_path):
+    """Every gate cell probes its ports, builds its delay, then a mux's
+    choice array or a constant shift amount, then one copy of the
+    instruction it maps, and drives ``y``; its netlist traces like the
+    structural module on interp and on levelized."""
+    from repro.sim import simulate
+
+    port_types, out_ty, body = _GATES[case]
+    entity, bench = _gate_design(port_types, out_ty, body)
+    source = next(i for i in parse_module(entity).get("g").body
+                  if i.name == "r")
+    op = source.opcode
+
+    _, library = technology_map(parse_module(entity), gate_delay="0s")
+    [cell] = list(library)
+    cell_body = list(cell.body)
+    ports = len(cell.inputs)
+    assert [i.opcode for i in cell_body[:ports]] == ["prb"] * ports
+    assert cell_body[ports].opcode == "const"
+    assert cell_body[ports].type.is_time
+    middle = {"mux": ["array"], "shl": ["const"]}.get(op, [])
+    assert [i.opcode for i in cell_body[ports + 1:]] == \
+        middle + [op, "drv"]
+    copy, drive = cell_body[-2:]
+    assert str(copy.type) == str(source.type)
+    assert copy.attrs == {k: v for k, v in source.attrs.items()
+                          if k in ("index", "offset", "length")}
+    assert drive.operands[:2] == [cell.outputs[0], copy]
+    if op == "shl":  # the constant amount is built in as an i32
+        assert str(copy.operands[1].type) == "i32"
+        assert copy.operands[1].attrs["value"] == 3
+
+    ref = simulate(parse_module(entity + bench), "top")
+    assert len(ref.trace.history("top.y")) >= 3
+    for backend in ("interp", "levelized"):
+        linked = netlist_design(parse_module(entity + bench))
+        options = {"cache_dir": str(tmp_path)} \
+            if backend == "levelized" else {}
+        low = simulate(linked, "top", backend=backend, **options)
+        assert ref.trace.differences(low.trace) == [], backend
+    assert low.design.fallback_cells == []
+
+
+@pytest.mark.parametrize("port_types, body, message", [
+    (["l8"], ['%n = const l4 "X000"', "%r = shl l8 %p0, %n"],
+     "'shl' by an unknown amount has no library mapping"),
+    (["l8", "i2"], ["%c = [3 x l8 %p0]", "%r = mux l8 %c, %p1"],
+     "mux choices must be an explicit array to map"),
+], ids=["unknown_shift_amount", "splat_mux_choices"])
+def test_gates_without_a_cell_are_rejected(port_types, body, message):
+    entity, _ = _gate_design(port_types, "l8", body)
+    with pytest.raises(TechmapError, match=message):
+        technology_map(parse_module(entity))
+
+
 def test_techmap_rejects_behavioural_input_by_default():
     module = parse_module("""
     proc @p (i8$ %a) -> (i8$ %b) {

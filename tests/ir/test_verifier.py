@@ -214,6 +214,18 @@ def test_valid_netlist_module_verifies_at_netlist_level():
     verify_module(module, level=NETLIST)
 
 
+def test_opcode_classes_are_named_once():
+    """The data-flow class is what ``sim.eval`` evaluates, and the
+    structural level allows it plus signals and hierarchy."""
+    from repro.ir.dialects import STRUCTURAL_OPCODES
+    from repro.ir.instructions import DATAFLOW_OPS
+    from repro.sim.eval import EVALUATORS
+
+    assert set(EVALUATORS) == DATAFLOW_OPS
+    assert STRUCTURAL_OPCODES == DATAFLOW_OPS | {
+        "sig", "prb", "drv", "reg", "inst", "con", "del"}
+
+
 def test_parser_rejects_use_before_def():
     from repro.ir import ParseError
 

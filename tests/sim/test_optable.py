@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.ir.builder import Builder
-from repro.ir.instructions import Instruction
+from repro.ir.instructions import BINARY_OPS, COMPARE_OPS, Instruction
 from repro.ir.ninevalued import VALUES, LogicVec
 from repro.ir.types import (
     array_type, enum_type, int_type, logic_type, signal_type,
@@ -33,10 +33,6 @@ from repro.sim.values import SimulationError, mask
 
 WIDTHS = (1, 8, 64, 65, 130)
 EDGES = ("rise", "fall", "high", "low", "both")
-_BINARY = ("add", "sub", "mul", "udiv", "sdiv", "umod", "smod", "urem",
-           "srem", "and", "or", "xor")
-_COMPARES = ("eq", "neq", "ult", "ugt", "ule", "uge", "slt", "sgt", "sle",
-             "sge")
 _UNKNOWN = "UXZW-"
 
 
@@ -48,9 +44,9 @@ def _cases(width):
     """(opcode, result type, operand types, attrs) covering every entry."""
     for cls in ("iN", "lN"):
         t = _ty(cls, width)
-        for op in _BINARY:
+        for op in sorted(BINARY_OPS - {"shl", "shr"}):
             yield op, t, (t, t), None
-        for op in _COMPARES:
+        for op in sorted(COMPARE_OPS):
             yield op, int_type(1), (t, t), None
         for op in ("not", "neg"):
             yield op, t, (t,), None
