@@ -13,8 +13,9 @@ One rule makes every gate cell: a data-flow instruction maps onto a
 cell that probes its ports, computes one copy of the instruction and
 drives ``y``.  Each value operand is an input port (a ``mux``'s choices
 are one port each, then the selector); the static ``index``/``offset``/
-``length`` attributes and a constant ``shl``/``shr`` amount are built
-into the cell and name it (``cell_exts_4_8_i16``, ``cell_shl_3_i8``).
+``length`` attributes and a constant ``shl``/``shr`` amount (clamped to
+the shifted width, past which every bit is out) are built into the cell
+and name it (``cell_exts_4_8_i16``, ``cell_shl_3_i8``).
 The library is *typed*: a cell is keyed by its opcode, its operand and
 result types and those built-in values, so two-valued (``iN``) and
 nine-valued (``lN``) operators map to distinct cells, each computing
@@ -521,6 +522,9 @@ class _MapContext:
                         f"@{self.entity.name}: '{op}' by an unknown "
                         f"amount has no library mapping")
                 amount = amount.to_int()
+            # The cell builds its amount as an i32: clamp it to the
+            # shifted width, at or past which every bit is shifted out.
+            amount = min(amount, operands[0].type.width)
         sigs = [self.materialize(o) for o in operands]
         attrs = {k: inst.attrs[k] for k in _STATIC_ATTRS if k in inst.attrs}
         cell = _cell(self.out, self.library, op,

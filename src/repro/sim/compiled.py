@@ -10,8 +10,11 @@ Two halves:
   are substituted with ``V[slot]`` reads per gate instance);
 * **cone modules** — :func:`generate_source` concatenates the gate
   recipes in levelized order into one ``_settle_all(V)`` returning the
-  list of net slots it changed.  The module is self-contained given the
-  blaze runtime helper namespace.
+  list of net slots it changed.  ``V`` holds every net's value boxed, as
+  its signal does; an ``lN`` gate's result goes through
+  :func:`_changed`, which boxes it only when it differs from the slot.
+  The module is self-contained given :data:`CONE_GLOBALS`, the blaze
+  runtime helper namespace plus that helper.
 
 Compiled cones are cached on disk, content-addressed by the sha256 of
 :data:`importlib.util.MAGIC_NUMBER` plus the cone's generated source.
@@ -45,6 +48,8 @@ from .blaze import _BASE_GLOBALS, UnitCompiler
 from .eval import EVALUATORS, path_of
 from .values import SimulationError
 
+_make = LogicVec._make
+
 
 class TemplateError(Exception):
     """The cell body cannot be turned into a straight-line recipe."""
@@ -67,14 +72,21 @@ def _const_literal(value):
 
 
 class CellTemplate:
-    """One cell type's body as substitutable straight-line Python."""
+    """One cell type's body as substitutable straight-line Python.
 
-    __slots__ = ("unit", "lines", "out_expr", "n_inputs")
+    ``out_expr`` is the driven value, with the body's last line folded
+    in when that line computes it; ``width`` is the output's width when
+    it is an ``lN`` net (the value may then be an unboxed ``int``), else
+    None.
+    """
 
-    def __init__(self, unit, lines, out_expr, n_inputs):
+    __slots__ = ("unit", "lines", "out_expr", "width", "n_inputs")
+
+    def __init__(self, unit, lines, out_expr, width, n_inputs):
         self.unit = unit
         self.lines = lines
         self.out_expr = out_expr
+        self.width = width
         self.n_inputs = n_inputs
 
 
@@ -173,14 +185,38 @@ def build_template(unit):
     d = delay.attrs["value"]
     if d.fs or d.delta or d.epsilon:
         raise TemplateError(f"non-zero gate delay {d}")
-    # Boxed, so that t != V[slot] compares two LogicVec values.
-    out_expr = comp.boxed(drive.drv_value())
     if comp._const_counter:
         raise TemplateError("cell body binds runtime-only constants")
-    return CellTemplate(unit, lines, out_expr, len(unit.inputs))
+    value = drive.drv_value()
+    out_expr = comp.name(value)
+    if lines and lines[-1].startswith(f"{out_expr} = "):
+        out_expr = lines.pop()[len(out_expr) + 3:]
+    width = value.type.width if value.type.is_logic else None
+    return CellTemplate(unit, lines, out_expr, width, len(unit.inputs))
 
 
 # -- source generation ---------------------------------------------------------
+
+
+def _changed(value, old, width):
+    """An ``lN`` gate's result ``value``, boxed, if it differs from
+    ``old``, the box its slot holds; else None.
+
+    An ``int`` (a known, strong vector) is compared with ``old``'s
+    planes, so an unchanged result is never boxed; a LogicVec is
+    compared by identity, then by value.
+    """
+    if type(value) is int:
+        if value == old._val and not (old._unk | old._weak):
+            return None
+        return _make(width, value, 0, 0, 0)
+    if value is old or value == old:
+        return None
+    return value
+
+
+#: The namespace a cone module runs in.
+CONE_GLOBALS = {**_BASE_GLOBALS, "_changed": _changed}
 
 
 def _emit_gate(buf, template, in_slots, out_slot):
@@ -195,8 +231,13 @@ def _emit_gate(buf, template, in_slots, out_slot):
 
     for line in template.lines:
         buf.append(f"    {sub(line)}")
-    buf.append(f"    t = {sub(template.out_expr)}")
-    buf.append(f"    if t != V[{out_slot}]:")
+    out = sub(template.out_expr)
+    if template.width is None:
+        buf.append(f"    t = {out}")
+        buf.append(f"    if t != V[{out_slot}]:")
+    else:
+        buf.append(f"    t = _changed({out}, V[{out_slot}], {template.width})")
+        buf.append("    if t is not None:")
     buf.append(f"        V[{out_slot}] = t")
     buf.append(f"        ap({out_slot})")
 
@@ -227,7 +268,7 @@ def default_cache_dir():
 
 def _load(entry, key):
     """Exec a cache entry; None when it fails validation."""
-    ns = dict(_BASE_GLOBALS)
+    ns = dict(CONE_GLOBALS)
     try:
         recorded, code = marshal.loads(entry)
         if recorded != key or type(code) is not CodeType:
@@ -282,7 +323,7 @@ def compile_cone(plan, cache_dir, stats):
             return ns
         errors = 1
     code = compile(source, "<levelized-cone>", "exec")
-    ns = dict(_BASE_GLOBALS)
+    ns = dict(CONE_GLOBALS)
     exec(code, ns)
     _store(path, marshal.dumps((key, code)))
     _count(stats, 0, 1, errors)

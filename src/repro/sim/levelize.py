@@ -23,10 +23,22 @@ This engine removes the scheduler from the combinational cone entirely:
   Python function, ``_settle_all``, cached on disk as a code object
   keyed by its own source;
 * at simulation time a single cone activity — always ordered *after*
-  every process and fallback entity — wakes on any cone net change,
-  settles the whole cone in-place, and commits the changed nets
-  directly (recording the trace and resuming waiters), so a clock edge
-  costs zero scheduler events per gate.
+  every process and fallback entity — wakes on any boundary net
+  change, settles the whole cone in place, and commits what it wrote
+  directly, so a clock edge costs zero scheduler events per gate.
+
+The commit costs in proportion to what the cone wrote, not to its size:
+a run lists the slots it wrote (gate outputs and storage roots, never
+the boundary nets it scanned), and each slot's signal, trace list and
+non-cone entity waiters are bound once, when the cone is built.  A
+listed slot whose value differs from its net's is published once; a
+net with one name whose history ends before this instant gets its
+entry appended directly (all :func:`repro.sim.trace.record` would do
+there), any other goes through ``record``.  The commit is this one
+loop, not per-net code in the cone source, which would grow every
+cone's source and the memory its cold ``compile()`` takes.  The settle
+boxes an ``lN`` gate output only when it changed
+(:func:`repro.sim.compiled._changed`).
 
 Anything that is not a recognized zero-delay cell — hierarchical
 containers, cells with non-zero gate delays, ports bound to projected
@@ -310,6 +322,16 @@ class _Cone:
         self._forced = False
         kernel.driver_labels[self.order] = self.path
         design.activities.append(self)
+        # Per slot, bound once (elaboration has ended, so a net's trace
+        # lists and entity waiters are fixed): ``(sig, history,
+        # histories, entities)``, where ``history`` is the net's one
+        # trace list, None when it records under several names or none,
+        # and ``entities`` are its entity waiters other than the cone.
+        self.bound = [
+            (sig, sig.history[0] if len(sig.history) == 1 else None,
+             sig.history, tuple(act for order, act in sig.entity_list()
+                                if order != self.order))
+            for sig in plan.slot_sigs]
         # Only *boundary* nets — those no combinational gate produces
         # (primary inputs, testbench-driven stimulus, storage outputs) —
         # can change under the cone's feet: gate outputs are cone-owned.
@@ -331,31 +353,33 @@ class _Cone:
 
     def run(self, kernel):
         V = self.V
-        pending = set()
+        pending = []
         for i, sig in self.scan:
             v = sig.value
             if v is not V[i] and v != V[i]:
                 V[i] = v
-                pending.add(i)
+                pending.append(i)
         force = not self._forced
         self._forced = True
         if not pending and not force:
             return
-        changed = set(pending)
+        # The slots the cone writes, in write order: gate outputs and
+        # storage roots, never the boundary nets just scanned.
+        wrote = []
         comb_roots = self.comb_roots
-        run_comb = force or not pending.isdisjoint(comb_roots)
+        run_comb = force or not comb_roots.isdisjoint(pending)
         rounds = 0
         while True:
-            fired = self._eval_seq(pending) if pending else set()
+            fired = self._eval_seq(pending) if pending else []
             if fired:
-                changed |= fired
-                if not fired.isdisjoint(comb_roots):
+                wrote += fired
+                if not comb_roots.isdisjoint(fired):
                     run_comb = True
             if run_comb:
                 comb = self._eval_comb()
                 run_comb = False
-                changed |= comb
-                pending = fired | comb
+                wrote += comb
+                pending = fired + comb
             else:
                 # No gate reads anything that changed (a clock that only
                 # feeds register triggers): skip the settle, but a fired
@@ -365,26 +389,27 @@ class _Cone:
                 break
             rounds += 1
             if rounds > MAX_SETTLE_ROUNDS:
-                hot = sorted(self.slot_sigs[i].name for i in pending)
+                hot = sorted({self.slot_sigs[i].name for i in pending})
                 raise SimulationError(
                     f"levelized cone did not settle at t={kernel.now[0]}fs "
                     f"(oscillating nets: {', '.join(hot[:8])})")
-        self._commit(changed)
+        if wrote:
+            self._commit(wrote)
 
     def _eval_comb(self):
         V = self.V
-        if self.has_cycles:
-            # Cyclic cones: iterate the full settle to a fixpoint.
-            changed = set()
-            for _ in range(MAX_SETTLE_ROUNDS):
-                ch = self.settle_all(V)
-                if not ch:
-                    return changed
-                changed.update(ch)
-            raise SimulationError(
-                "levelized: combinational loop did not converge "
-                f"({'; '.join(','.join(c) for c in self.plan.cycle_report)})")
-        return set(self.settle_all(V))
+        if not self.has_cycles:
+            return self.settle_all(V)
+        # Cyclic cones: iterate the full settle to a fixpoint.
+        changed = []
+        for _ in range(MAX_SETTLE_ROUNDS):
+            ch = self.settle_all(V)
+            if not ch:
+                return changed
+            changed += ch
+        raise SimulationError(
+            "levelized: combinational loop did not converge "
+            f"({'; '.join(','.join(c) for c in self.plan.cycle_report)})")
 
     def _eval_seq(self, stim):
         seq_obs = self.seq_obs
@@ -394,7 +419,7 @@ class _Cone:
             if lst:
                 todo.update(lst)
         if not todo:
-            return set()
+            return []
         V = self.V
         # Two phases: every cell evaluates against the pre-fire values
         # (the event-driven kernel matures all epsilon drives after the
@@ -406,7 +431,7 @@ class _Cone:
             if hit is not None:
                 commits.append((cell, _resolve_path(cell.path_proto, V),
                                 V[hit[1]], hit[4]))
-        fired = set()
+        fired = []
         kernel = self.kernel
         for cell, path, data, delay in commits:
             if delay is not None and delay.fs > 0:
@@ -422,32 +447,36 @@ class _Cone:
             new = insert_path(old, path, data) if path else data
             if new != old:
                 V[root] = new
-                fired.add(root)
+                fired.append(root)
         return fired
 
-    def _commit(self, changed):
-        if not changed:
-            return
+    def _commit(self, wrote):
+        """Publish every written slot whose value differs from its net's:
+        a slot can appear more than once, or have settled back."""
         kernel = self.kernel
         fs = kernel.now[0]
         V = self.V
-        my_order = self.order
-        for i in sorted(changed):
-            sig = self.slot_sigs[i]
+        bound = self.bound
+        for i in wrote:
+            sig, history, histories, entities = bound[i]
             new = V[i]
-            if new == sig.value:
-                continue    # settled back to the committed value
+            old = sig.value
+            if new is old or new == old:
+                continue
             sig.value = new
-            record(sig.history, fs, new)
+            if history is not None and history[-1][0] != fs:
+                # All that record does here (see its docstring).
+                history.append((fs, new))
+            else:
+                record(histories, fs, new)
             waiters = sig.proc_waiters
             if waiters:
                 # Wake next delta; the process pops its subscriptions
                 # itself (the one-shot protocol `_wake` implements).
                 for act in list(waiters.values()):
                     kernel.schedule_resume(act, _ZERO)
-            for order, act in sig.entity_list():
-                if order != my_order:
-                    kernel.schedule_resume(act, _ZERO)
+            for act in entities:
+                kernel.schedule_resume(act, _ZERO)
 
 
 # -- elaboration ---------------------------------------------------------------

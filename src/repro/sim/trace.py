@@ -19,6 +19,13 @@ def record(histories, fs, value):
     Every engine writes its trace through this one rule, which keeps
     each of the net's ``histories`` (one list per name it carries) at
     one entry per femtosecond with no two consecutive values equal.
+
+    A net that carries one name, and whose every change is recorded
+    here, ends its history in the value it holds.  So when such a net
+    takes a new value at a femtosecond after its history's last entry,
+    appending ``(fs, value)`` is all this function would do: a caller
+    that knows both facts may append directly (the levelized cone's
+    commit does).  Every other case goes through this function.
     """
     for history in histories:
         if history:

@@ -452,6 +452,33 @@ def test_gate_cell_is_the_instruction_over_port_probes(case, tmp_path):
     assert low.design.fallback_cells == []
 
 
+@pytest.mark.parametrize("op, ty", [("shl", "i8"), ("shr", "i8"),
+                                     ("shl", "l8")])
+def test_constant_shift_past_the_width_shifts_every_bit_out(op, ty,
+                                                             tmp_path):
+    """A constant amount of 2**32 + 1 is clamped to the shifted width
+    when the cell builds it in, not cut to its low 32 bits (a shift by
+    one): the netlist shifts every bit out, as the structural module
+    does."""
+    from repro.sim import simulate
+
+    body = ["%n = const i64 4294967297", f"%r = {op} {ty} %p0, %n"]
+    entity, bench = _gate_design([ty], ty, body)
+    _, library = technology_map(parse_module(entity), gate_delay="0s")
+    [cell] = list(library)
+    assert cell.name == f"cell_{op}_8_{ty}"
+    ref = simulate(parse_module(entity + bench), "top")
+    # Every bit is out: 0, or all X where the input had an unknown bit.
+    assert {str(v) for _, v in ref.trace.history("top.y")} <= \
+        {"0", "00000000", "XXXXXXXX"}
+    for backend in ("interp", "levelized"):
+        linked = netlist_design(parse_module(entity + bench))
+        options = {"cache_dir": str(tmp_path)} \
+            if backend == "levelized" else {}
+        low = simulate(linked, "top", backend=backend, **options)
+        assert ref.trace.differences(low.trace) == [], backend
+
+
 @pytest.mark.parametrize("port_types, body, message", [
     (["l8"], ['%n = const l4 "X000"', "%r = shl l8 %p0, %n"],
      "'shl' by an unknown amount has no library mapping"),

@@ -5,7 +5,9 @@ the levelized engine to byte-identical traces at the netlist level; the
 tests here pin down the corners: latch cells, register-cut feedback,
 multi-clock-domain cones, zero-delay combinational cycles, memory read
 and write ports, the reasons a cell falls back to event-driven
-execution, the multi-driver diagnosis, and the on-disk
+execution, the multi-driver diagnosis, what the cone's commit publishes
+(process and fallback-cell wakes, ``con``-merged names, a net that
+settles back within one run), and the on-disk
 compile cache (cold/warm, corrupted/truncated/misplaced entries, and
 entries from another code generator or another Python).
 """
@@ -632,6 +634,156 @@ def test_sanitize_rejected():
     with pytest.raises(SimulationError, match="sanitizer"):
         simulate(parse_module(_TOGGLE), "top", until_fs=4_000_000,
                  backend="levelized", sanitize=True)
+
+
+# -- committing the cone's nets ------------------------------------------------
+
+# Gates, a flip-flop, a slow (fallback) inverter, a clock rising at odd
+# and falling at even nanoseconds, and a process counting its wakes on
+# %w into %n.
+_COMMIT_CELLS = """
+entity @cell_inv_l1 (l1$ %a0) -> (l1$ %y) {
+  %0 = prb l1$ %a0
+  %t = const time 0s
+  %n = not l1 %0
+  drv l1$ %y, %n after %t
+}
+
+entity @cell_buf_l1 (l1$ %a0) -> (l1$ %y) {
+  %0 = prb l1$ %a0
+  %t = const time 0s
+  drv l1$ %y, %0 after %t
+}
+
+entity @cell_xor_l1_l1 (l1$ %a0, l1$ %a1) -> (l1$ %y) {
+  %0 = prb l1$ %a0
+  %1 = prb l1$ %a1
+  %t = const time 0s
+  %x = xor l1 %0, %1
+  drv l1$ %y, %x after %t
+}
+
+entity @cell_dff_l1 (l1$ %d0, l1$ %t0) -> (l1$ %q) {
+  %0 = prb l1$ %d0
+  %1 = prb l1$ %t0
+  %t = const time 0s
+  reg l1$ %q, %0 rise %1 after %t
+}
+
+entity @cell_slow_inv (l1$ %a0) -> (l1$ %y) {
+  %0 = prb l1$ %a0
+  %t = const time 1ns
+  %n = not l1 %0
+  drv l1$ %y, %n after %t
+}
+
+proc @clkgen () -> (l1$ %clk) {
+b0:
+  %half = const time 1ns
+  %t0 = const time 0s
+  %one = const l1 "1"
+  %zero = const l1 "0"
+  wait %b1 for %half
+b1:
+  drv l1$ %clk, %one after %t0
+  wait %b2 for %half
+b2:
+  drv l1$ %clk, %zero after %t0
+  br %b0
+}
+
+proc @count (l1$ %w) -> (i8$ %n) {
+entry:
+  wait %woke for %w
+woke:
+  %np = prb i8$ %n
+  %one = const i8 1
+  %n1 = add i8 %np, %one
+  %t0 = const time 0s
+  drv i8$ %n, %n1 after %t0
+  br %entry
+}
+"""
+
+_UNTIL = 20_000_000
+
+
+def _commit_design(sigs="", insts="", ff_clock="%clk"):
+    """A toggle flip-flop (``%d = not %q`` changes at every rising edge
+    of ``ff_clock``) plus ``sigs`` and ``insts``."""
+    return _COMMIT_CELLS + f"""
+entity @top () -> () {{
+  %z1 = const l1 "0"
+  %o1 = const l1 "1"
+  %z8 = const i8 0
+  %clk = sig l1 %z1
+  %q = sig l1 %z1
+  %d = sig l1 %o1
+  %n = sig i8 %z8{sigs}
+  inst @cell_inv_l1 (l1$ %q) -> (l1$ %d)
+  inst @cell_dff_l1 (l1$ %d, l1$ {ff_clock}) -> (l1$ %q)
+  inst @clkgen () -> (l1$ %clk){insts}
+}}
+"""
+
+
+def _run_commit(tmp_path, **parts):
+    return _run_both(_commit_design(**parts), until_fs=_UNTIL,
+                     cache_dir=str(tmp_path))
+
+
+def test_process_waiting_on_a_cone_net_resumes_once_per_change(tmp_path):
+    res = _run_commit(tmp_path, insts="""
+  inst @count (l1$ %d) -> (i8$ %n)""")
+    changes = len(res.trace.history("top.d")) - 1
+    assert changes == 10
+    assert res.trace.history("top.n")[-1][1] == changes
+
+
+def test_net_that_settles_back_in_one_run_records_and_wakes_nothing(
+        tmp_path):
+    # The flip-flop is clocked by %g, a gate output, so at a rising edge
+    # the cone settles twice: first %y = %b xor %q flips with %b, then
+    # the flip-flop fires and %y flips back.  The event-driven engines
+    # see %b and %q change in the same delta, so %y never moves there.
+    res = _run_commit(tmp_path, ff_clock="%g", sigs="""
+  %g = sig l1 %z1
+  %b1 = sig l1 %z1
+  %b = sig l1 %z1
+  %y = sig l1 %z1""", insts="""
+  inst @cell_buf_l1 (l1$ %clk) -> (l1$ %g)
+  inst @cell_buf_l1 (l1$ %clk) -> (l1$ %b1)
+  inst @cell_buf_l1 (l1$ %b1) -> (l1$ %b)
+  inst @cell_xor_l1_l1 (l1$ %b, l1$ %q) -> (l1$ %y)
+  inst @count (l1$ %y) -> (i8$ %n)""")
+    assert res.design.report["seqs"] == 1
+    assert res.design.report["fallbacks"] == []
+    # %y changes at falling edges only (even nanoseconds), and the
+    # process woke once for each of them.
+    history = res.trace.history("top.y")
+    assert [t // 1_000_000 for t, _v in history] == list(range(0, 21, 2))
+    assert res.trace.history("top.n")[-1][1] == len(history) - 1
+
+
+def test_con_merged_cone_net_records_under_both_names(tmp_path):
+    res = _run_commit(tmp_path, sigs="""
+  %e = sig l1 %o1""", insts="""
+  con l1$ %d, %e""")
+    history = res.trace.history("top.d")
+    assert len(history) == 11
+    assert res.trace.history("top.e") == history
+
+
+def test_fallback_cell_reading_a_cone_net_is_woken(tmp_path):
+    res = _run_commit(tmp_path, sigs="""
+  %s = sig l1 %z1""", insts="""
+  inst @cell_slow_inv (l1$ %d) -> (l1$ %s)""")
+    [(path, reason)] = res.design.fallback_cells
+    assert path == "top.cell_slow_inv" and "delay" in reason
+    # %s follows not %d one nanosecond later.
+    d, s = res.trace.history("top.d"), res.trace.history("top.s")
+    assert s[1:] == [(t + 1_000_000, v.not_()) for t, v in d[1:]
+                     if t + 1_000_000 <= _UNTIL]
 
 
 # -- the compile cache ---------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.ir.types import (
 from repro.ir.units import Entity, Process
 from repro.sim import optable
 from repro.sim.blaze import _BASE_GLOBALS, ProcessCompiler
-from repro.sim.compiled import build_template, generate_source
+from repro.sim.compiled import CONE_GLOBALS, build_template, generate_source
 from repro.sim.eval import evaluate, int_shift, logic_level, logic_shift
 from repro.sim.plan import _PROC_OPS, _step_factory, _step_for
 from repro.sim.values import SimulationError, mask
@@ -180,17 +180,25 @@ def blaze_process(case):
 
 
 def levelized_cell(case):
-    """Run the op as a levelized cell template in a cone's settle."""
+    """Run the op as a levelized cell template in a cone's settle, in the
+    cone's own namespace.  The output slot starts, as in a real cone, at
+    a value of the output's type (for ``lN``, weak zeros, which a strong
+    ``0`` result must still replace); the settle leaves the result
+    there, boxed, and a second settle finds nothing to change."""
+    _, result, _, _ = case
     cell = Entity("cell", *_unit_args(case))
     _body(cell, cell.body, case)
     template = build_template(cell)
     n = template.n_inputs
-    namespace = dict(_BASE_GLOBALS)
+    namespace = dict(CONE_GLOBALS)
     exec(generate_source([(template, list(range(n)), n)]), namespace)
+    settle = namespace["_settle_all"]
+    initial = LogicVec.filled("L", result.width) if result.is_logic else 0
 
     def run(values):
-        slots = list(values) + [object()]
-        namespace["_settle_all"](slots)
+        slots = list(values) + [initial]
+        settle(slots)
+        assert settle(slots) == [], (case, values)
         return slots[n]
     return run
 

@@ -8,7 +8,7 @@ uncollapsed history fails them.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.ir import LogicVec, parse_module
@@ -89,6 +89,27 @@ def test_record_equals_last_wins_then_collapsed(steps):
         fs += advance
         writes.append((fs, value))
     assert _recorded(writes) == _last_wins_then_collapsed(writes)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                min_size=1, max_size=30),
+       st.integers(0, 3), st.integers(0, 2))
+def test_direct_append_is_what_record_does_after_the_last_entry(
+        steps, advance, value):
+    """A single-name history ends in the net's value, so a change at a
+    femtosecond after its last entry is a plain append (the levelized
+    cone's commit takes this shortcut)."""
+    writes = []
+    fs = 0
+    for step, v in steps:
+        fs += step
+        writes.append((fs, v))
+    history = _recorded(writes)
+    assert history[-1][1] == writes[-1][1]
+    fs += advance
+    assume(fs != history[-1][0] and value != writes[-1][1])
+    assert _recorded([(fs, value)], list(history)) == \
+        history + [(fs, value)]
 
 
 # -- every engine records by it ------------------------------------------------
