@@ -31,7 +31,6 @@ def collect_written(node, out):
             base = base.base
         if isinstance(base, ast.Identifier):
             out.add(base.name)
-        collect_reads(node.value, out_reads := set())
     for child in _children(node):
         collect_written(child, out)
 
@@ -436,9 +435,6 @@ class ProcessBodyGen(BodyGen):
             if isinstance(base, ast.Identifier) \
                     and base.name in signal_names:
                 out.add(base.name)
-        if isinstance(node, (ast.While, ast.DoWhile)):
-            reads = set()
-            collect_reads(node.cond, reads)
         for child in _children(node):
             self._find_blocking_targets(child, signal_names, out)
         # PostIncrement inside expressions (e.g. while (i++ < n)).

@@ -42,13 +42,14 @@ integration tests.
 
 from __future__ import annotations
 
+import functools
 import io
 
 from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
-from .engine import Kernel, SignalInstance, SignalRef
+from .engine import Kernel, SignalInstance, SignalRef, net_of
 from .eval import EVALUATORS, extf, insf, path_of
 from .interp import (
     Design, EntityInstance, ProcessInstance, elaborate_top, steps_exceeded,
@@ -56,8 +57,8 @@ from .interp import (
 from .optable import GLOBALS as _TABLE_GLOBALS, UNBOXED, box, edge
 from .optable import emit as _emit_op, signature
 from .plan import (
-    Cell, fired_trigger, fused_mux_arrays, load, project, promotable_cells,
-    store,
+    Cell, _Timeout, fired_trigger, fused_mux_arrays, load, project,
+    promotable_cells, store,
 )
 from .values import (
     SimulationError, dynamic_index, extract_path, insert_path, mask,
@@ -635,11 +636,14 @@ class BlazeProcessInstance(ProcessInstance):
     """A process running as a compiled generator.
 
     The generator is created at bind time (after full elaboration) so
-    its signal bindings are resolved through ``con`` merging once.
+    its signal bindings are resolved through ``con`` merging once.  A
+    wait yields its timeout and signal tuple; the tuple is compared with
+    the last wait's before any of it is resolved to nets.
     """
 
     def __init__(self, design, unit, path, port_map):
         self._gen = None
+        self._signals = ()
         super().__init__(design, unit, path, port_map)
 
     def bind(self):
@@ -649,26 +653,28 @@ class BlazeProcessInstance(ProcessInstance):
         for arg in self.unit.args:
             bindings[cu.slots[id(arg)]] = _rt_resolve(self.env[id(arg)])
         kernel = design.kernel
-        order = self.order
-
-        def drive(sig, value, delay):
-            kernel.schedule_drive(order, sig, value, delay)
-
         self._gen = cu.fn(
-            tuple(bindings), kernel.probe, drive,
+            tuple(bindings), kernel.probe,
+            functools.partial(kernel.schedule_drive, self.order),
             design.caller(f"in {self.path}"), kernel.intrinsic)
 
-    def _execute(self, kernel):
-        gen = self._gen
-        if gen is None:
-            self.bind()
-            gen = self._gen
-        try:
-            timeout, signals = gen.send(None)
-        except StopIteration:
-            self.status = "halted"
+    def run(self, kernel):
+        status = self.status
+        if status == "waiting":
+            self.wait_token += 1
+        elif status != "ready":
             return
-        self._subscribe(signals, timeout)
+        try:
+            timeout, signals = self._gen.send(None)
+        except StopIteration:
+            self.halt()
+            return
+        self.status = "waiting"
+        if signals != self._signals:
+            self._signals = signals
+            self.resubscribe(tuple(map(net_of, signals)))
+        if timeout is not None:
+            kernel.schedule_resume(_Timeout(self, self.wait_token), timeout)
 
 
 class BlazeEntityInstance(EntityInstance):
@@ -693,9 +699,7 @@ class BlazeEntityInstance(EntityInstance):
             bindings[slot] = _rt_resolve(self.env[key])
         kernel = design.kernel
         order = self.order
-
-        def drive(sig, value, delay):
-            kernel.schedule_drive(order, sig, value, delay)
+        drive = functools.partial(kernel.schedule_drive, order)
 
         def drive_del(key, sig, value, delay):
             kernel.schedule_drive(("del", order, key), sig, value, delay)

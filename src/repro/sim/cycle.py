@@ -10,9 +10,11 @@ scheduling; this module follows that architecture:
   disagree);
 * the *scheduler* — calendar queue, delta rounds, transaction maturation,
   sensitivity dispatch, net resolution — is a from-scratch second
-  implementation, structured as a per-femtosecond calendar of two-phase
-  (update, evaluate) rounds instead of the single global heap of
-  :mod:`repro.sim.engine`.
+  implementation.  :mod:`repro.sim.engine` keeps one heap of full
+  ``(fs, delta, epsilon)`` times with one round per time; this module
+  keeps a calendar of femtosecond instants, each with its own heap of
+  ``(delta, epsilon)`` round keys, and runs every round as two explicit
+  phases (update, then evaluate).
 
 The signal net class (:class:`~repro.sim.engine.SignalInstance`), the
 per-driver sorted timeline container, and the kernel's signal creation,
@@ -172,18 +174,19 @@ class CycleKernel:
             rnd = instant.rounds.pop(key)
             self.now = (fs, key[0], key[1])
             self.stats["deltas"] += 1
-            # Phase 1: mature transactions, collect changed nets.
+            # Phase 1: mature transactions, collect changed nets.  The
+            # resumes go in first: a process a net wakes replaces a
+            # stale timeout of its own, which shares its order.
             runnable = {}
+            for activity in rnd.resumes:
+                runnable[activity.order] = activity
             for signal in rnd.signals.values():
                 self.stats["events"] += 1
                 if self._mature(signal.find(), self.now):
                     net = signal.find()
                     runnable.update(net.proc_waiters)
-                    net.proc_waiters.clear()
                     for order, activity in net.entity_list():
                         runnable[order] = activity
-            for activity in rnd.resumes:
-                runnable[activity.order] = activity
             # Phase 2: evaluate in deterministic instance order.
             self.stats["activations"] += len(runnable)
             for order in sorted(runnable):

@@ -17,12 +17,21 @@ cancels that driver's pending transactions at or after T.
 
 Hot-path structure (this is the inner loop of every simulation):
 
-* signals are slot-indexed — every net has a dense ``index`` assigned at
-  creation, and dedup marks / runnable sets key on integers, never on
-  ``id()`` of heap objects;
+* one round per scheduled time — the heap holds each distinct time
+  once, and ``_rounds[time]`` holds the nets to mature there (keyed by
+  their dense ``index``) and the activities to resume.  A round puts its
+  resumes into the runnable set first and then the waiters of every net
+  that changed, so a process woken by a net replaces a stale timeout of
+  its own, and runs each activity once, in ``order`` order;
 * per-driver timelines are kept sorted (:class:`DriverTimeline`), so
   transport cancellation is a bisect + truncate instead of rebuilding the
-  list on every drive, and maturation pops a sorted prefix;
+  list on every drive.  Every transaction has a round at its own time on
+  its own net, so the round pops a timeline's one due transaction, the
+  first;
+* a process stays registered on the nets of its last wait
+  (:meth:`~repro.sim.interp.ProcessInstance.resubscribe`): a wait that
+  names the nets of the one before costs no registration, and a halt
+  clears them;
 * entity sensitivity lists are precomputed: the set of entities observing
   a net is frozen into a tuple the first time the net changes and reused
   until the (elaboration-time-only) waiter set changes again.
@@ -109,12 +118,6 @@ def _race_message(sig, path, values, keys, kernel):
             f"({', '.join(repr(v) for v in values)}); "
             f"conflicting drivers: {'; '.join(drivers)}")
 
-# Event kinds in the kernel heap (ints compare faster than strings and
-# keep heap entries small).
-_UPDATE = 0
-_RESUME = 1
-
-
 def advance_time(now, delay):
     """The time at which something scheduled ``delay`` after ``now`` occurs.
 
@@ -167,18 +170,20 @@ class DriverTimeline:
         return entry
 
     def merge(self, other):
-        """Fold another timeline in (net merging via ``con``)."""
+        """Fold another timeline in (net merging via ``con``).  Of two
+        transactions at one time, ``other``'s is kept, the one
+        :meth:`mature` would have returned."""
         if not other.times:
             return
         if not self.times:
             self.times = other.times
             self.entries = other.entries
             return
-        merged = sorted(
+        merged = dict(sorted(
             zip(self.times + other.times, self.entries + other.entries),
-            key=lambda te: te[0])
-        self.times = [t for t, _ in merged]
-        self.entries = [e for _, e in merged]
+            key=lambda te: te[0]))
+        self.times = list(merged)
+        self.entries = list(merged.values())
 
     def __len__(self):
         return len(self.times)
@@ -208,7 +213,8 @@ class SignalInstance:
         self.value = initial
         self.index = index
         self.pending = {}         # driver_key -> DriverTimeline
-        self.proc_waiters = {}    # activity.order -> activity (one-shot)
+        self.proc_waiters = {}    # activity.order -> process whose last
+                                  # wait names this net
         self.entity_waiters = {}  # activity.order -> activity (persistent)
         self._entity_list = ()    # cached tuple of entity waiters
         self._rep = None
@@ -290,6 +296,13 @@ class SignalRef:
         return f"<signal-ref {self.signal.name}{list(self.path)}>"
 
 
+def net_of(target):
+    """The net a signal or projection operand observes (after ``con``
+    merging): what a ``wait`` on it registers with."""
+    sig = target.signal if type(target) is SignalRef else target
+    return sig if sig._rep is None else sig.find()
+
+
 class Kernel:
     """The event queue and the simulation main loop.
 
@@ -308,15 +321,12 @@ class Kernel:
         self.now = ZERO_TIME
         self.trace = trace
         self.signals = []
-        self._heap = []
-        self._seq = 0
-        self._update_marks = set()   # (time, signal.index) already queued
+        self._heap = []              # each scheduled time, once
+        self._rounds = {}            # time -> (nets by index, resumes)
         self.assertion_failures = []
         self.output = []             # llhd.print output lines
         self.finished = False
         self.stats = {"deltas": 0, "events": 0, "activations": 0}
-        # Hot-loop counters, folded into `stats` when `run` returns.
-        self._deltas = self._events = self._activations = 0
         # Scheduler sanitizer (repro.sim.sanitize): when set, drive
         # races and delta-limit oscillations are recorded as findings
         # instead of raising.  driver_labels maps an activity order (the
@@ -337,10 +347,6 @@ class Kernel:
         return sig
 
     # -- scheduling ------------------------------------------------------------
-
-    def _push(self, time, kind, payload):
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
     def schedule_drive(self, driver_key, target, value, delay):
         """Schedule a drive transaction (transport-delay semantics)."""
@@ -371,63 +377,110 @@ class Kernel:
         else:
             times.append(when)
             timeline.entries.append((path, value))
-        mark = (when, signal.index)
-        marks = self._update_marks
-        if mark not in marks:
-            marks.add(mark)
-            self._seq += 1
-            heapq.heappush(self._heap, (when, self._seq, _UPDATE, signal))
+        rnd = self._rounds.get(when)
+        if rnd is None:
+            self._rounds[when] = ({signal.index: signal}, [])
+            heapq.heappush(self._heap, when)
+        else:
+            rnd[0][signal.index] = signal
 
     def schedule_resume(self, activity, delay):
         """Schedule an activity to run after ``delay`` (wait timeout)."""
         when = advance_time(self.now, delay)
-        self._push(when, _RESUME, activity)
+        rnd = self._rounds.get(when)
+        if rnd is None:
+            self._rounds[when] = ({}, [activity])
+            heapq.heappush(self._heap, when)
+        else:
+            rnd[1].append(activity)
         return when
 
     def schedule_initial(self, activity):
         """Schedule the initial execution of an activity at time zero."""
-        self._push(ZERO_TIME, _RESUME, activity)
+        rnd = self._rounds.get(ZERO_TIME)
+        if rnd is None:
+            rnd = self._rounds[ZERO_TIME] = ({}, [])
+            heapq.heappush(self._heap, ZERO_TIME)
+        rnd[1].append(activity)
 
     # -- simulation loop -----------------------------------------------------------
 
     def run(self, until_fs=None):
-        """Run until the queue drains, ``llhd.finish``, or the time limit."""
+        """Run until the queue drains, ``llhd.finish``, or the time limit.
+
+        A round counts one delta, one event per net and per resume, and
+        one activation per runnable activity.
+        """
+        heap = self._heap
+        rounds = self._rounds
+        pop = heapq.heappop
+        apply = self._apply_transactions
+        limit = self.MAX_DELTAS
+        deltas = events = activations = 0
         deltas_at_fs = 0
         current_fs = -1
-        heap = self._heap
         try:
             while heap and not self.finished:
-                time = heap[0][0]
-                if until_fs is not None and time[0] > until_fs:
-                    break
-                if time[0] != current_fs:
-                    current_fs = time[0]
+                time = heap[0]
+                fs = time[0]
+                if fs != current_fs:
+                    if until_fs is not None and fs > until_fs:
+                        break
+                    current_fs = fs
                     deltas_at_fs = 0
                 else:
                     deltas_at_fs += 1
-                    if deltas_at_fs > self.MAX_DELTAS:
+                    if deltas_at_fs > limit:
                         if self.sanitizer is not None:
                             self.sanitizer.record_oscillation(
-                                self, current_fs,
-                                self._hot_nets(time[0]))
+                                self, fs, self._hot_nets(fs))
                             break
                         raise SimulationError(
-                            f"delta cycle limit exceeded at t={current_fs}fs "
+                            f"delta cycle limit exceeded at t={fs}fs "
                             f"(combinational loop?)")
+                pop(heap)
+                nets, resumes = rounds.pop(time)
                 self.now = time
-                self._step(time)
+                # Resumes first: a net's wake of a process replaces a
+                # stale timeout of it, which keys on the same order.
+                runnable = {}
+                for activity in resumes:
+                    runnable[activity.order] = activity
+                for sig in nets.values():
+                    if sig._rep is not None:
+                        sig = sig.find()
+                    if apply(sig, time):
+                        waiters = sig.proc_waiters
+                        if waiters:
+                            runnable.update(waiters)
+                        ew = sig._entity_list
+                        if ew is None:
+                            ew = sig._entity_list = \
+                                tuple(sig.entity_waiters.items())
+                        if ew:
+                            runnable.update(ew)
+                deltas += 1
+                events += len(nets) + len(resumes)
+                n = len(runnable)
+                activations += n
+                if n == 1:
+                    for activity in runnable.values():
+                        activity.run(self)
+                elif n:
+                    for order in sorted(runnable):
+                        runnable[order].run(self)
         finally:
-            self._flush_stats()
+            stats = self.stats
+            stats["deltas"] += deltas
+            stats["events"] += events
+            stats["activations"] += activations
         self.now = (self.now[0], 0, 0)
 
     def _hot_nets(self, fs):
         """Names of nets with updates still queued in instant ``fs``
         (the members of an oscillating zero-delay loop)."""
-        names = []
-        for time, _seq, kind, payload in self._heap:
-            if time[0] == fs and kind == _UPDATE:
-                names.append(payload.find().name)
-        return names
+        return [sig.find().name for time, (nets, _) in self._rounds.items()
+                if time[0] == fs for sig in nets.values()]
 
     def describe_driver(self, key):
         """A readable identity for a driver key, for conflict reports."""
@@ -441,68 +494,24 @@ class Kernel:
             return f"{kind}driver #{order}"
         return f"{kind}{label}"
 
-    def _flush_stats(self):
-        stats = self.stats
-        stats["deltas"] += self._deltas
-        stats["events"] += self._events
-        stats["activations"] += self._activations
-        self._deltas = self._events = self._activations = 0
-
-    def _step(self, time):
-        """Process all events scheduled for exactly ``time``.
-
-        Updates (net maturation) and resumes are interleaved as popped:
-        maturing a net only reads/writes that net and the runnable set,
-        so processing order within one instant does not affect the
-        outcome — activities still run once, in ``order`` order.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        apply = self._apply_transactions
-        runnable = {}
-        marks = self._update_marks
-        events = 0
-        while heap and heap[0][0] == time:
-            entry = pop(heap)
-            events += 1
-            if entry[2] == _UPDATE:
-                signal = entry[3]
-                marks.discard((time, signal.index))
-                sig = signal if signal._rep is None else signal.find()
-                if apply(sig, time):
-                    waiters = sig.proc_waiters
-                    if waiters:
-                        runnable.update(waiters)
-                        waiters.clear()
-                    ew = sig._entity_list
-                    if ew is None:
-                        ew = sig._entity_list = \
-                            tuple(sig.entity_waiters.items())
-                    if ew:
-                        runnable.update(ew)
-            else:
-                activity = entry[3]
-                runnable[activity.order] = activity
-        self._deltas += 1
-        self._events += events
-        n = len(runnable)
-        self._activations += n
-        if n == 1:
-            for activity in runnable.values():
-                activity.run(self)
-        elif n:
-            for order in sorted(runnable):
-                runnable[order].run(self)
-
     def _apply_transactions(self, sig, time):
-        """Mature due transactions on a net; True if the value changed."""
+        """Mature the transactions due at ``time`` on a net; True if the
+        value changed.
+
+        Every transaction has a round at its own time on its own net, and
+        rounds run in time order, so a timeline holds nothing before
+        ``time`` and, its times being strictly increasing, at most one
+        transaction at it: its first.
+        """
         single = None
         single_key = None
         contributions = None
         for key, timeline in sig.pending.items():
-            entry = timeline.mature(time)
-            if entry is None:
+            times = timeline.times
+            if not times or times[0] != time:
                 continue
+            del times[0]
+            entry = timeline.entries.pop(0)
             if contributions is not None:
                 contributions.append((entry[0], entry[1], key))
             elif single is None:
@@ -524,7 +533,13 @@ class Kernel:
         if new == old:
             return False
         sig.value = new
-        record(sig.history, time[0], new)
+        histories = sig.history
+        fs = time[0]
+        if len(histories) == 1 and histories[0][-1][0] != fs:
+            # All that record does here (see its docstring).
+            histories[0].append((fs, new))
+        else:
+            record(histories, fs, new)
         return True
 
     # -- waiting -----------------------------------------------------------------

@@ -196,7 +196,12 @@ class _FunctionInterpreter:
 
 
 class ProcessInstance:
-    """One elaborated process: a suspended control-flow activity."""
+    """One elaborated process: a suspended control-flow activity.
+
+    A process stays registered on the nets of its last wait
+    (:meth:`resubscribe`), and a wake of any kind bumps ``wait_token``,
+    which makes the pending timeout of the wait it left stale.
+    """
 
     def __init__(self, design, unit, path, port_map):
         self.design = design
@@ -206,7 +211,7 @@ class ProcessInstance:
         self.env = dict(port_map)  # id(value) -> runtime value
         self.status = "ready"
         self.wait_token = 0
-        self.subscribed = []
+        self.subscribed = ()       # the nets of the last wait
         self._bp = None            # current BlockPlan (predecoded)
         self.functions = _FunctionInterpreter(design, design.kernel)
         design.activities.append(self)
@@ -215,35 +220,28 @@ class ProcessInstance:
     # -- activity interface ----------------------------------------------------
 
     def run(self, kernel):
-        if self.status == "waiting":
-            self._wake()
-        elif self.status != "ready":
+        status = self.status
+        if status == "waiting":
+            self.wait_token += 1
+        elif status != "ready":
             return
-        self.status = "running"
         self._execute(kernel)
 
-    def _wake(self):
-        subscribed = self.subscribed
-        if subscribed:
+    def resubscribe(self, nets):
+        """Wait on ``nets`` (resolved nets): registrations change only
+        when they differ from the last wait's."""
+        old = self.subscribed
+        if nets != old:
             order = self.order
-            for sig in subscribed:
+            for sig in old:
                 sig.proc_waiters.pop(order, None)
-            self.subscribed = []
-        self.wait_token += 1
+            for sig in nets:
+                sig.proc_waiters[order] = self
+            self.subscribed = nets
 
-    def _subscribe(self, signals, timeout):
-        self.status = "waiting"
-        order = self.order
-        subscribed = self.subscribed
-        for target in signals:
-            sig = target.signal if type(target) is SignalRef else target
-            if sig._rep is not None:
-                sig = sig.find()
-            sig.proc_waiters[order] = self
-            subscribed.append(sig)
-        if timeout is not None:
-            self.design.kernel.schedule_resume(
-                _Timeout(self, self.wait_token), timeout)
+    def halt(self):
+        self.status = "halted"
+        self.resubscribe(())
 
     # -- execution ----------------------------------------------------------------
 

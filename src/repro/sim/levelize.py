@@ -469,12 +469,10 @@ class _Cone:
                 history.append((fs, new))
             else:
                 record(histories, fs, new)
-            waiters = sig.proc_waiters
-            if waiters:
-                # Wake next delta; the process pops its subscriptions
-                # itself (the one-shot protocol `_wake` implements).
-                for act in list(waiters.values()):
-                    kernel.schedule_resume(act, _ZERO)
+            # Wake next delta.  A process stays registered on the nets
+            # of its last wait, as under the kernel's own rounds.
+            for act in sig.proc_waiters.values():
+                kernel.schedule_resume(act, _ZERO)
             for act in entities:
                 kernel.schedule_resume(act, _ZERO)
 

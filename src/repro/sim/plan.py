@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 
 from ..ir.values import TimeValue
-from .engine import SignalInstance, SignalRef
+from .engine import SignalInstance, SignalRef, net_of
 from .eval import EVALUATORS, path_of
 from .optable import GLOBALS, TABLE, UNBOXED, box, edge, entry
 from .values import SimulationError, dynamic_index, extract_path, insert_path
@@ -123,15 +123,12 @@ class BlockPlan:
 class _Timeout:
     """Resume-after-timeout token; stale tokens are ignored."""
 
-    __slots__ = ("proc", "token")
+    __slots__ = ("proc", "token", "order")
 
     def __init__(self, proc, token):
         self.proc = proc
         self.token = token
-
-    @property
-    def order(self):
-        return self.proc.order
+        self.order = proc.order
 
     def run(self, kernel):
         if self.proc.status == "waiting" and \
@@ -492,16 +489,7 @@ def _term_wait(inst, block, plans, kernel):
             _apply_copies(env, copies)
         act._bp = dest_plan
         act.status = "waiting"
-        order = act.order
-        subscribed = act.subscribed
-        for i in sig_ids:
-            sig = env[i]
-            if type(sig) is SignalRef:
-                sig = sig.signal
-            if sig._rep is not None:
-                sig = sig.find()
-            sig.proc_waiters[order] = act
-            subscribed.append(sig)
+        act.resubscribe(tuple([net_of(env[i]) for i in sig_ids]))
         if tid is not None:
             kernel.schedule_resume(
                 _Timeout(act, act.wait_token), env[tid])
@@ -511,7 +499,7 @@ def _term_wait(inst, block, plans, kernel):
 
 def _term_halt(inst, block, plans, kernel):
     def term(env, act):
-        act.status = "halted"
+        act.halt()
         return None
     return term
 

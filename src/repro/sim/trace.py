@@ -24,8 +24,9 @@ def record(histories, fs, value):
     here, ends its history in the value it holds.  So when such a net
     takes a new value at a femtosecond after its history's last entry,
     appending ``(fs, value)`` is all this function would do: a caller
-    that knows both facts may append directly (the levelized cone's
-    commit does).  Every other case goes through this function.
+    that knows both facts may append directly (the event kernel's
+    maturation and the levelized cone's commit do).  Every other case
+    goes through this function.
     """
     for history in histories:
         if history:

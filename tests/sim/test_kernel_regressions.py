@@ -1,4 +1,4 @@
-"""Regression tests for kernel correctness bugs fixed in PR 2.
+"""Regression tests for kernel correctness bugs.
 
 Covers:
 
@@ -12,15 +12,22 @@ Covers:
   behaviour-identical to the list-rebuild original);
 * multi-trigger ``reg`` edge tracking agreeing between engines, and a
   first trigger whose edge fires under a false condition handing over
-  to the next trigger.
+  to the next trigger;
+* the wait protocol: a process stays registered on the nets of its last
+  wait and nowhere else, a halted process on none, and a stale timeout
+  never takes the place of a wake in the same round.
 """
 
 import pytest
 
+from repro.designs import ALL_DESIGNS, DESIGNS, compile_design
 from repro.ir import LogicVec, parse_module
 from repro.ir.values import TimeValue
 from repro.sim import SimulationError, simulate
-from repro.sim.engine import DriverTimeline, Kernel
+from repro.sim.blaze import BlazeProcessInstance, elaborate_compiled
+from repro.sim.cycle import CycleKernel, elaborate_cycle
+from repro.sim.engine import DriverTimeline, Kernel, SignalRef
+from repro.sim.interp import ProcessInstance, elaborate
 
 
 NS = 1_000_000
@@ -69,6 +76,35 @@ def test_connect_merges_same_driver_same_time_deterministically():
     assert history[0] == (0, 0)
     assert history[1][0] == 1 * NS
     assert history[1][1] in (11, 22)
+
+
+def test_connect_merge_keeps_one_transaction_per_time():
+    # One driver puts "0" on %a and "Z" on %b at 1ns, then con merges
+    # them.  The merged timeline keeps "Z" alone, the value maturing
+    # both at once yields, and it resolves against @other's "1".
+    # Keeping both would resolve "0" with "1", then apply "Z" alone.
+    module = parse_module("""
+    entity @top () -> () {
+      %u = const l1 "U"
+      %lo = const l1 "0"
+      %z = const l1 "Z"
+      %t1 = const time 1ns
+      %a = sig l1 %u
+      %b = sig l1 %u
+      drv l1$ %a, %lo after %t1
+      drv l1$ %b, %z after %t1
+      inst @other () -> (l1$ %a)
+      con l1$ %a, %b
+    }
+    entity @other () -> (l1$ %a) {
+      %hi = const l1 "1"
+      %t1 = const time 1ns
+      drv l1$ %a, %hi after %t1
+    }
+    """)
+    result = simulate(module, "top")
+    assert result.trace.history("top.a") == [
+        (0, LogicVec("U")), (1 * NS, LogicVec("1"))]
 
 
 def test_connect_conflicting_initial_values_diagnosed():
@@ -332,3 +368,210 @@ def test_reg_false_condition_falls_through_to_next_trigger(backend,
     if backend == "levelized":
         assert result.design.report["seqs"] == 1
         assert result.design.report["fallbacks"] == []
+
+
+ENGINES = ["interp", "blaze", "cycle", "levelized"]
+
+
+@pytest.mark.parametrize("backend", ENGINES)
+def test_stale_timeout_does_not_swallow_a_wake(backend, tmp_path):
+    # %b wakes @p at 3ns, which then waits on %a alone.  %a changes at
+    # 10ns, the instant the first wait's stale timeout fires; both key
+    # on @p's order, and the wake must win.
+    module = parse_module("""
+    entity @top () -> () {
+      %z = const i1 0
+      %a = sig i1 %z
+      %b = sig i1 %z
+      %seen = sig i1 %z
+      inst @q () -> (i1$ %a, i1$ %b)
+      inst @p (i1$ %a, i1$ %b) -> (i1$ %seen)
+    }
+    proc @q () -> (i1$ %a, i1$ %b) {
+    entry:
+      %one = const i1 1
+      %t10 = const time 10ns
+      %t3 = const time 3ns
+      drv i1$ %a, %one after %t10
+      drv i1$ %b, %one after %t3
+      halt
+    }
+    proc @p (i1$ %a, i1$ %b) -> (i1$ %seen) {
+    entry:
+      %t10 = const time 10ns
+      wait %w1 for %t10, %b
+    w1:
+      wait %w2 for %a
+    w2:
+      %one = const i1 1
+      %t1 = const time 1ns
+      drv i1$ %seen, %one after %t1
+      halt
+    }
+    """)
+    result = simulate(module, "top", backend=backend,
+                      cache_dir=str(tmp_path))
+    assert result.trace.history("top.seen") == [(0, 0), (11 * NS, 1)]
+
+
+@pytest.mark.parametrize("backend", ENGINES)
+def test_wait_counts_only_the_net_it_waits_on(backend, tmp_path):
+    # @p alternates `wait %a` and `wait %b` and counts its wakes.  %a
+    # changes at 1, 3, 5, 7 and 9 ns, %b at 2, 6 and 10 ns; the changes
+    # of %a at 5 and 9 ns, and none of %b's, fall while @p waits on the
+    # other net.
+    module = parse_module("""
+    entity @top () -> () {
+      %z = const i1 0
+      %z8 = const i8 0
+      %a = sig i1 %z
+      %b = sig i1 %z
+      %n = sig i8 %z8
+      inst @q () -> (i1$ %a, i1$ %b)
+      inst @p (i1$ %a, i1$ %b) -> (i8$ %n)
+    }
+    proc @q () -> (i1$ %a, i1$ %b) {
+    entry:
+      %lo = const i1 0
+      %hi = const i1 1
+      %t1 = const time 1ns
+      %t2 = const time 2ns
+      %t3 = const time 3ns
+      %t5 = const time 5ns
+      %t6 = const time 6ns
+      %t7 = const time 7ns
+      %t9 = const time 9ns
+      %t10 = const time 10ns
+      drv i1$ %a, %hi after %t1
+      drv i1$ %a, %lo after %t3
+      drv i1$ %a, %hi after %t5
+      drv i1$ %a, %lo after %t7
+      drv i1$ %a, %hi after %t9
+      drv i1$ %b, %hi after %t2
+      drv i1$ %b, %lo after %t6
+      drv i1$ %b, %hi after %t10
+      halt
+    }
+    proc @p (i1$ %a, i1$ %b) -> (i8$ %n) {
+    entry:
+      %one = const i8 1
+      %d = const time 0s 1d
+      br %wa
+    wa:
+      wait %ga for %a
+    ga:
+      %n0 = prb i8$ %n
+      %n1 = add i8 %n0, %one
+      drv i8$ %n, %n1 after %d
+      wait %gb for %b
+    gb:
+      %n2 = prb i8$ %n
+      %n3 = add i8 %n2, %one
+      drv i8$ %n, %n3 after %d
+      br %wa
+    }
+    """)
+    result = simulate(module, "top", backend=backend,
+                      cache_dir=str(tmp_path))
+    assert result.trace.history("top.n") == [
+        (0, 0), (1 * NS, 1), (2 * NS, 2), (3 * NS, 3), (6 * NS, 4),
+        (7 * NS, 5), (10 * NS, 6)]
+
+
+@pytest.mark.parametrize("backend", ["interp", "blaze", "cycle"])
+def test_halted_process_is_never_activated_again(backend):
+    # @q and @p run once at time 0; %a's change at 1ns wakes @p, which
+    # halts; the changes at 2 and 3 ns find no waiter: 3 activations.
+    module = parse_module("""
+    entity @top () -> () {
+      %z = const i1 0
+      %a = sig i1 %z
+      inst @q () -> (i1$ %a)
+      inst @p (i1$ %a) -> ()
+    }
+    proc @q () -> (i1$ %a) {
+    entry:
+      %lo = const i1 0
+      %hi = const i1 1
+      %t1 = const time 1ns
+      %t2 = const time 2ns
+      %t3 = const time 3ns
+      drv i1$ %a, %hi after %t1
+      drv i1$ %a, %lo after %t2
+      drv i1$ %a, %hi after %t3
+      halt
+    }
+    proc @p (i1$ %a) -> () {
+    entry:
+      wait %done for %a
+    done:
+      halt
+    }
+    """)
+    result = simulate(module, "top", backend=backend)
+    assert result.trace.history("top.a") == [
+        (0, 0), (1 * NS, 1), (2 * NS, 0), (3 * NS, 1)]
+    assert result.stats["activations"] == 3
+    assert all(not sig.proc_waiters for sig in result.kernel.signals)
+
+
+class _WaitSpy:
+    """Stands in for a blaze process's generator and keeps the signal
+    tuple of the last wait it yielded."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.last = ()
+
+    def send(self, value):
+        timeout, signals = self.gen.send(value)
+        self.last = signals
+        return timeout, signals
+
+
+def _spy_on_waits(design):
+    """Record each process's last wait independently of its own
+    registration bookkeeping: the blaze generator's yields, or the nets
+    interp's wait terminator passes in."""
+    last = {}
+    for act in design.activities:
+        if isinstance(act, BlazeProcessInstance):
+            spy = act._gen = _WaitSpy(act._gen)
+            last[act] = lambda spy=spy: tuple(
+                (s.signal if isinstance(s, SignalRef) else s).find()
+                for s in spy.last)
+        elif isinstance(act, ProcessInstance):
+            box = [()]
+            resubscribe = act.resubscribe
+
+            def record(nets, box=box, resubscribe=resubscribe):
+                box[0] = nets
+                resubscribe(nets)
+            act.resubscribe = record
+            last[act] = lambda box=box: box[0]
+    return last
+
+
+_ELABORATORS = {
+    "interp": (Kernel, elaborate),
+    "blaze": (Kernel, elaborate_compiled),
+    "cycle": (CycleKernel, elaborate_cycle),
+}
+
+
+@pytest.mark.parametrize("name", ALL_DESIGNS)
+def test_waiters_are_the_processes_whose_last_wait_names_the_net(name):
+    module = compile_design(name, cycles=20)
+    for backend, (kernel_class, elaborator) in _ELABORATORS.items():
+        kernel = kernel_class()
+        design = elaborator(module, DESIGNS[name].top, kernel)
+        last = _spy_on_waits(design)
+        kernel.run()
+        expected = {}
+        for act, nets in last.items():
+            if act.status == "waiting":
+                for net in nets():
+                    expected.setdefault(id(net), set()).add(act.order)
+        for sig in kernel.signals:
+            assert set(sig.proc_waiters) == expected.get(id(sig), set()), \
+                f"{backend}: {sig.name}"
