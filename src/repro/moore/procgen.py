@@ -11,6 +11,8 @@ suspension point (see codegen module docstring).
 
 from __future__ import annotations
 
+import dataclasses
+
 from ..ir.builder import Builder
 from ..ir.ninevalued import LogicVec
 from ..ir.types import int_type, logic_type
@@ -23,43 +25,45 @@ from .codegen import ExprContext, MooreError, TypedValue, _const_eval, \
 _ZERO_DELAY = TimeValue(0)
 
 
-def collect_written(node, out):
-    """Base identifiers assigned anywhere below ``node``."""
-    if isinstance(node, ast.Assign):
-        base = node.target
-        while isinstance(base, (ast.Index, ast.PartSelect)):
-            base = base.base
-        if isinstance(base, ast.Identifier):
-            out.add(base.name)
-    for child in _children(node):
-        collect_written(child, out)
+def scan_body(*roots):
+    """One walk over the AST below ``roots``: ``(written, read,
+    blocking)``, the base identifiers assigned anywhere, every identifier
+    read, and the base identifiers of blocking assignments and
+    post-increments."""
+    written, read, blocking = set(), set(), set()
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is list or cls is tuple:
+            stack.extend(node)
+            continue
+        if cls is ast.Identifier:
+            read.add(node.name)
+        elif cls is ast.Assign:
+            base = node.target
+            while isinstance(base, (ast.Index, ast.PartSelect)):
+                base = base.base
+            if isinstance(base, ast.Identifier):
+                written.add(base.name)
+                if node.blocking:
+                    blocking.add(base.name)
+        elif cls is ast.PostIncrement and \
+                isinstance(node.target, ast.Identifier):
+            blocking.add(node.target.name)
+        stack.extend(getattr(node, name)
+                     for name in _CHILD_FIELDS.get(cls, ()))
+    return written, read, blocking
 
 
-def collect_reads(node, out):
-    """All identifier names appearing below ``node``."""
-    if isinstance(node, ast.Identifier):
-        out.add(node.name)
-    for child in _children(node):
-        collect_reads(child, out)
-
-
-def _children(node):
-    if node is None or isinstance(node, (int, str, bool)):
-        return
-    if isinstance(node, (list, tuple)):
-        for item in node:
-            yield from _children_of_value(item)
-        return
-    for field_name in getattr(node, "__dataclass_fields__", {}):
-        yield from _children_of_value(getattr(node, field_name))
-
-
-def _children_of_value(value):
-    if isinstance(value, (list, tuple)):
-        for item in value:
-            yield from _children_of_value(item)
-    elif hasattr(value, "__dataclass_fields__"):
-        yield value
+#: AST class -> the fields :func:`scan_body` descends into: those whose
+#: default is not a plain number, string or bool.
+_CHILD_FIELDS = {
+    cls: tuple(f.name for f in dataclasses.fields(cls)
+               if not isinstance(f.default, (int, str)))
+    for cls in vars(ast).values()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+}
 
 
 class _Lvalue:
@@ -392,19 +396,14 @@ class ProcessBodyGen(BodyGen):
     def __init__(self, elab, always_ast, name):
         self.always = always_ast
         self.name = name
-        written, read = set(), set()
-        collect_written(always_ast.body, written)
-        collect_reads(always_ast.body, read)
-        if always_ast.events:
-            for event in always_ast.events:
-                collect_reads(event.signal, read)
+        written, read, blocking = scan_body(
+            always_ast.body,
+            [event.signal for event in always_ast.events or ()])
         self.written_signals = [n for n in elab.signals if n in written]
-        read_signals = {n for n in elab.signals if n in read}
         self.input_signals = [n for n in elab.signals
-                              if n in read_signals and n not in written]
+                              if n in read and n not in written]
         # Blocking-assigned module signals get shadow cells.
-        self.shadowed = self._find_blocking_targets(always_ast.body,
-                                                    set(elab.signals))
+        self.shadowed = {n for n in blocking if n in elab.signals}
         in_types = [elab.signals[n].type for n in self.input_signals]
         out_types = [elab.signals[n].type for n in self.written_signals]
         unit = Process(name, in_types, self.input_signals,
@@ -418,32 +417,6 @@ class ProcessBodyGen(BodyGen):
             ty, signed = elab.signal_types[n]
             self.bindings[n] = ["sig", arg, ty, signed]
         self.shadow_cells = {}
-
-    def _find_blocking_targets(self, node, signal_names, out=None):
-        if out is None:
-            out = set()
-        if isinstance(node, ast.Assign) and node.blocking:
-            base = node.target
-            while isinstance(base, (ast.Index, ast.PartSelect)):
-                base = base.base
-            if isinstance(base, ast.Identifier) \
-                    and base.name in signal_names:
-                out.add(base.name)
-        if isinstance(node, ast.ExprStmt) \
-                and isinstance(node.expr, ast.PostIncrement):
-            base = node.expr.target
-            if isinstance(base, ast.Identifier) \
-                    and base.name in signal_names:
-                out.add(base.name)
-        for child in _children(node):
-            self._find_blocking_targets(child, signal_names, out)
-        # PostIncrement inside expressions (e.g. while (i++ < n)).
-        if isinstance(node, ast.PostIncrement):
-            base = node.target
-            if isinstance(base, ast.Identifier) \
-                    and base.name in signal_names:
-                out.add(base.name)
-        return out
 
     # -- activation scaffolding -------------------------------------------------
 
@@ -722,9 +695,7 @@ class FunctionBodyGen(BodyGen):
         self.ret_ty = ret_ty
         self.ret_signed = ret_signed
         self.bindings = {}
-        written = set()
-        collect_written(decl.body, written)
-        self._written = written
+        self._written = scan_body(decl.body)[0]
         self._arg_signed = arg_signed
         self.ret_cell = None
         self.exit_block = None

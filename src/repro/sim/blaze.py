@@ -7,7 +7,12 @@ translates every unit into Python source once, compiles it with
 
 * processes become *generator functions* — ``wait`` is a ``yield`` of the
   subscription request, so resumption is native generator resumption
-  instead of interpreting a program counter;
+  instead of interpreting a program counter.  What a block only renames
+  costs no line (:func:`~repro.sim.plan.forwarding`, shared with the
+  interpreter): a promoted cell lives in a local, a forwarded ``ld`` or
+  repeated ``prb`` takes the name of the value it reads, the block
+  writes its cells back in one tuple assignment before its terminator,
+  and a ``const`` is named by its literal or runtime-constant global;
 * entities become *bind-time closures*: a generated ``__bind__`` factory
   receives the instance's resolved signals once, hoists everything
   loop-invariant (constants, static sub-signal projections, pure ops over
@@ -57,8 +62,8 @@ from .interp import (
 from .optable import GLOBALS as _TABLE_GLOBALS, UNBOXED, box, edge
 from .optable import emit as _emit_op, signature
 from .plan import (
-    Cell, _Timeout, fired_trigger, fused_mux_arrays, load, project,
-    promotable_cells, store,
+    Cell, _Timeout, fired_trigger, forwarding, fused_mux_arrays, load,
+    project, promotable_cells, store,
 )
 from .values import (
     SimulationError, dynamic_index, extract_path, insert_path, mask,
@@ -270,9 +275,15 @@ class ProcessCompiler(UnitCompiler):
     """Compile a process (or function) body into a Python function.
 
     ``var``/``alloc`` cells whose pointer never escapes
-    (:func:`~repro.sim.plan.promotable_cells`) are promoted to plain
-    Python locals — the mem2reg optimization LLVM would perform for the
-    paper's Blaze.
+    (:func:`~repro.sim.plan.promotable_cells`) are plain Python locals —
+    the mem2reg optimization LLVM would perform for the paper's Blaze —
+    and :func:`~repro.sim.plan.forwarding` decides which instructions
+    only rename a value: such a ``var``/``alloc``/``st``, or an ``ld``
+    or repeated ``prb`` that is forwarded, costs no line, because the
+    forwarded value takes the name of what it reads.  A block writes
+    back the cells it wrote, where a later block reads them, with one
+    tuple assignment before its terminator.  A ``const`` is named by its
+    literal, or by the runtime-constant global that holds it.
     """
 
     def compile(self):
@@ -283,7 +294,14 @@ class ProcessCompiler(UnitCompiler):
         """
         unit = self.unit
         code = self.code
-        self._promoted = promotable_cells(unit)
+        forwards, self._copies, self._flushes, dropped = forwarding(
+            unit, promotable_cells(unit))
+        self._skip = self._elided | dropped
+        for inst in unit.instructions():
+            if inst.opcode == "const":
+                self.names[id(inst)] = self.const_expr(inst)
+        for key, value in forwards.items():
+            self.names[key] = self.name(value)
         block_index = {id(b): i for i, b in enumerate(unit.blocks)}
         if unit.is_process:
             symbol = "__process__"
@@ -303,6 +321,10 @@ class ProcessCompiler(UnitCompiler):
         code.line("while True:")
         code.indent += 1
         for i, block in enumerate(unit.blocks):
+            if not block.instructions or \
+                    not block.instructions[-1].is_terminator:
+                raise SimulationError(
+                    f"@{unit.name}: block without terminator")
             code.line(f"{'if' if i == 0 else 'elif'} _b == {i}:")
             code.indent += 1
             self._emit_block(block, block_index)
@@ -319,14 +341,12 @@ class ProcessCompiler(UnitCompiler):
     def _emit_block(self, block, block_index):
         code = self.code
         n = self.name
-        emitted = False
         for inst in block.instructions:
             op = inst.opcode
-            if op == "phi":
-                continue  # materialized at the branch edges
-            if id(inst) in self._elided:
-                continue  # fused into its consuming mux
-            emitted = True
+            if op in ("phi", "const", "free") or id(inst) in self._skip:
+                # Phis are copied at the branch edges, constants named by
+                # their literal, and a fused array is folded into its mux.
+                continue
             if op == "drv":
                 cond = inst.drv_condition()
                 prefix = f"if {n(cond)}: " if cond is not None else ""
@@ -337,26 +357,17 @@ class ProcessCompiler(UnitCompiler):
             elif op == "prb":
                 code.line(f"{n(inst)} = {self.probe_expr(inst)}")
             elif op == "var" or op == "alloc":
-                if id(inst) in self._promoted:
-                    code.line(f"{n(inst)} = {n(inst.operands[0])}")
-                else:
-                    code.line(
-                        f"{n(inst)} = Cell({self.boxed(inst.operands[0])})")
-            elif op == "free":
-                code.line("pass")
+                code.line(
+                    f"{n(inst)} = Cell({self.boxed(inst.operands[0])})")
             elif op == "ld":
-                ptr = inst.operands[0]
-                if id(ptr) in self._promoted:
-                    code.line(f"{n(inst)} = {n(ptr)}")
+                source = self._copies.get(id(inst))
+                if source is not None:
+                    code.line(f"{n(inst)} = {n(source)}")
                 else:
-                    code.line(f"{n(inst)} = load({n(ptr)})")
+                    code.line(f"{n(inst)} = load({n(inst.operands[0])})")
             elif op == "st":
-                ptr = inst.operands[0]
-                if id(ptr) in self._promoted:
-                    code.line(f"{n(ptr)} = {n(inst.operands[1])}")
-                else:
-                    code.line(
-                        f"store({n(ptr)}, {self.boxed(inst.operands[1])})")
+                code.line(f"store({n(inst.operands[0])}, "
+                          f"{self.boxed(inst.operands[1])})")
             elif op == "sig":
                 raise SimulationError(
                     "blaze: sig inside processes is not supported; "
@@ -367,21 +378,28 @@ class ProcessCompiler(UnitCompiler):
                     code.line(target)
                 else:
                     code.line(f"{n(inst)} = {target}")
-            elif op == "br":
-                self._emit_branch(inst, block, block_index)
-            elif op == "wait":
-                self._emit_wait(inst, block, block_index)
-            elif op == "halt":
-                code.line("return")
-            elif op == "ret":
-                if inst.operands:
+            elif inst.is_terminator:
+                self._emit_flush(block)
+                if op == "br":
+                    self._emit_branch(inst, block, block_index)
+                elif op == "wait":
+                    self._emit_wait(inst, block, block_index)
+                elif op == "halt":
+                    code.line("return")
+                elif inst.operands:
                     code.line(f"return {self.boxed(inst.operands[0])}")
                 else:
                     code.line("return None")
             else:
                 code.line(f"{n(inst)} = {self.expr(inst)}")
-        if not emitted:
-            code.line("pass")
+
+    def _emit_flush(self, block):
+        """The block's write-back of the cells it wrote, in parallel."""
+        pairs = self._flushes.get(id(block))
+        if pairs:
+            n = self.name
+            self.code.line(f"{', '.join(n(cell) for cell, _ in pairs)} = "
+                           f"{', '.join(n(value) for _, value in pairs)}")
 
     def _phi_copies(self, target, pred):
         """Emit the parallel copies for jumping pred -> target."""

@@ -19,10 +19,22 @@ operand lists:
   and cycle generate calls the same functions (and ``eval.extf``/
   ``eval.insf``), so each aggregate and projection rule, with its
   error text, exists once;
-* blaze's two local rewrites apply too, through the same analyses: a
+* blaze's three local rewrites apply too, through the same analyses: a
   private two-choice ``array`` + i1 ``mux`` becomes one conditional
-  step (:func:`fused_mux_arrays`), and a cell whose pointer never
-  escapes is a plain ``env`` value (:func:`promotable_cells`);
+  step (:func:`fused_mux_arrays`), a cell whose pointer never escapes
+  is a plain ``env`` slot (:func:`promotable_cells`), and
+  :func:`forwarding` decides what a block only renames.  Within a
+  block a promoted cell holds its init, then what the last ``st``
+  stored, so its ``var``/``alloc``/``st`` need no step; an ``ld`` is
+  forwarded to the value the cell holds when that value is stable (a
+  constant, an argument or an instruction of the block, never a slot)
+  or when every use of the ``ld`` precedes the block's write-back, and
+  copied where it stands otherwise; a repeated ``prb`` in a block is
+  its first, since no time passes inside a block.  A forwarded
+  instruction needs no step: every builder reads its operands through
+  ``key_of``, which follows the forwards, and each block ends with one
+  parallel copy writing back the cells it wrote that a later block may
+  read (backward liveness over the CFG);
 * a process or function's ``const`` results leave the step lists: the
   plan returns them for the activity to seed into ``env`` once;
 * every terminator becomes a ``term(env, act)`` closure that
@@ -168,12 +180,16 @@ def _step_factory(key, constants):
     return namespace["factory"]
 
 
-def _pure_step(inst):
-    """A side-effect-free step: its opcode-table entry, else its evaluator."""
+def _pure_step(inst, key_of=id):
+    """A side-effect-free step: its opcode-table entry, else its evaluator.
+
+    Like every builder, it reads operand ``v`` from ``env[key_of(v)]``:
+    ``key_of`` is ``id``, or follows :func:`forwarding`'s forwards.
+    """
     op = inst.opcode
     key = id(inst)
     ops = inst.operands
-    opids = tuple(id(o) for o in ops)
+    opids = tuple(key_of(o) for o in ops)
     found = entry(op, [o.type for o in ops], inst.type,
                   inst.attrs.get("offset"))
     if found is not None:
@@ -199,11 +215,11 @@ def _pure_step(inst):
     return step
 
 
-def _fused_mux_step(inst):
+def _fused_mux_step(inst, key_of):
     """``mux [f, t], c`` over a fused array: ``t if c else f``."""
     key = id(inst)
     f_val, t_val = inst.operands[0].operands
-    f, t, c = id(f_val), id(t_val), id(inst.operands[1])
+    f, t, c = key_of(f_val), key_of(t_val), key_of(inst.operands[1])
 
     def step(env, act):
         env[key] = env[t] if env[c] else env[f]
@@ -211,23 +227,33 @@ def _fused_mux_step(inst):
 
 
 def _copy_step(dst, src):
-    """``env[dst] = env[src]``: a promoted cell's var, ld or st."""
-    d, s = id(dst), id(src)
-
+    """``env[dst] = env[src]``: an ``ld`` that :func:`forwarding` copies,
+    or a block's one write-back."""
     def step(env, act):
-        env[d] = env[s]
+        env[dst] = env[src]
     return step
 
 
-def _ext_step(inst, kernel):
+def _flush_step(pairs):
+    """A block's write-back of the promoted cells it wrote: one parallel
+    copy of ``(slot key, value key)`` pairs."""
+    if len(pairs) == 1:
+        return _copy_step(*pairs[0])
+
+    def step(env, act):
+        _apply_copies(env, pairs)
+    return step
+
+
+def _ext_step(inst, kernel, key_of):
     """extf/exts: a pure step on a value, :func:`project` through a
     signal or pointer."""
     base = inst.operands[0]
     if not (base.type.is_signal or base.type.is_pointer):
-        return _pure_step(inst)
-    key, bid = id(inst), id(base)
+        return _pure_step(inst, key_of)
+    key, bid = id(inst), key_of(base)
     if inst.has_dynamic_index:
-        iid = id(inst.operands[1])
+        iid = key_of(inst.operands[1])
 
         def step(env, act):
             env[key] = project(env[bid], ("field", dynamic_index(env[iid])))
@@ -239,9 +265,9 @@ def _ext_step(inst, kernel):
     return step
 
 
-def _prb_step(inst, kernel):
+def _prb_step(inst, kernel, key_of):
     key = id(inst)
-    sid = id(inst.operands[0])
+    sid = key_of(inst.operands[0])
 
     def step(env, act):
         target = env[sid]
@@ -255,16 +281,16 @@ def _prb_step(inst, kernel):
     return step
 
 
-def _drv_step(inst, kernel):
-    sid = id(inst.drv_signal())
-    vid = id(inst.drv_value())
-    did = id(inst.drv_delay())
+def _drv_step(inst, kernel, key_of):
+    sid = key_of(inst.drv_signal())
+    vid = key_of(inst.drv_value())
+    did = key_of(inst.drv_delay())
     cond = inst.drv_condition()
     if cond is None:
         def step(env, act):
             kernel.schedule_drive(act.order, env[sid], env[vid], env[did])
     else:
-        cid = id(cond)
+        cid = key_of(cond)
 
         def step(env, act):
             if env[cid]:
@@ -273,9 +299,9 @@ def _drv_step(inst, kernel):
     return step
 
 
-def _sig_step(inst, kernel):
+def _sig_step(inst, kernel, key_of):
     key = id(inst)
-    init = id(inst.operands[0])
+    init = key_of(inst.operands[0])
     label = inst.name or id(inst)
     ty = inst.type
 
@@ -286,37 +312,37 @@ def _sig_step(inst, kernel):
     return step
 
 
-def _cell_step(inst, kernel):
+def _cell_step(inst, kernel, key_of):
     key = id(inst)
-    init = id(inst.operands[0])
+    init = key_of(inst.operands[0])
 
     def step(env, act):
         env[key] = Cell(env[init])
     return step
 
 
-def _ld_step(inst, kernel):
+def _ld_step(inst, kernel, key_of):
     key = id(inst)
-    pid = id(inst.operands[0])
+    pid = key_of(inst.operands[0])
 
     def step(env, act):
         env[key] = load(env[pid])
     return step
 
 
-def _st_step(inst, kernel):
-    pid = id(inst.operands[0])
-    vid = id(inst.operands[1])
+def _st_step(inst, kernel, key_of):
+    pid = key_of(inst.operands[0])
+    vid = key_of(inst.operands[1])
 
     def step(env, act):
         store(env[pid], env[vid])
     return step
 
 
-def _call_step(inst, kernel):
+def _call_step(inst, kernel, key_of):
     key = id(inst)
     callee = inst.callee
-    opids = tuple(id(o) for o in inst.operands)
+    opids = tuple(key_of(o) for o in inst.operands)
     void = inst.type.is_void
 
     def step(env, act):
@@ -395,13 +421,11 @@ _STEP_BUILDERS = {
 }
 
 
-def _step_for(inst, allowed, where, kernel, fused=frozenset(),
-              promoted=frozenset()):
+def _step_for(inst, allowed, where, kernel, key_of=id, fused=frozenset()):
     """The step for ``inst``, or None when it needs none.
 
-    ``fused`` holds the arrays :func:`fused_mux_arrays` folds into their
-    mux and ``promoted`` the cells :func:`promotable_cells` keeps in
-    ``env``.
+    ``key_of`` maps an operand to its ``env`` key and ``fused`` holds the
+    arrays :func:`fused_mux_arrays` folds into their mux.
     """
     op = inst.opcode
     if op == "free" or id(inst) in fused:
@@ -410,29 +434,22 @@ def _step_for(inst, allowed, where, kernel, fused=frozenset(),
     if builder is not None:
         if op not in allowed:
             raise SimulationError(f"{where}: '{op}' not allowed here")
-        # A promoted cell's value lives in env under the cell's own key.
-        if op in ("var", "alloc") and id(inst) in promoted:
-            return _copy_step(inst, inst.operands[0])
-        if op == "ld" and id(inst.operands[0]) in promoted:
-            return _copy_step(inst, inst.operands[0])
-        if op == "st" and id(inst.operands[0]) in promoted:
-            return _copy_step(*inst.operands)
-        return builder(inst, kernel)
+        return builder(inst, kernel, key_of)
     if op in EVALUATORS:
         if op == "mux" and id(inst.operands[0]) in fused:
-            return _fused_mux_step(inst)
-        return _pure_step(inst)
+            return _fused_mux_step(inst, key_of)
+        return _pure_step(inst, key_of)
     raise SimulationError(f"{where}: '{op}' not allowed here")
 
 
 # -- terminators ---------------------------------------------------------------
 
-def _edge_copies(pred, succ):
+def _edge_copies(pred, succ, key_of):
     """Phi parallel copies for the CFG edge pred -> succ."""
     phis = succ.phis()
     if not phis:
         return ()
-    return tuple((id(p), id(p.phi_value_for(pred))) for p in phis)
+    return tuple((id(p), key_of(p.phi_value_for(pred))) for p in phis)
 
 
 def _apply_copies(env, copies):
@@ -441,13 +458,13 @@ def _apply_copies(env, copies):
         env[d] = v
 
 
-def _term_br(inst, block, plans, kernel):
+def _term_br(inst, block, plans, kernel, key_of):
     if inst.is_conditional_branch:
-        cid = id(inst.operands[0])
+        cid = key_of(inst.operands[0])
         f_dest, t_dest = inst.operands[1], inst.operands[2]
         t_plan, f_plan = plans[id(t_dest)], plans[id(f_dest)]
-        t_copies = _edge_copies(block, t_dest)
-        f_copies = _edge_copies(block, f_dest)
+        t_copies = _edge_copies(block, t_dest, key_of)
+        f_copies = _edge_copies(block, f_dest, key_of)
         if not t_copies and not f_copies:
             def term(env, act):
                 return t_plan if env[cid] else f_plan
@@ -464,7 +481,7 @@ def _term_br(inst, block, plans, kernel):
         return term
     dest = inst.operands[0]
     plan = plans[id(dest)]
-    copies = _edge_copies(block, dest)
+    copies = _edge_copies(block, dest, key_of)
     if not copies:
         def term(env, act):
             return plan
@@ -476,13 +493,13 @@ def _term_br(inst, block, plans, kernel):
     return term
 
 
-def _term_wait(inst, block, plans, kernel):
+def _term_wait(inst, block, plans, kernel, key_of):
     dest = inst.wait_dest()
     dest_plan = plans[id(dest)]
-    copies = _edge_copies(block, dest)
+    copies = _edge_copies(block, dest, key_of)
     time_op = inst.wait_time()
-    tid = id(time_op) if time_op is not None else None
-    sig_ids = tuple(id(s) for s in inst.wait_signals())
+    tid = key_of(time_op) if time_op is not None else None
+    sig_ids = tuple(key_of(s) for s in inst.wait_signals())
 
     def term(env, act):
         if copies:
@@ -497,16 +514,16 @@ def _term_wait(inst, block, plans, kernel):
     return term
 
 
-def _term_halt(inst, block, plans, kernel):
+def _term_halt(inst, block, plans, kernel, key_of):
     def term(env, act):
         act.halt()
         return None
     return term
 
 
-def _term_ret(inst, block, plans, kernel):
+def _term_ret(inst, block, plans, kernel, key_of):
     if inst.operands:
-        vid = id(inst.operands[0])
+        vid = key_of(inst.operands[0])
 
         def term(env, act):
             act.result = env[vid]
@@ -560,9 +577,10 @@ def promotable_cells(unit):
     """ids of ``var``/``alloc`` cells whose pointer never escapes.
 
     A cell that is only ever the pointer operand of ``ld``/``st`` (or
-    freed) needs no cell object: blaze keeps its value in a Python
-    local and the interpreter in ``env`` (the mem2reg LLVM would do for
-    Blaze).
+    freed) needs no cell object: its value is a slot, a Python local in
+    blaze and an ``env`` entry in the interpreter, that
+    :func:`forwarding` reads and writes back (the mem2reg LLVM would do
+    for Blaze).
     """
     cells = {id(inst) for inst in unit.instructions()
              if inst.opcode in ("var", "alloc")}
@@ -577,11 +595,112 @@ def promotable_cells(unit):
     return cells
 
 
+def _used_here(value, block):
+    """Whether every use of ``value`` is a non-phi, non-terminator
+    instruction of ``block``.  An ``array`` answers for its own uses, as
+    a fused mux reads the array's operands where the mux stands."""
+    for use in value.uses:
+        user = use.user
+        if user.parent is not block or user.opcode == "phi" or \
+                user.is_terminator or \
+                (user.opcode == "array" and not _used_here(user, block)):
+            return False
+    return True
+
+
+def forwarding(unit, promoted):
+    """What each block of ``unit`` only renames, by the rules of the
+    module docstring; ``promoted`` are the :func:`promotable_cells`.
+
+    Returns ``(forwards, copies, flushes, dropped)``:
+
+    * ``forwards`` maps the id of an ``ld`` or ``prb`` to the value it
+      reads instead (never itself forwarded);
+    * ``copies`` maps the id of an ``ld`` that must copy where it stands
+      to the value it copies;
+    * ``flushes`` maps a block's id to the ``(cell, value)`` pairs it
+      writes back, as one parallel copy, before its terminator;
+    * ``dropped`` holds the ids of the instructions that need no step
+      or line: the forwarded ones and the promoted ``var``/``alloc``/
+      ``st``.
+
+    A cell's slot is keyed by its ``var``/``alloc``; before a block
+    writes the cell, the cell holds its own slot, which the write-back
+    rewrites, so an ``ld`` of it is forwarded only when every use
+    precedes the write-back.  A block reads a slot when it loads the
+    cell before writing it.  The write-back is parallel because a held
+    value may be another cell's slot (``st a, (ld b); st b, (ld a)``).
+    """
+    forwards, copies, flushes, dropped = {}, {}, {}, set()
+    reads, held_at = {}, {}
+    for block in unit.blocks:
+        held, probed, read = {}, {}, set()
+        for inst in block.instructions:
+            op, ops = inst.opcode, inst.operands
+            if op in ("var", "alloc") and id(inst) in promoted:
+                held[id(inst)] = (inst, forwards.get(id(ops[0]), ops[0]))
+                dropped.add(id(inst))
+            elif op == "st" and id(ops[0]) in promoted:
+                held[id(ops[0])] = (ops[0], forwards.get(id(ops[1]), ops[1]))
+                dropped.add(id(inst))
+            elif op == "ld" and id(ops[0]) in promoted:
+                cell = ops[0]
+                if id(cell) in held:
+                    value = held[id(cell)][1]
+                else:
+                    value = cell
+                    read.add(id(cell))
+                kind = getattr(value, "opcode", None)
+                if kind is None or kind == "const" or (
+                        value.parent is block and id(value) not in promoted) \
+                        or _used_here(inst, block):
+                    forwards[id(inst)] = value
+                    dropped.add(id(inst))
+                else:
+                    copies[id(inst)] = value
+            elif op == "prb":
+                first = probed.setdefault(
+                    id(forwards.get(id(ops[0]), ops[0])), inst)
+                if first is not inst:
+                    forwards[id(inst)] = first
+                    dropped.add(id(inst))
+        reads[id(block)], held_at[id(block)] = read, held
+    if not any(held_at.values()):
+        return forwards, copies, flushes, dropped
+    live = {id(b): set(reads[id(b)]) for b in unit.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(unit.blocks):
+            live_in = live[id(block)]
+            held = held_at[id(block)]
+            for succ in block.successors():
+                for cell in live[id(succ)]:
+                    if cell not in held and cell not in live_in:
+                        live_in.add(cell)
+                        changed = True
+    for block in unit.blocks:
+        held = held_at[id(block)]
+        if held:
+            live_out = set().union(*(live[id(s)] for s in block.successors()))
+            pairs = tuple(pair for cell, pair in held.items()
+                          if cell in live_out and pair[1] is not pair[0])
+            if pairs:
+                flushes[id(block)] = pairs
+    return forwards, copies, flushes, dropped
+
+
 def _build_cfg_plan(unit, allowed, terms, kind, kernel):
     where = f"@{unit.name}"
     plans = {id(b): BlockPlan(i) for i, b in enumerate(unit.blocks)}
     consts = {}
-    fused, promoted = fused_mux_arrays(unit), promotable_cells(unit)
+    fused = fused_mux_arrays(unit)
+    forwards, copies, flushes, dropped = forwarding(
+        unit, promotable_cells(unit))
+
+    def key_of(value):
+        return id(forwards.get(id(value), value))
+
     for block in unit.blocks:
         plan = plans[id(block)]
         instructions = block.instructions
@@ -593,16 +712,26 @@ def _build_cfg_plan(unit, allowed, terms, kind, kernel):
             if inst.opcode == "const":
                 consts[id(inst)] = inst.attrs["value"]
                 continue
-            step = _step_for(inst, allowed, where, kernel, fused, promoted)
+            if id(inst) in dropped:
+                continue
+            source = copies.get(id(inst))
+            if source is not None:
+                steps.append(_copy_step(id(inst), id(source)))
+                continue
+            step = _step_for(inst, allowed, where, kernel, key_of, fused)
             if step is not None:
                 steps.append(step)
+        flush = flushes.get(id(block))
+        if flush:
+            steps.append(_flush_step(
+                tuple((id(cell), id(value)) for cell, value in flush)))
         plan.steps = tuple(steps)
         term_inst = instructions[-1]
         builder = terms.get(term_inst.opcode)
         if builder is None:
             raise SimulationError(
                 f"{where}: '{term_inst.opcode}' not allowed in {kind}")
-        plan.term = builder(term_inst, block, plans, kernel)
+        plan.term = builder(term_inst, block, plans, kernel, key_of)
     return plans[id(unit.entry)], consts
 
 
@@ -650,7 +779,7 @@ def build_entity_plan(unit, kernel):
         elif op == "reg":
             steps.append(_reg_step(inst, kernel))
         else:
-            step = _step_for(inst, _ENTITY_OPS, where, kernel, fused)
+            step = _step_for(inst, _ENTITY_OPS, where, kernel, id, fused)
             if step is not None:
                 steps.append(step)
     return tuple(steps)

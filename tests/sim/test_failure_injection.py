@@ -220,6 +220,29 @@ def test_extf_out_of_range_raises(backend, case):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("backend", ("interp", "blaze", "cycle"))
+def test_block_without_terminator_raises(backend):
+    """Compiled code would otherwise fall off the end of the block's
+    branch: the same error as the interpreter's, never a hang or a
+    Python syntax error."""
+    module = parse_module("""
+    entity @top () -> () {
+      %z = const i8 0
+      %y = sig i8 %z
+      inst @p () -> (i8$ %y)
+    }
+    proc @p () -> (i8$ %y) {
+    entry:
+      br %next
+    next:
+      %one = const i8 1
+    }
+    """)
+    with pytest.raises(SimulationError) as raised:
+        simulate(module, "top", backend=backend)
+    assert str(raised.value) == "@p: block without terminator"
+
+
 def test_max_function_steps_guard():
     """A function whose loop never ends is stopped with one text on
     every engine (compiled functions used to hang)."""
