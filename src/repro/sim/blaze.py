@@ -21,7 +21,11 @@ translates every unit into Python source once, compiles it with
   re-activation — one straight-line function, no per-activation
   dispatch, with whole-signal probes inlined to ``sig.value`` reads;
 * functions become plain Python functions that count their back edges
-  against the step budget every engine shares.
+  against the step budget every engine shares;
+* a ``call`` indexes its instance's ``calls`` list, where the callee's
+  target is bound once (:meth:`BlazeDesign.call_targets`): a kernel
+  intrinsic when the instance binds, a compiled function at its first
+  call, so no later call looks its callee up by name.
 
 A known, strong ``lN`` value may stay a plain ``int`` in generated code
 (:mod:`repro.sim.optable`); :meth:`UnitCompiler.boxed` boxes it wherever
@@ -62,8 +66,8 @@ from .interp import (
 from .optable import GLOBALS as _TABLE_GLOBALS, UNBOXED, box, edge
 from .optable import emit as _emit_op, signature
 from .plan import (
-    Cell, _Timeout, fired_trigger, forwarding, fused_mux_arrays, load,
-    project, promotable_cells, store,
+    Cell, _Timeout, fired_trigger, forwarding, load, local_rewrites,
+    project, store,
 )
 from .values import (
     SimulationError, dynamic_index, extract_path, insert_path, mask,
@@ -127,11 +131,14 @@ class UnitCompiler:
         self.globals = dict(_BASE_GLOBALS)
         self.names = {}       # id(value) -> python variable name
         self.slots = {}       # id(value) -> binding slot (entities/args)
+        self.callees = {}     # callee name -> its index in calls
+        self._probe_flags = {}  # id(signal) -> its bound kind-test flag
         self._counter = 0
         self._const_counter = 0
         self.code = _CodeBuffer()
-        # Mux/array fusion folds the selector into Python control flow.
-        self._elided = fused_mux_arrays(unit)
+        # Mux/array fusion folds the selector into Python control flow;
+        # a process or function keeps its promoted cells as locals.
+        self._elided, self._promoted = local_rewrites(unit)
 
     # -- naming ------------------------------------------------------------
 
@@ -263,19 +270,25 @@ class UnitCompiler:
                 f"{self.boxed(value)})")
 
     def probe_expr(self, inst):
-        """Inline probe: direct ``.value`` read for whole signals."""
-        s = self.name(inst.operands[0])
-        return f"({s}.value if type({s}) is _Sig else probe({s}))"
+        """Inline probe: direct ``.value`` read for whole signals, tested
+        by the bound flag of a signal bound once, else where it runs."""
+        src = inst.operands[0]
+        s = self.name(src)
+        test = self._probe_flags.get(id(src)) or f"type({s}) is _Sig"
+        return f"({s}.value if {test} else probe({s}))"
 
     def _call_expr(self, inst):
-        return f"call({inst.callee!r}, {self._tuple(inst.operands)})"
+        """A call of the target bound for its callee, one slot of the
+        instance's ``calls`` (:meth:`BlazeDesign.call_targets`)."""
+        k = self.callees.setdefault(inst.callee, len(self.callees))
+        return f"calls[{k}]({self._tuple(inst.operands)})"
 
 
 class ProcessCompiler(UnitCompiler):
     """Compile a process (or function) body into a Python function.
 
     ``var``/``alloc`` cells whose pointer never escapes
-    (:func:`~repro.sim.plan.promotable_cells`) are plain Python locals —
+    (:func:`~repro.sim.plan.local_rewrites`) are plain Python locals —
     the mem2reg optimization LLVM would perform for the paper's Blaze —
     and :func:`~repro.sim.plan.forwarding` decides which instructions
     only rename a value: such a ``var``/``alloc``/``st``, or an ``ld``
@@ -283,7 +296,9 @@ class ProcessCompiler(UnitCompiler):
     forwarded value takes the name of what it reads.  A block writes
     back the cells it wrote, where a later block reads them, with one
     tuple assignment before its terminator.  A ``const`` is named by its
-    literal, or by the runtime-constant global that holds it.
+    literal, or by the runtime-constant global that holds it.  A probed
+    argument's signal kind is tested once, when the unit starts, as
+    :class:`EntityCompiler` tests it at bind time.
     """
 
     def compile(self):
@@ -295,28 +310,37 @@ class ProcessCompiler(UnitCompiler):
         unit = self.unit
         code = self.code
         forwards, self._copies, self._flushes, dropped = forwarding(
-            unit, promotable_cells(unit))
+            unit, self._promoted)
         self._skip = self._elided | dropped
+        probed = set()
         for inst in unit.instructions():
-            if inst.opcode == "const":
+            op = inst.opcode
+            if op == "const":
                 self.names[id(inst)] = self.const_expr(inst)
+            elif op == "prb":
+                probed.add(id(inst.operands[0]))
         for key, value in forwards.items():
             self.names[key] = self.name(value)
         block_index = {id(b): i for i, b in enumerate(unit.blocks)}
         if unit.is_process:
             symbol = "__process__"
-            code.line("def __process__(B, probe, drive, call, intrinsic):")
+            code.line("def __process__(B, probe, drive, calls):")
             code.indent += 1
             # A process without wait would otherwise compile to a plain
             # function; force generator semantics so the kernel drives it.
             code.line("if 0: yield (None, ())")
         else:
             symbol = "__function__"
-            code.line("def __function__(B, call, intrinsic, left):")
+            code.line("def __function__(calls, left, B):")
             code.indent += 1
         for arg in unit.args:
             slot = self.bind_slot(arg)
-            code.line(f"{self.name(arg)} = B[{slot}]")
+            name = self.name(arg)
+            code.line(f"{name} = B[{slot}]")
+            if id(arg) in probed:
+                # A probed argument's kind is tested once, at the start.
+                flag = self._probe_flags[id(arg)] = f"w_{name}"
+                code.line(f"{flag} = type({name}) is _Sig")
         code.line("_b = 0")
         code.line("while True:")
         code.indent += 1
@@ -469,7 +493,6 @@ class EntityCompiler(UnitCompiler):
         bind = _CodeBuffer(indent=1)
         activate = _CodeBuffer(indent=2)
         bound = set()
-        self._probe_flags = {}
         for arg in unit.args:
             bind.line(f"{self.name(arg)} = B[{self.slots[id(arg)]}]")
             bound.add(id(arg))
@@ -542,7 +565,7 @@ class EntityCompiler(UnitCompiler):
             activate.line("pass")
         out = _CodeBuffer()
         out.line("def __bind__(B, S, probe, drive, drive_del, drive_reg, "
-                 "call, intrinsic):")
+                 "calls):")
         out.out.write(bind.source())
         out.out.write("    def __activate__():\n")
         out.out.write(activate.source())
@@ -597,6 +620,7 @@ class CompiledUnit:
         self.source = source
         self.fn = fn
         self.slots = compiler.slots
+        self.callees = tuple(compiler.callees)
 
 
 class BlazeDesign(Design):
@@ -622,32 +646,45 @@ class BlazeDesign(Design):
             self._compiled[id(unit)] = cu
         return cu
 
-    def call_function(self, name, args, where=""):
-        if name.startswith("llhd."):
-            return self.kernel.intrinsic(name, list(args), where)
-        entry = self._functions.get(name)
-        if entry is None:
+    def call_targets(self, names, where):
+        """The ``calls`` list of one instance of a compiled unit: one
+        target per callee in ``names``, each taking the call's argument
+        tuple and bound once.
+
+        An intrinsic's target reports ``where``, the same ``in <instance
+        path>`` the interpreter does (assertion messages).  A function's
+        slot holds :meth:`_first_call` until the first call, which puts
+        the function's target there; so a function compiles when it is
+        first called, as on interp, and a callee without a body raises
+        only when a call runs.
+        """
+        calls = []
+        for k, name in enumerate(names):
+            if name.startswith("llhd."):
+                calls.append(functools.partial(self.kernel.intrinsic, name,
+                                               where=where))
+            else:
+                calls.append(functools.partial(self._first_call, calls, k,
+                                               name))
+        return calls
+
+    def _first_call(self, calls, k, name, args):
+        """Bind slot ``k`` of ``calls`` to function ``@name`` and call it.
+
+        A function's target is built once per design: its compiled body
+        with a ``calls`` list of its own, whose intrinsics report ``in
+        @name`` as the interpreter's function frames do."""
+        target = self._functions.get(name)
+        if target is None:
             unit = self.module.get(name)
             if unit is None or isinstance(unit, UnitDecl):
                 raise SimulationError(f"call to undefined function @{name}")
-            # Calls issued *from* @name carry its frame as context, the
-            # same "in @name" the interpreter's function frames report.
-            entry = (self.compiled(unit).fn, self.caller(f"in @{name}"))
-            self._functions[name] = entry
-        fn, inner_call = entry
-        return fn(args, inner_call, self.kernel.intrinsic,
-                  self.MAX_FUNCTION_STEPS)
-
-    def caller(self, where):
-        """A call hook carrying a fixed ``where`` context.
-
-        Generated code calls ``call(name, args)``; binding the context
-        here keeps intrinsic diagnostics (assertion messages) identical to
-        the interpreter's, which reports ``in <instance path>``.
-        """
-        def call(name, args):
-            return self.call_function(name, args, where)
-        return call
+            cu = self.compiled(unit)
+            target = self._functions[name] = functools.partial(
+                cu.fn, self.call_targets(cu.callees, f"in @{name}"),
+                self.MAX_FUNCTION_STEPS)
+        calls[k] = target
+        return target(args)
 
 
 class BlazeProcessInstance(ProcessInstance):
@@ -674,7 +711,7 @@ class BlazeProcessInstance(ProcessInstance):
         self._gen = cu.fn(
             tuple(bindings), kernel.probe,
             functools.partial(kernel.schedule_drive, self.order),
-            design.caller(f"in {self.path}"), kernel.intrinsic)
+            design.call_targets(cu.callees, f"in {self.path}"))
 
     def run(self, kernel):
         status = self.status
@@ -727,7 +764,7 @@ class BlazeEntityInstance(EntityInstance):
 
         self._activate = cu.fn(
             bindings, self.reg_state, kernel.probe, drive, drive_del,
-            drive_reg, design.caller(f"in {self.path}"), kernel.intrinsic)
+            drive_reg, design.call_targets(cu.callees, f"in {self.path}"))
 
     def run(self, kernel):
         fn = self._activate

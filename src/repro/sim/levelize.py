@@ -27,6 +27,17 @@ This engine removes the scheduler from the combinational cone entirely:
   change, settles the whole cone in place, and commits what it wrote
   directly, so a clock edge costs zero scheduler events per gate.
 
+A storage cell is evaluated only when a slot it observes changes.  A
+cell whose triggers are all edges (``rise``, ``fall``, ``both``)
+observes its trigger slots alone: a data, condition or index change
+cannot fire an edge, and :func:`~repro.sim.plan.fired_trigger` would
+only rewrite ``prev`` with the value it already holds.  A cell with a
+level trigger (a latch) observes every port.  The storage step runs
+only when a changed slot has an observer, as the settle runs only when
+a gate reads one; a slot's observers are kept in cell order, so one
+changed slot needs no sort, and a write path without a dynamic index
+is resolved once, when the cone is built.
+
 The commit costs in proportion to what the cone wrote, not to its size:
 a run lists the slots it wrote (gate outputs and storage roots, never
 the boundary nets it scanned), and each slot's signal, trace list and
@@ -77,6 +88,9 @@ _ZERO = TimeValue(0)
 #: ripple stage; anything deeper is an oscillation.
 MAX_SETTLE_ROUNDS = 1000
 
+#: ``reg`` modes that fire only on a change of their trigger.
+_EDGE_MODES = frozenset({"rise", "fall", "both"})
+
 
 class LevelizeError(SimulationError):
     """The netlist cannot be levelized (multi-driven cone net)."""
@@ -87,44 +101,44 @@ class LevelizeError(SimulationError):
 
 class _SeqCell:
     """One absorbed storage cell; its triggers fire through
-    :func:`repro.sim.plan.fired_trigger`, the interpreter's loop."""
+    :func:`repro.sim.plan.fired_trigger`, the interpreter's loop.
 
-    __slots__ = ("index", "triggers", "prev", "path_proto", "root_slot",
-                 "obs")
+    ``path`` is the resolved write path when it has no dynamic index
+    (None: resolve ``path_proto`` per fire); ``obs`` are the slots whose
+    change re-evaluates the cell (see :func:`_build_plan`)."""
+
+    __slots__ = ("index", "triggers", "prev", "path_proto", "path",
+                 "root_slot", "obs")
 
     def __init__(self, index, triggers, prev, path_proto, root_slot, obs):
         self.index = index
         self.triggers = triggers  # (edge test, data, trig, cond, delay)
         self.prev = prev
         self.path_proto = path_proto
+        self.path = None if any(s[0] == "fielddyn" for s in path_proto) \
+            else path_proto
         self.root_slot = root_slot
         self.obs = obs
 
 
 def _resolve_path(proto, V):
     """Instantiate a projection path, reading dynamic indices from V."""
-    if not proto:
-        return ()
-    path = []
-    for step in proto:
-        if step[0] == "fielddyn":
-            path.append(("field", dynamic_index(V[step[1]])))
-        else:
-            path.append(step)
-    return tuple(path)
+    return tuple(("field", dynamic_index(V[step[1]]))
+                 if step[0] == "fielddyn" else step for step in proto)
 
 
 def _storage_form(unit):
-    """A storage cell's one ``reg`` as ``(triggers, steps)`` over its
-    input-port positions; raises :class:`TemplateError` for any other
-    body.
+    """A storage cell's one ``reg`` as ``(triggers, steps, edges)`` over
+    its input-port positions; raises :class:`TemplateError` for any
+    other body.
 
     ``triggers`` are :func:`~repro.sim.plan.fired_trigger` tuples whose
     data, trigger and condition are port positions and whose delay is
     the constant ``after`` time (None: the implicit epsilon step);
     ``steps`` is the :func:`~repro.sim.values.insert_path` path from the
     sole output to the ``reg`` target, a dynamic index being
-    ``("fielddyn", position)``.
+    ``("fielddyn", position)``; ``edges`` is whether every trigger is
+    an edge (``rise``, ``fall`` or ``both``), not a level.
     """
     port = {id(a): k for k, a in enumerate(unit.inputs)}
     probes = {}   # id(prb) -> the input position it reads
@@ -159,6 +173,7 @@ def _storage_form(unit):
     if len(unit.outputs) != 1 or target is not unit.outputs[0]:
         raise TemplateError("reg target is not the sole output")
     triggers = []
+    edges = True
     for t in regs[0].reg_triggers():
         delay = t["delay"]
         if delay is not None and delay.opcode != "const":
@@ -168,7 +183,8 @@ def _storage_form(unit):
             position(t["trigger"]),
             None if t["cond"] is None else position(t["cond"]),
             None if delay is None else delay.attrs["value"]))
-    return tuple(triggers), tuple(reversed(steps))
+        edges = edges and t["mode"] in _EDGE_MODES
+    return tuple(triggers), tuple(reversed(steps)), edges
 
 
 # -- the levelization plan -----------------------------------------------------
@@ -185,7 +201,7 @@ class ConePlan:
         self.slot_sigs = slot_sigs
         self.gates = gates          # (template, in_slots, out_slot), ordered
         self.seqs = seqs
-        self.seq_obs = seq_obs      # slot -> tuple of seq indices
+        self.seq_obs = seq_obs      # slot -> ascending seq indices
         self.has_cycles = has_cycles
         self.cycle_report = cycle_report
         self.levels = levels
@@ -215,8 +231,15 @@ def _build_plan(design):
         producer[out_slot] = len(raw_gates)
         raw_gates.append((template, in_slots, out_slot))
 
+    # A cell observes the slots whose change can fire it.  An edge fires
+    # only on a change of its trigger, and between such changes
+    # ``fired_trigger`` would only rewrite ``prev`` with the value it
+    # holds, so an all-edge cell observes its trigger slots alone; a
+    # level trigger (a latch) fires on any change while it holds, so
+    # such a cell observes every port.
     seqs = []
-    for index, ((triggers, steps), ports) in enumerate(design.seq_cells):
+    for index, ((triggers, steps, edges), ports) in enumerate(
+            design.seq_cells):
         port_slots = [slot(p) for p in ports]
         root_slot = port_slots[-1]
         if root_slot in producer:
@@ -230,10 +253,11 @@ def _build_plan(design):
         prev = [slot_sigs[t[2]].value for t in triggers]
         proto = tuple(("fielddyn", port_slots[s[1]])
                       if s[0] == "fielddyn" else s for s in steps)
-        seqs.append(_SeqCell(index, triggers, prev, proto, root_slot,
-                             frozenset(port_slots)))
+        obs = frozenset(t[2] for t in triggers) if edges \
+            else frozenset(port_slots)
+        seqs.append(_SeqCell(index, triggers, prev, proto, root_slot, obs))
 
-    seq_obs = {}
+    seq_obs = {}   # slot -> its observers' indices, ascending
     for cell in seqs:
         for s in cell.obs:
             seq_obs.setdefault(s, []).append(cell.index)
@@ -349,6 +373,9 @@ class _Cone:
         # full-cone re-evaluation.
         self.comb_roots = frozenset(
             s for _t, in_slots, _o in plan.gates for s in in_slots)
+        # Likewise the storage step runs only for a change some storage
+        # cell observes.
+        self.seq_roots = frozenset(plan.seq_obs)
         kernel.schedule_initial(self)
 
     def run(self, kernel):
@@ -367,10 +394,12 @@ class _Cone:
         # storage roots, never the boundary nets just scanned.
         wrote = []
         comb_roots = self.comb_roots
+        seq_roots = self.seq_roots
         run_comb = force or not comb_roots.isdisjoint(pending)
         rounds = 0
         while True:
-            fired = self._eval_seq(pending) if pending else []
+            fired = [] if seq_roots.isdisjoint(pending) \
+                else self._eval_seq(pending)
             if fired:
                 wrote += fired
                 if not comb_roots.isdisjoint(fired):
@@ -412,25 +441,26 @@ class _Cone:
             f"({'; '.join(','.join(c) for c in self.plan.cycle_report)})")
 
     def _eval_seq(self, stim):
+        """Evaluate the cells observing a slot of ``stim``, in cell
+        order; ``run`` calls it only when some slot has an observer."""
         seq_obs = self.seq_obs
-        todo = set()
-        for s in stim:
-            lst = seq_obs.get(s)
-            if lst:
-                todo.update(lst)
-        if not todo:
-            return []
+        observed = [seq_obs[s] for s in stim if s in seq_obs]
+        todo = observed[0] if len(observed) == 1 \
+            else sorted(set().union(*observed))
         V = self.V
+        seqs = self.seqs
         # Two phases: every cell evaluates against the pre-fire values
         # (the event-driven kernel matures all epsilon drives after the
         # whole round ran), then the fires commit in cell order.
         commits = []
-        for si in sorted(todo):
-            cell = self.seqs[si]
+        for si in todo:
+            cell = seqs[si]
             hit = fired_trigger(cell.triggers, cell.prev, V)
             if hit is not None:
-                commits.append((cell, _resolve_path(cell.path_proto, V),
-                                V[hit[1]], hit[4]))
+                path = cell.path
+                if path is None:
+                    path = _resolve_path(cell.path_proto, V)
+                commits.append((cell, path, V[hit[1]], hit[4]))
         fired = []
         kernel = self.kernel
         for cell, path, data, delay in commits:

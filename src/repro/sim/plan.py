@@ -21,9 +21,9 @@ operand lists:
   error text, exists once;
 * blaze's three local rewrites apply too, through the same analyses: a
   private two-choice ``array`` + i1 ``mux`` becomes one conditional
-  step (:func:`fused_mux_arrays`), a cell whose pointer never escapes
-  is a plain ``env`` slot (:func:`promotable_cells`), and
-  :func:`forwarding` decides what a block only renames.  Within a
+  step, a cell whose pointer never escapes is a plain ``env`` slot
+  (both found by :func:`local_rewrites`), and :func:`forwarding`
+  decides what a block only renames.  Within a
   block a promoted cell holds its init, then what the last ``st``
   stored, so its ``var``/``alloc``/``st`` need no step; an ``ld`` is
   forwarded to the value the cell holds when that value is stable (a
@@ -425,7 +425,7 @@ def _step_for(inst, allowed, where, kernel, key_of=id, fused=frozenset()):
     """The step for ``inst``, or None when it needs none.
 
     ``key_of`` maps an operand to its ``env`` key and ``fused`` holds the
-    arrays :func:`fused_mux_arrays` folds into their mux.
+    arrays :func:`local_rewrites` folds into their mux.
     """
     op = inst.opcode
     if op == "free" or id(inst) in fused:
@@ -547,52 +547,51 @@ _ENTITY_OPS = frozenset({"prb", "drv", "call", "extf", "exts"})
 _FUNC_OPS = frozenset({"var", "alloc", "ld", "st", "call", "extf", "exts"})
 
 
-def fused_mux_arrays(unit):
-    """ids of two-choice ``array`` insts whose one use is an i1 ``mux``.
+def local_rewrites(unit):
+    """``(fused, promoted)``: what blaze and the interpreter fuse and
+    promote in ``unit``, from one walk over its instructions that counts
+    each value's operand uses and each cell's ``ld``/``st`` pointer and
+    ``free`` uses, and collects the cells and the muxes.
 
-    ``c ? a : b`` lowers to ``mux [b, a], c``; when the pair is private,
-    blaze and the interpreter fuse it into ``a if c else b`` and never
-    build the array (the instcombine LLVM would do for Blaze).  An
-    ``lN`` selector keeps the mux, whose X selector must raise.
+    ``fused`` holds the ids of two-choice ``array`` insts whose one use
+    is an i1 ``mux``: ``c ? a : b`` lowers to ``mux [b, a], c``, and
+    when the pair is private, blaze and the interpreter fuse it into
+    ``a if c else b`` and never build the array (the instcombine LLVM
+    would do for Blaze).  An ``lN`` selector keeps the mux, whose X
+    selector must raise.
+
+    ``promoted`` holds the ids of the ``var``/``alloc`` cells whose
+    pointer never escapes: a cell that is only ever the pointer operand
+    of ``ld``/``st`` (or freed) needs no cell object, and its value is a
+    slot, a Python local in blaze and an ``env`` entry in the
+    interpreter, that :func:`forwarding` reads and writes back (the
+    mem2reg LLVM would do for Blaze).
     """
-    uses = {}
-    for inst in unit.instructions():
-        for operand in inst.operands:
-            uses[id(operand)] = uses.get(id(operand), 0) + 1
+    uses = {}      # id(value) -> its operand uses
+    kept = {}      # id(cell) -> its uses as an ld/st pointer or freed
+    cells, muxes = [], []
+    for block in unit.blocks:
+        for inst in block.instructions:
+            op, ops = inst.opcode, inst.operands
+            for operand in ops:
+                uses[id(operand)] = uses.get(id(operand), 0) + 1
+            if op == "ld" or op == "st" or op == "free":
+                kept[id(ops[0])] = kept.get(id(ops[0]), 0) + 1
+            elif op == "var" or op == "alloc":
+                cells.append(id(inst))
+            elif op == "mux":
+                muxes.append(inst)
     fused = set()
-    for inst in unit.instructions():
-        if inst.opcode != "mux":
-            continue
-        arr, sel = inst.operands
+    for mux in muxes:
+        arr, sel = mux.operands
         if (getattr(arr, "opcode", None) == "array"
                 and not arr.attrs.get("splat")
                 and len(arr.operands) == 2
                 and sel.type.is_int and sel.type.width == 1
                 and uses.get(id(arr)) == 1):
             fused.add(id(arr))
-    return fused
-
-
-def promotable_cells(unit):
-    """ids of ``var``/``alloc`` cells whose pointer never escapes.
-
-    A cell that is only ever the pointer operand of ``ld``/``st`` (or
-    freed) needs no cell object: its value is a slot, a Python local in
-    blaze and an ``env`` entry in the interpreter, that
-    :func:`forwarding` reads and writes back (the mem2reg LLVM would do
-    for Blaze).
-    """
-    cells = {id(inst) for inst in unit.instructions()
-             if inst.opcode in ("var", "alloc")}
-    if not cells:
-        return cells
-    for inst in unit.instructions():
-        op = inst.opcode
-        for pos, operand in enumerate(inst.operands):
-            if id(operand) in cells and op != "free" and \
-                    not (pos == 0 and op in ("ld", "st")):
-                cells.discard(id(operand))
-    return cells
+    promoted = {cell for cell in cells if uses.get(cell) == kept.get(cell)}
+    return fused, promoted
 
 
 def _used_here(value, block):
@@ -610,7 +609,8 @@ def _used_here(value, block):
 
 def forwarding(unit, promoted):
     """What each block of ``unit`` only renames, by the rules of the
-    module docstring; ``promoted`` are the :func:`promotable_cells`.
+    module docstring; ``promoted`` are the cells :func:`local_rewrites`
+    promotes.
 
     Returns ``(forwards, copies, flushes, dropped)``:
 
@@ -694,9 +694,8 @@ def _build_cfg_plan(unit, allowed, terms, kind, kernel):
     where = f"@{unit.name}"
     plans = {id(b): BlockPlan(i) for i, b in enumerate(unit.blocks)}
     consts = {}
-    fused = fused_mux_arrays(unit)
-    forwards, copies, flushes, dropped = forwarding(
-        unit, promotable_cells(unit))
+    fused, promoted = local_rewrites(unit)
+    forwards, copies, flushes, dropped = forwarding(unit, promoted)
 
     def key_of(value):
         return id(forwards.get(id(value), value))
@@ -768,7 +767,7 @@ def build_entity_plan(unit, kernel):
     edges, everything else re-evaluates dataflow.
     """
     where = f"@{unit.name}"
-    fused = fused_mux_arrays(unit)
+    fused = local_rewrites(unit)[0]
     steps = []
     for inst in unit.body:
         op = inst.opcode

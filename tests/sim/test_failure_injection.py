@@ -314,3 +314,87 @@ def test_function_step_budget_counts_back_edges(backend, monkeypatch):
                  backend=backend)
     assert str(raised.value) == \
         "@count: function execution exceeded 5 steps"
+
+
+_LATE_UNDEFINED_CALL = """
+declare func @ext (i8) i8
+func @pick (i1 %c, i8 %x) i8 {
+entry:
+  br %c, %plain, %external
+plain:
+  ret i8 %x
+external:
+  %r = call i8 @ext (i8 %x)
+  ret i8 %r
+}
+entity @top () -> () {
+  %z = const i8 0
+  %y = sig i8 %z
+  inst @p () -> (i8$ %y)
+}
+proc @p () -> (i8$ %y) {
+entry:
+  %no = const i1 0
+  %x = const i8 7
+  %a = call i8 @pick (i1 %no, i8 %x)
+  %t = const time 1ns
+  drv i8$ %y, %a after %t
+  %later = const time 5ns
+  wait %late for %later
+late:
+  %yes = const i1 1
+  %b = call i8 @pick (i1 %yes, i8 %x)
+  drv i8$ %y, %b after %t
+  halt
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ("interp", "blaze", "cycle"))
+def test_undefined_callee_raises_only_when_called(backend):
+    """A callee without a body is an error of the call that runs it,
+    not of the unit that names it."""
+    result = simulate(parse_module(_LATE_UNDEFINED_CALL), "top",
+                      until_fs=2_000_000, backend=backend)
+    assert result.trace.history("top.y") == [(0, 0), (1_000_000, 7)]
+    with pytest.raises(SimulationError) as raised:
+        simulate(parse_module(_LATE_UNDEFINED_CALL), "top",
+                 backend=backend)
+    assert str(raised.value) == "call to undefined function @ext"
+
+
+_ASSERTS = """
+func @check (i1 %c) void {
+entry:
+  call void @llhd.assert (i1 %c)
+  ret
+}
+entity @top () -> () {
+  %z = const i1 0
+  %s = sig i1 %z
+  inst @p () -> (i1$ %s)
+  inst @e (i1$ %s) -> ()
+}
+proc @p () -> (i1$ %s) {
+entry:
+  %no = const i1 0
+  call void @check (i1 %no)
+  call void @llhd.assert (i1 %no)
+  halt
+}
+entity @e (i1$ %s) -> () {
+  %v = prb i1$ %s
+  call void @llhd.assert (i1 %v)
+  call void @check (i1 %v)
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ("interp", "blaze", "cycle"))
+def test_assertion_names_the_calling_instance_or_function(backend):
+    result = simulate(parse_module(_ASSERTS), "top", backend=backend)
+    assert sorted(result.assertion_failures) == sorted([
+        "assertion failed at 0fs in @check",
+        "assertion failed at 0fs in top.p",
+        "assertion failed at 0fs in @check",
+        "assertion failed at 0fs in top.e"])

@@ -5,7 +5,9 @@ the levelized engine to byte-identical traces at the netlist level; the
 tests here pin down the corners: latch cells, register-cut feedback,
 multi-clock-domain cones, zero-delay combinational cycles, memory read
 and write ports, the reasons a cell falls back to event-driven
-execution, the multi-driver diagnosis, what the cone's commit publishes
+execution, the multi-driver diagnosis, which nets a storage cell
+observes (its triggers when all are edges, every port for a latch),
+what the cone's commit publishes
 (process and fallback-cell wakes, ``con``-merged names, a net that
 settles back within one run), and the on-disk
 compile cache (cold/warm, corrupted/truncated/misplaced entries, and
@@ -17,8 +19,11 @@ import marshal
 import pytest
 
 from repro.ir import parse_module
-from repro.sim import SimulationError, compiled, simulate
+from repro.sim import SimulationError, compiled, levelize, simulate
+from repro.sim.engine import Kernel
 from repro.sim.levelize import elaborate_levelized
+from repro.sim.plan import fired_trigger
+from repro.sim.trace import Trace
 
 # A transparent-high latch cell: the storage cell techmap emits for a
 # level-sensitive reg (mode ``high`` fires on every evaluation while
@@ -784,6 +789,240 @@ def test_fallback_cell_reading_a_cone_net_is_woken(tmp_path):
     d, s = res.trace.history("top.d"), res.trace.history("top.s")
     assert s[1:] == [(t + 1_000_000, v.not_()) for t, v in d[1:]
                      if t + 1_000_000 <= _UNTIL]
+
+
+# -- what a storage cell observes ----------------------------------------------
+
+_NS = 1_000_000
+
+_OBS_CELLS = """
+entity @cell_and_i1 (i1$ %a0, i1$ %a1) -> (i1$ %y) {
+  %0 = prb i1$ %a0
+  %1 = prb i1$ %a1
+  %t = const time 0s
+  %o = and i1 %0, %1
+  drv i1$ %y, %o after %t
+}
+
+entity @cell_inv_i1 (i1$ %a0) -> (i1$ %y) {
+  %0 = prb i1$ %a0
+  %t = const time 0s
+  %n = not i1 %0
+  drv i1$ %y, %n after %t
+}
+
+entity @cell_dff_i1 (i1$ %d0, i1$ %t0) -> (i1$ %q) {
+  %0 = prb i1$ %d0
+  %1 = prb i1$ %t0
+  %t = const time 0s
+  reg i1$ %q, %0 rise %1 after %t
+}
+
+entity @cell_dff_i4 (i4$ %d0, i1$ %t0) -> (i4$ %q) {
+  %0 = prb i4$ %d0
+  %1 = prb i1$ %t0
+  %t = const time 0s
+  reg i4$ %q, %0 rise %1 after %t
+}
+
+entity @cell_dffe_i4 (i4$ %d0, i1$ %t0, i1$ %c0) -> (i4$ %q) {
+  %0 = prb i4$ %d0
+  %1 = prb i1$ %t0
+  %2 = prb i1$ %c0
+  %t = const time 0s
+  reg i4$ %q, %0 rise %1 if %2 after %t
+}
+
+entity @cell_dff2_i4 (i4$ %d0, i1$ %t0, i1$ %c0, i4$ %d1, i1$ %t1,
+                      i1$ %c1) -> (i4$ %q) {
+  %0 = prb i4$ %d0
+  %1 = prb i1$ %t0
+  %2 = prb i1$ %c0
+  %3 = const time 0s
+  %4 = prb i4$ %d1
+  %5 = prb i1$ %t1
+  %6 = prb i1$ %c1
+  %7 = const time 0s
+  reg i4$ %q, %0 rise %1 if %2 after %3, %4 rise %5 if %6 after %7
+}
+
+entity @cell_wp_a4xi8 (i2$ %i0, i8$ %d0, i1$ %t0, i1$ %c0)
+    -> ([4 x i8]$ %q) {
+  %0 = prb i2$ %i0
+  %1 = extf i8$, [4 x i8]$ %q, %0
+  %2 = prb i8$ %d0
+  %3 = prb i1$ %t0
+  %4 = prb i1$ %c0
+  %5 = const time 0s
+  reg i8$ %1, %2 rise %3 if %4 after %5
+}
+
+entity @cell_dffd_i4 (i4$ %d0, i1$ %t0) -> (i4$ %q) {
+  %0 = prb i4$ %d0
+  %1 = prb i1$ %t0
+  %t = const time 300ps
+  reg i4$ %q, %0 rise %1 after %t
+}
+"""
+
+
+def _observing(sigs, insts, steps):
+    """A design over :data:`_OBS_CELLS`: ``sigs`` maps each net to its
+    type, ``insts`` are the cell instances, and a process drives the
+    nets named in ``steps``, one ``{net: value}`` step per nanosecond,
+    then halts."""
+    driven = [name for name in sigs if any(name in s for s in steps)]
+    ports = ", ".join(f"{sigs[name]}$ %{name}" for name in driven)
+    stim = [f"proc @stim () -> ({ports}) {{", "b0:",
+            "  %t = const time 1ns", "  %t0 = const time 0s"]
+    for k, step in enumerate(steps):
+        if k:
+            stim.append(f"b{k}:")
+        for name, value in step.items():
+            ty = sigs[name]
+            stim.append(f"  %v{k}_{name} = const {ty} {value}")
+            stim.append(f"  drv {ty}$ %{name}, %v{k}_{name} after %t0")
+        stim.append(f"  wait %b{k + 1} for %t")
+    stim += [f"b{len(steps)}:", "  halt", "}"]
+    top = ["entity @top () -> () {"]
+    for name, ty in sigs.items():
+        if ty.startswith("["):
+            length, elem = ty[1:-1].split(" x ")
+            top.append(f"  %z_{name}0 = const {elem} 0")
+            top.append(f"  %z_{name} = [{length} x {elem} %z_{name}0]")
+        else:
+            top.append(f"  %z_{name} = const {ty} 0")
+        top.append(f"  %{name} = sig {ty} %z_{name}")
+    top += [f"  inst {inst}" for inst in insts]
+    top += [f"  inst @stim () -> ({ports})", "}"]
+    return _OBS_CELLS + "\n".join(stim + top) + "\n"
+
+
+def _values(res, name):
+    return [(t // _NS, int(v)) for t, v in res.trace.history(name)]
+
+
+# A register clocked by a gate output: %gclk is a cone net, and it
+# rises when %en does while %clk is high (5ns), not only with %clk.
+_GATED_CLOCK = _observing(
+    {"clk": "i1", "en": "i1", "gclk": "i1", "d": "i4", "q": "i4"},
+    ["@cell_and_i1 (i1$ %clk, i1$ %en) -> (i1$ %gclk)",
+     "@cell_dff_i4 (i4$ %d, i1$ %gclk) -> (i4$ %q)"],
+    [{"d": 3, "en": 1}, {"clk": 1}, {"clk": 0, "d": 5}, {"en": 0},
+     {"clk": 1}, {"en": 1}, {"clk": 0, "d": 7}, {"d": 9}, {"clk": 1},
+     {"en": 0}])
+
+# A ripple pair: %q0 toggles at each rising %clk, %q1 at each rising
+# %q0, a storage output the cone itself writes.
+_RIPPLE = _observing(
+    {"clk": "i1", "q0": "i1", "n0": "i1", "q1": "i1", "n1": "i1"},
+    ["@cell_inv_i1 (i1$ %q0) -> (i1$ %n0)",
+     "@cell_dff_i1 (i1$ %n0, i1$ %clk) -> (i1$ %q0)",
+     "@cell_inv_i1 (i1$ %q1) -> (i1$ %n1)",
+     "@cell_dff_i1 (i1$ %n1, i1$ %q0) -> (i1$ %q1)"],
+    [{"clk": k % 2} for k in range(11)])
+
+# The fifo's cell shape: one reg with two conditional triggers, both on
+# %clk (%qa), or on %clk and %clk2 (%qb), which rise together at 4ns.
+_MULTI_TRIGGER = _observing(
+    {"clk": "i1", "clk2": "i1", "c0": "i1", "c1": "i1", "d0": "i4",
+     "d1": "i4", "qa": "i4", "qb": "i4"},
+    ["@cell_dff2_i4 (i4$ %d0, i1$ %clk, i1$ %c0, i4$ %d1, i1$ %clk, "
+     "i1$ %c1) -> (i4$ %qa)",
+     "@cell_dff2_i4 (i4$ %d0, i1$ %clk, i1$ %c0, i4$ %d1, i1$ %clk2, "
+     "i1$ %c1) -> (i4$ %qb)"],
+    [{"d0": 1, "d1": 2, "c0": 1}, {"clk": 1},
+     {"clk": 0, "c0": 0, "c1": 1, "d0": 3}, {"d1": 4},
+     {"clk": 1, "clk2": 1}, {"clk": 0, "clk2": 0, "c0": 1, "d0": 6},
+     {"clk2": 1}, {"c1": 0, "d1": 7}, {"clk": 1},
+     {"clk": 0, "clk2": 0}])
+
+# A memory write port: the index, data and enable change between edges.
+_WRITE_PORT = _observing(
+    {"i": "i2", "d": "i8", "clk": "i1", "we": "i1", "m": "[4 x i8]"},
+    ["@cell_wp_a4xi8 (i2$ %i, i8$ %d, i1$ %clk, i1$ %we) "
+     "-> ([4 x i8]$ %m)"],
+    [{"i": 1, "d": 11, "we": 1}, {"clk": 1}, {"clk": 0, "i": 2},
+     {"d": 22}, {"clk": 1}, {"clk": 0, "i": 3, "d": 33, "we": 0},
+     {"clk": 1}, {"clk": 0, "we": 1, "i": 0}, {"clk": 1}])
+
+# A 300ps clock-to-output register, whose fire goes to the scheduler,
+# feeding the data of a zero-delay one on the same clock.
+_DELAYED_REG = _observing(
+    {"clk": "i1", "d": "i4", "q": "i4", "r": "i4"},
+    ["@cell_dffd_i4 (i4$ %d, i1$ %clk) -> (i4$ %q)",
+     "@cell_dff_i4 (i4$ %q, i1$ %clk) -> (i4$ %r)"],
+    [{"d": 1}, {"clk": 1}, {"clk": 0, "d": 2}, {"clk": 1},
+     {"clk": 0, "d": 3}, {"clk": 1}, {"clk": 0}])
+
+
+@pytest.mark.parametrize("source, net, values", [
+    (_GATED_CLOCK, "top.q", [(0, 0), (1, 3), (5, 5), (8, 9)]),
+    (_RIPPLE, "top.q1", [(0, 0), (1, 1), (5, 0), (9, 1)]),
+    (_MULTI_TRIGGER, "top.qa", [(0, 0), (1, 1), (4, 4), (8, 6)]),
+    (_MULTI_TRIGGER, "top.qb", [(0, 0), (1, 1), (4, 4), (8, 6)]),
+    (_DELAYED_REG, "top.r", [(0, 0), (3, 1), (5, 2)]),
+], ids=["gated clock", "ripple pair", "multi-trigger", "second clock",
+        "delayed reg"])
+def test_storage_cell_shapes_match_interp(source, net, values, tmp_path):
+    res = _run_both(source, cache_dir=str(tmp_path))
+    assert res.design.report["fallbacks"] == []
+    assert _values(res, net) == values
+
+
+def test_write_port_reads_index_and_data_at_the_edge(tmp_path):
+    res = _run_both(_WRITE_PORT, cache_dir=str(tmp_path))
+    history = res.trace.history("top.m")
+    assert [(t // _NS, tuple(map(int, m))) for t, m in history] == [
+        (0, (0, 0, 0, 0)), (1, (0, 11, 0, 0)), (4, (0, 11, 22, 0)),
+        (8, (33, 11, 22, 0))]
+
+
+def _observed(source, tmp_path):
+    """Each storage cell's output net -> the nets it observes."""
+    design = elaborate_levelized(parse_module(source), "top",
+                                 cache_dir=str(tmp_path))
+    plan = design.cone.plan
+    name = [sig.name for sig in plan.slot_sigs]
+    return {name[cell.root_slot]: {name[s] for s in cell.obs}
+            for cell in plan.seqs}
+
+
+def test_edge_triggered_cell_observes_only_its_triggers(tmp_path):
+    assert _observed(_MULTI_TRIGGER, tmp_path) == {
+        "top.qa": {"top.clk"}, "top.qb": {"top.clk", "top.clk2"}}
+    assert _observed(_WRITE_PORT, tmp_path) == {"top.m": {"top.clk"}}
+    assert _observed(_GATED_CLOCK, tmp_path) == {"top.q": {"top.gclk"}}
+
+
+def test_latch_observes_every_port(tmp_path):
+    assert _observed(_LATCH, tmp_path) == {
+        "top.q": {"top.d", "top.en", "top.q"}}
+
+
+def test_data_and_enable_changes_evaluate_no_storage_cell(tmp_path,
+                                                          monkeypatch):
+    source = _observing(
+        {"clk": "i1", "en": "i1", "d": "i4", "q": "i4"},
+        ["@cell_dffe_i4 (i4$ %d, i1$ %clk, i1$ %en) -> (i4$ %q)"],
+        [{"d": 1, "en": 1}, {"clk": 1}, {"d": 2}, {"en": 0}, {"d": 3},
+         {"en": 1}, {"clk": 0}, {"d": 4}, {"clk": 1}, {"en": 0, "d": 5}])
+    ref = simulate(parse_module(source), "top")
+    kernel = Kernel(trace=Trace())
+    elaborate_levelized(parse_module(source), "top", kernel,
+                        cache_dir=str(tmp_path))
+    evaluated = []
+
+    def fired(triggers, prev, values):
+        evaluated.append(kernel.now[0] // _NS)
+        return fired_trigger(triggers, prev, values)
+
+    monkeypatch.setattr(levelize, "fired_trigger", fired)
+    kernel.run()
+    assert evaluated == [1, 6, 8]   # the clock's changes, and only those
+    assert kernel.trace.differences(ref.trace) == []
+    assert [(t // _NS, int(v)) for t, v in
+            kernel.trace.history("top.q")] == [(0, 0), (1, 1), (8, 4)]
 
 
 # -- the compile cache ---------------------------------------------------------

@@ -171,8 +171,7 @@ def blaze_process(case):
     def run(values):
         driven = []
         gen = unit.fn(tuple(bindings), values.__getitem__,
-                      lambda sig, value, delay: driven.append(value),
-                      None, None)
+                      lambda sig, value, delay: driven.append(value), ())
         with pytest.raises(StopIteration):
             next(gen)
         return driven[0]

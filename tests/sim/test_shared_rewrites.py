@@ -1,10 +1,10 @@
 """Boundary cases of the rewrites blaze and the interpreter share.
 
-:func:`repro.sim.plan.fused_mux_arrays` picks the ``array`` + ``mux``
-pairs that blaze and the interpreter fuse into one conditional, and
-:func:`repro.sim.plan.promotable_cells` the ``var`` cells they keep as
-plain values; each refusal case is one hand-built unit, and interp and
-blaze must still produce identical traces.
+:func:`repro.sim.plan.local_rewrites` picks the ``array`` + ``mux``
+pairs that blaze and the interpreter fuse into one conditional, and the
+``var`` cells they keep as plain values; each refusal case is one
+hand-built unit, and interp and blaze must still produce identical
+traces.
 
 :func:`repro.sim.plan.forwarding` decides which promoted-cell loads and
 stores and which repeated probes only rename a value, and which cells a
@@ -22,7 +22,7 @@ from repro.designs import ALL_DESIGNS, DESIGNS, compile_design
 from repro.ir import parse_module
 from repro.sim import SimulationError, simulate
 from repro.sim.interp import Design
-from repro.sim.plan import forwarding, fused_mux_arrays, promotable_cells
+from repro.sim.plan import forwarding, local_rewrites
 
 #: A stimulus process steps the DUT's inputs through three phases.
 HARNESS = """
@@ -104,7 +104,7 @@ def test_private_two_choice_mux_is_fused():
     """The control case: one use, an i1 selector."""
     module = _module(MUX_DUT.format(sel="i1", extra="%out = add i8 %m, %m"))
     dut = _named(module.get("dut"))
-    assert fused_mux_arrays(module.get("dut")) == {id(dut["arr"])}
+    assert local_rewrites(module.get("dut"))[0] == {id(dut["arr"])}
     interp, blaze = _traces(module)
     assert interp == blaze
     assert _values(interp) == [0, 10, 18, 10]   # 2*a, 2*b, 2*a
@@ -114,7 +114,7 @@ def test_array_with_a_second_use_is_not_fused():
     module = _module(MUX_DUT.format(
         sel="i1",
         extra="%e = extf i8, [2 x i8] %arr, 0\n  %out = add i8 %m, %e"))
-    assert fused_mux_arrays(module.get("dut")) == set()
+    assert local_rewrites(module.get("dut"))[0] == set()
     interp, blaze = _traces(module)
     assert interp == blaze
     assert _values(interp) == [0, 10, 14, 10]   # a+a, b+a, a+a
@@ -125,7 +125,7 @@ def test_logic_selector_mux_is_not_fused(last):
     module = _module(
         MUX_DUT.format(sel="l1", extra="%out = add i8 %m, %m"),
         sel="l1", sel_zero='"0"', sel_one='"1"', sel_last=last)
-    assert fused_mux_arrays(module.get("dut")) == set()
+    assert local_rewrites(module.get("dut"))[0] == set()
     interp, blaze = _traces(module)
     assert interp == blaze
     if last == '"X"':
@@ -184,7 +184,7 @@ def test_escaping_var_is_not_promoted(route):
     module = _module(VAR_DUT.format(init=init, escape=ESCAPES[route]))
     dut = _named(module.get("dut"))
     # Only the control cell, used by ld alone, is promoted.
-    assert promotable_cells(module.get("dut")) == {id(dut["local"])}
+    assert local_rewrites(module.get("dut"))[1] == {id(dut["local"])}
     interp, blaze = _traces(module)
     assert interp == blaze
     # ld is b (9); the escaped cell reads back b, a (5) stored into
@@ -207,7 +207,7 @@ def _history(module, until_fs=None):
 
 
 def _forwarding(unit):
-    return forwarding(unit, promotable_cells(unit))
+    return forwarding(unit, local_rewrites(unit)[1])
 
 
 NS = 1_000_000
