@@ -12,9 +12,10 @@ This module provides that layer:
 * :class:`PassManager` — parses pipeline specs such as
   ``"inline,unroll,mem2reg,fixpoint(cf,instsimplify,cse,dce),ecm"``,
   runs them over a unit or module, drives ``fixpoint(...)`` groups with
-  changed-flags instead of blind whole-pipeline reruns, records wall time
-  and changed counts per pass, and optionally verifies the IR between
-  passes.
+  changed-flags instead of blind whole-pipeline reruns (and skips a
+  group that already converged on an unchanged target), records wall
+  time and changed counts per pass, and optionally verifies the IR
+  between passes.
 * :data:`PASS_REGISTRY` / :func:`register_pass` — the name → pass-class
   registry every pass module under ``repro.passes`` populates.
 * :data:`PIPELINES` — named pipeline aliases (``cleanup``, ``prepare``,
@@ -155,6 +156,12 @@ class FixpointNode:
     Children are driven by changed-flags: a child reruns only when some
     other child has changed the unit since the child last ran clean, not
     on every round.  ``max_rounds`` bounds runaway oscillation.
+
+    The pipeline applies the same rule to the group itself: within one
+    ``PassManager.run``/``run_spec`` call, a group that converged is
+    skipped until some pass reports a change to the target, so
+    ``cleanup,ecm,cleanup`` runs the second ``cleanup`` only if ``ecm``
+    changed something.  Groups are told apart by their spec text.
     """
 
     def __init__(self, children, max_rounds=1000):
@@ -352,6 +359,12 @@ class PassManager:
     :class:`PassRecord` instrumentation; both persist across multiple
     ``run``/``run_spec`` calls, so a driver (the lowering pipeline, the
     CLI) sees aggregate per-pass numbers for everything it ran.
+
+    ``run`` and ``run_spec`` share one loop over the pipeline, which
+    skips a ``fixpoint(...)`` group that already converged on the target
+    unless a pass has reported a change to it since (see
+    :class:`FixpointNode`).  Each call starts afresh, so two calls run a
+    group twice.
     """
 
     def __init__(self, spec=None, am=None, verify_each=False):
@@ -365,17 +378,11 @@ class PassManager:
 
     def run(self, target):
         """Run the constructor's pipeline spec on a module or unit."""
-        changed = False
-        for node in self.nodes:
-            changed |= self._run_node(node, target)
-        return changed
+        return self._run_nodes(self.nodes, target)
 
     def run_spec(self, spec, target):
         """Parse (memoized globally) and run an arbitrary spec."""
-        changed = False
-        for node in parse_pipeline(spec):
-            changed |= self._run_node(node, target)
-        return changed
+        return self._run_nodes(parse_pipeline(spec), target)
 
     def instance(self, name):
         """The pass instance run under ``name``, or None if it never ran.
@@ -398,6 +405,27 @@ class PassManager:
         if record is None:
             record = self.records[name] = PassRecord(name)
         return record
+
+    def _run_nodes(self, nodes, target):
+        # The changed-flag rule of fixpoint children, lifted to the
+        # pipeline: a group that converged is at its fixpoint, so it is
+        # skipped until some pass reports a change to the target.
+        changed = False
+        converged = set()   # reprs of the groups at their fixpoint
+        for node in nodes:
+            if isinstance(node, FixpointNode):
+                key = repr(node)
+                if key in converged:
+                    continue
+                if self._run_fixpoint(node, target):
+                    changed = True
+                    converged = {key}
+                else:
+                    converged.add(key)
+            elif self._run_pass(self._instance(node.name), target):
+                changed = True
+                converged.clear()
+        return changed
 
     def _run_node(self, node, target):
         if isinstance(node, FixpointNode):

@@ -5,6 +5,13 @@ SSA values with phi nodes, using the classic iterated-dominance-frontier
 phi placement [Cytron et al.].  The paper requires all stack and heap
 memory instructions to be promoted before lowering to Structural LLHD, as
 memory has no hardware equivalent.
+
+All of a unit's slots are promoted together, as in Cytron et al.'s
+renaming: phis are placed slot by slot (in :func:`promotable_vars`
+order, each at the head of its block), then one preorder walk of the
+dominator tree keeps one current value per slot, rewrites every load
+and erases every store, and finally every phi is wired and the trivial
+ones are pruned once.  The cost is one walk per unit, not one per slot.
 """
 
 from __future__ import annotations
@@ -60,99 +67,107 @@ class Mem2RegPass(UnitPass):
         if not candidates:
             return False
         domtree = am.get("domtree", unit)
-        frontier = domtree.dominance_frontier()
         reachable = {id(b) for b in domtree.order}
-
-        for var in candidates:
-            if id(var.parent) not in reachable:
-                continue
-            _promote(unit, var, domtree, frontier)
-            self.stat("promoted")
+        slots = [var for var in candidates if id(var.parent) in reachable]
+        if slots:
+            _promote(slots, domtree)
+            self.stat("promoted", len(slots))
         return True
 
 
-def _promote(unit, var, domtree, frontier):
-    # 1. Blocks containing a definition (st) — plus the var's own block,
-    #    whose init value acts as the initial store.
-    def_blocks = {id(var.parent): var.parent}
-    loads = []
-    stores = []
-    for use in list(var.uses):
-        user = use.user
-        if user.opcode == "ld":
-            loads.append(user)
-        else:
-            stores.append(user)
-            def_blocks[id(user.parent)] = user.parent
+def _promote(slots, domtree):
+    # 1. Phi placement at the iterated dominance frontier of each slot's
+    #    definitions: its stores' blocks plus its var's own block, whose
+    #    init value acts as the initial store.  A phi goes to the head of
+    #    its block, so a later slot's phi precedes an earlier slot's.
+    frontier = domtree.dominance_frontier()
+    slot_phis = [[] for _ in slots]
+    block_phis = {}  # id(block) -> [(slot index, phi)]
+    for k, var in enumerate(slots):
+        def_blocks = {id(var.parent): var.parent}
+        for use in var.uses:
+            if use.user.opcode == "st":
+                def_blocks[id(use.user.parent)] = use.user.parent
+        placed = set()
+        worklist = list(def_blocks.values())
+        while worklist:
+            block = worklist.pop()
+            for df_block in frontier.get(id(block), []):
+                if id(df_block) in placed:
+                    continue
+                placed.add(id(df_block))
+                phi = Instruction("phi", var.type.pointee, (), None,
+                                  var.name)
+                df_block.insert(0, phi)
+                slot_phis[k].append(phi)
+                block_phis.setdefault(id(df_block), []).append((k, phi))
+                if id(df_block) not in def_blocks:
+                    def_blocks[id(df_block)] = df_block
+                    worklist.append(df_block)
 
-    # 2. Phi placement at the iterated dominance frontier.
-    phis = {}  # id(block) -> phi instruction
-    worklist = list(def_blocks.values())
-    while worklist:
-        block = worklist.pop()
-        for df_block in frontier.get(id(block), []):
-            if id(df_block) in phis:
-                continue
-            phi = Instruction("phi", var.type.pointee, (), None,
-                              var.name)
-            df_block.insert(0, phi)
-            phis[id(df_block)] = phi
-            if id(df_block) not in def_blocks:
-                def_blocks[id(df_block)] = df_block
-                worklist.append(df_block)
-
-    # 3. Renaming walk over the dominator tree.
+    # 2. One renaming walk over the dominator tree, in preorder, with one
+    #    current value per slot.  None stands for the slot's init value,
+    #    read from its var only once the walk has renamed the loads that
+    #    may feed it.
     children = {id(b): [] for b in domtree.order}
     for block in domtree.order:
         idom = domtree.immediate_dominator(block)
         if idom is not None:
             children[id(idom)].append(block)
-
-    init_value = var.operands[0]
+    slot_of = {id(var): k for k, var in enumerate(slots)}
     incoming = {}  # id(phi) -> [(value, pred_block)]
-
-    def rename(block, current):
-        phi = phis.get(id(block))
-        if phi is not None:
-            current = phi
-        for inst in list(block.instructions):
-            if inst is var:
-                current = init_value
-            elif inst.opcode == "ld" and inst.operands \
-                    and inst.operands[0] is var:
-                inst.replace_all_uses_with(current)
-                inst.erase()
-            elif inst.opcode == "st" and inst.operands \
-                    and inst.operands[0] is var:
-                current = inst.operands[1]
-                inst.erase()
+    stack = [(domtree.order[0], [None] * len(slots))]
+    while stack:
+        block, current = stack.pop()
+        current = list(current)
+        for k, phi in block_phis.get(id(block), ()):
+            current[k] = phi
+        kept = []
+        for inst in block.instructions:
+            op = inst.opcode
+            if op == "ld" or op == "st":
+                k = slot_of.get(id(inst.operands[0]))
+                if k is not None:
+                    if op == "st":
+                        current[k] = inst.operands[1]
+                    else:
+                        value = current[k]
+                        inst.replace_all_uses_with(
+                            slots[k].operands[0] if value is None
+                            else value)
+                    # Erased: the block's list is rebuilt below, once.
+                    inst.parent = None
+                    inst.drop_operands()
+                    continue
+            else:
+                k = slot_of.get(id(inst))
+                if k is not None:
+                    current[k] = inst.operands[0]
+            kept.append(inst)
+        block.instructions[:] = kept
         for succ in block.successors():
-            succ_phi = phis.get(id(succ))
-            if succ_phi is not None:
-                incoming.setdefault(id(succ_phi), []).append(
-                    (current, block))
-        for child in children[id(block)]:
-            rename(child, current)
+            for k, phi in block_phis.get(id(succ), ()):
+                incoming.setdefault(id(phi), []).append((current[k], block))
+        stack.extend((child, current)
+                     for child in reversed(children[id(block)]))
 
-    rename(domtree.order[0], init_value)
-
-    # 4. Wire up phi operands (deduplicate multi-edge predecessors).
-    for phi in phis.values():
-        seen = set()
-        for value, pred in incoming.get(id(phi), []):
-            if id(pred) in seen:
-                continue
-            seen.add(id(pred))
-            phi.add_operand(value if value is not None else init_value)
-            phi.add_operand(pred)
-
-    var.erase()
-
-    # 5. Prune phis that ended up trivial (single or self-referential).
-    _prune_trivial_phis(unit, set(phis.values()))
+    # 3. Wire up phi operands (deduplicate multi-edge predecessors), drop
+    #    the vars, and prune the phis that ended up trivial.
+    for var, phis in zip(slots, slot_phis):
+        init_value = var.operands[0]
+        for phi in phis:
+            seen = set()
+            for value, pred in incoming.get(id(phi), []):
+                if id(pred) in seen:
+                    continue
+                seen.add(id(pred))
+                phi.add_operand(value if value is not None else init_value)
+                phi.add_operand(pred)
+        var.erase()
+    _prune_trivial_phis({phi for phis in slot_phis for phi in phis})
 
 
-def _prune_trivial_phis(unit, candidates):
+def _prune_trivial_phis(candidates):
     again = True
     while again:
         again = False

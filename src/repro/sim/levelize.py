@@ -42,9 +42,13 @@ The commit costs in proportion to what the cone wrote, not to its size:
 a run lists the slots it wrote (gate outputs and storage roots, never
 the boundary nets it scanned), and each slot's signal, trace list and
 non-cone entity waiters are bound once, when the cone is built.  A
-listed slot whose value differs from its net's is published once; a
-net with one name whose history ends before this instant gets its
-entry appended directly (all :func:`repro.sim.trace.record` would do
+listed slot whose value differs from its net's is published once.  A
+slot listed once always differs (the settle and the storage step write
+a slot only when they change it), so the value test runs only when a
+slot can be listed twice: the run took more than one round, the cone
+has cycles, or two storage cells share a root slot.  A net with one
+name whose history ends before this instant gets its entry appended
+directly (all :func:`repro.sim.trace.record` would do
 there), any other goes through ``record``.  The commit is this one
 loop, not per-net code in the cone source, which would grow every
 cone's source and the memory its cold ``compile()`` takes.  The settle
@@ -376,6 +380,10 @@ class _Cone:
         # Likewise the storage step runs only for a change some storage
         # cell observes.
         self.seq_roots = frozenset(plan.seq_obs)
+        # Whether one round can list a slot twice: a cyclic settle
+        # iterates, and storage cells sharing a root each append it.
+        roots = [cell.root_slot for cell in plan.seqs]
+        self.relists = plan.has_cycles or len(set(roots)) < len(roots)
         kernel.schedule_initial(self)
 
     def run(self, kernel):
@@ -423,7 +431,7 @@ class _Cone:
                     f"levelized cone did not settle at t={kernel.now[0]}fs "
                     f"(oscillating nets: {', '.join(hot[:8])})")
         if wrote:
-            self._commit(wrote)
+            self._commit(wrote, rounds > 0 or self.relists)
 
     def _eval_comb(self):
         V = self.V
@@ -480,9 +488,10 @@ class _Cone:
                 fired.append(root)
         return fired
 
-    def _commit(self, wrote):
-        """Publish every written slot whose value differs from its net's:
-        a slot can appear more than once, or have settled back."""
+    def _commit(self, wrote, relisted):
+        """Publish every written slot whose value differs from its net's.
+        Only when ``relisted`` can a slot appear more than once, or have
+        settled back, so only then is the value compared."""
         kernel = self.kernel
         fs = kernel.now[0]
         V = self.V
@@ -490,9 +499,10 @@ class _Cone:
         for i in wrote:
             sig, history, histories, entities = bound[i]
             new = V[i]
-            old = sig.value
-            if new is old or new == old:
-                continue
+            if relisted:
+                old = sig.value
+                if new is old or new == old:
+                    continue
             sig.value = new
             if history is not None and history[-1][0] != fs:
                 # All that record does here (see its docstring).
@@ -501,8 +511,10 @@ class _Cone:
                 record(histories, fs, new)
             # Wake next delta.  A process stays registered on the nets
             # of its last wait, as under the kernel's own rounds.
-            for act in sig.proc_waiters.values():
-                kernel.schedule_resume(act, _ZERO)
+            waiters = sig.proc_waiters
+            if waiters:
+                for act in waiters.values():
+                    kernel.schedule_resume(act, _ZERO)
             for act in entities:
                 kernel.schedule_resume(act, _ZERO)
 

@@ -1,8 +1,9 @@
 """Unit tests for CF, DCE, CSE, IS, mem2reg, inline, and unroll."""
 
 from repro.ir import parse_module, print_module, verify_module
-from repro.passes import cf, cse, dce, inline_calls, instsimplify, mem2reg
-from repro.passes import unroll
+from repro.passes import (
+    PassManager, cf, cse, dce, inline_calls, instsimplify, mem2reg, unroll,
+)
 
 
 def _func(body, sig="(i32 %a, i32 %b) i32"):
@@ -219,6 +220,103 @@ def test_mem2reg_loop_variable():
     loop = next(b for b in unit.blocks if b.name == "loop")
     assert loop.phis(), "loop-carried value needs a phi"
     verify_module(module)
+
+
+# Six slots that interact: %last is stored from a load of %acc, %tmp is
+# re-initialised by its var inside the loop, %pick is stored on one arm
+# of the diamond only, and %dead is never loaded.
+_SLOTS = """
+entry:
+  %zero = const i32 0
+  %one = const i32 1
+  %i = var i32 %zero
+  %acc = var i32 %zero
+  %last = var i32 %b
+  %pick = var i32 %a
+  %dead = var i32 %a
+  br %loop
+loop:
+  %tmp = var i32 %one
+  %iv = ld i32* %i
+  %c = ult i32 %iv, %a
+  br %c, %exit, %body
+body:
+  %odd = and i32 %iv, %one
+  %even = ult i32 %odd, %one
+  br %even, %arm, %join
+arm:
+  %tv = ld i32* %tmp
+  %s = add i32 %tv, %iv
+  st i32* %tmp, %s
+  st i32* %pick, %iv
+  st i32* %dead, %s
+  br %join
+join:
+  %tj = ld i32* %tmp
+  %av = ld i32* %acc
+  %sum = add i32 %av, %tj
+  st i32* %acc, %sum
+  st i32* %last, %av
+  %in = add i32 %iv, %one
+  st i32* %i, %in
+  br %loop
+exit:
+  %r = ld i32* %last
+  %ra = ld i32* %acc
+  %rp = ld i32* %pick
+  %r2 = add i32 %r, %ra
+  %res = add i32 %r2, %rp
+  ret i32 %res
+"""
+
+# Each slot's phis sit at the head of their block, a later slot's first.
+# Nothing reads %tmp1, nor the %dead1/%dead pair but each other.
+_SLOTS_PROMOTED = """\
+func @f (i32 %a, i32 %b) i32 {
+entry:
+  %zero = const i32 0
+  %one = const i32 1
+  br %loop
+loop:
+  %tmp1 = phi i32 [%one, %entry], [%tmp, %join]
+  %dead1 = phi i32 [%a, %entry], [%dead, %join]
+  %pick1 = phi i32 [%a, %entry], [%pick, %join]
+  %last = phi i32 [%b, %entry], [%acc, %join]
+  %acc = phi i32 [%zero, %entry], [%sum, %join]
+  %i = phi i32 [%zero, %entry], [%in, %join]
+  %c = ult i32 %i, %a
+  br %c, %exit, %body
+body:
+  %odd = and i32 %i, %one
+  %even = ult i32 %odd, %one
+  br %even, %arm, %join
+arm:
+  %s = add i32 %one, %i
+  br %join
+join:
+  %tmp = phi i32 [%one, %body], [%s, %arm]
+  %dead = phi i32 [%dead1, %body], [%s, %arm]
+  %pick = phi i32 [%pick1, %body], [%i, %arm]
+  %sum = add i32 %acc, %tmp
+  %in = add i32 %i, %one
+  br %loop
+exit:
+  %r2 = add i32 %last, %acc
+  %res = add i32 %r2, %pick1
+  ret i32 %res
+}
+"""
+
+
+def test_mem2reg_promotes_interacting_slots_in_one_walk():
+    unit = _func(_SLOTS)
+    pm = PassManager("mem2reg")
+    assert pm.run(unit)
+    ops = {i.opcode for i in unit.instructions()}
+    assert not ops & {"var", "ld", "st"}
+    verify_module(unit.module)
+    assert pm.records["mem2reg"].statistics == {"promoted": 6}
+    assert print_module(unit.module) == _SLOTS_PROMOTED
 
 
 def test_inline_simple_call():

@@ -122,6 +122,70 @@ def test_fixpoint_changed_flags_skip_clean_passes():
         assert record.runs == first[name] + 1, name
 
 
+_CLEANUP = ("cf", "instsimplify", "cse", "dce")
+
+
+def _cleanup_runs(pm):
+    return {name: pm.records[name].runs for name in _CLEANUP}
+
+
+def test_pipeline_skips_a_group_that_already_converged():
+    once, twice = PassManager(), PassManager()
+    once.run_spec("cleanup", _func(FOLDABLE))
+    twice.run_spec("cleanup,cleanup", _func(FOLDABLE))
+    assert _cleanup_runs(twice) == _cleanup_runs(once)
+
+
+# ECM hoists %one and %del into the entry block of the first process;
+# the second has nothing left to hoist.
+_ECM_MOVES = """
+proc @p (i1$ %a) -> (i1$ %q) {
+entry:
+  br %body
+body:
+  %one = const i1 1
+  %del = const time 1ns
+  drv i1$ %q, %one after %del
+  wait %entry for %a
+}
+"""
+
+_ECM_KEEPS = """
+proc @p (i1$ %a) -> (i1$ %q) {
+entry:
+  %one = const i1 1
+  %del = const time 1ns
+  br %body
+body:
+  drv i1$ %q, %one after %del
+  wait %entry for %a
+}
+"""
+
+
+@pytest.mark.parametrize("on_module", [False, True],
+                         ids=["unit", "module"])
+@pytest.mark.parametrize("source, ecm_changes", [(_ECM_MOVES, True),
+                                                 (_ECM_KEEPS, False)],
+                         ids=["ecm-changes", "ecm-clean"])
+def test_group_reruns_only_after_a_reported_change(source, ecm_changes,
+                                                   on_module):
+    def target():
+        module = parse_module(source)
+        return module if on_module else module.get("p")
+
+    first = PassManager()
+    first.run_spec("cleanup", target())
+    pm = PassManager()
+    pm.run_spec("cleanup,ecm,cleanup", target())
+    assert pm.records["ecm"].changed == int(ecm_changes)
+    for name, runs in _cleanup_runs(pm).items():
+        if ecm_changes:
+            assert runs > _cleanup_runs(first)[name], name
+        else:
+            assert runs == _cleanup_runs(first)[name], name
+
+
 def test_run_spec_on_module_applies_unit_passes_to_all_units():
     module = parse_module("""
 func @f () i32 {

@@ -697,6 +697,11 @@ b2:
   br %b0
 }
 
+proc @watch (l1$ %w) -> () {
+entry:
+  wait %entry for %w
+}
+
 proc @count (l1$ %w) -> (i8$ %n) {
 entry:
   wait %woke for %w
@@ -768,6 +773,28 @@ def test_net_that_settles_back_in_one_run_records_and_wakes_nothing(
     history = res.trace.history("top.y")
     assert [t // 1_000_000 for t, _v in history] == list(range(0, 21, 2))
     assert res.trace.history("top.n")[-1][1] == len(history) - 1
+
+
+def test_gate_output_that_clocks_its_own_toggle_settles_back(tmp_path):
+    # %g = %clk xor %q clocks the toggle flip-flop, so at every clock
+    # edge %g rises, the flip-flop toggles %q, and %g falls again: one
+    # run writes %g twice and leaves it where it was.  Interp records
+    # the rise and pops it at the fall, so %g keeps its one entry; the
+    # cone commits %g unchanged, so a process waiting on it never wakes
+    # after its first run.
+    runs = {}
+    for insts in ("", """
+  inst @watch (l1$ %g) -> ()"""):
+        res = _run_commit(tmp_path, ff_clock="%g", sigs="""
+  %g = sig l1 %z1""", insts="""
+  inst @cell_xor_l1_l1 (l1$ %clk, l1$ %q) -> (l1$ %g)""" + insts)
+        assert res.design.report["seqs"] == 1
+        assert res.design.report["fallbacks"] == []
+        assert len(res.trace.history("top.g")) == 1
+        history = res.trace.history("top.q")
+        assert [t // 1_000_000 for t, _v in history] == list(range(0, 21))
+        runs[bool(insts)] = res.stats["activations"]
+    assert runs[True] == runs[False] + 1
 
 
 def test_con_merged_cone_net_records_under_both_names(tmp_path):
