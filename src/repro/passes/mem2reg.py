@@ -78,13 +78,20 @@ class Mem2RegPass(UnitPass):
 def _promote(slots, domtree):
     # 1. Phi placement at the iterated dominance frontier of each slot's
     #    definitions: its stores' blocks plus its var's own block, whose
-    #    init value acts as the initial store.  A phi goes to the head of
-    #    its block, so a later slot's phi precedes an earlier slot's.
+    #    init value acts as the initial store.  Only blocks that the var's
+    #    block strictly dominates get a phi: every load of the slot is
+    #    dominated by the var, and every path from any other block to a
+    #    load passes the var, which re-initialises the slot (a var inside
+    #    a loop).  Nor does such a block's frontier hold a strictly
+    #    dominated block, so it needs no further iteration.  A phi goes to
+    #    the head of its block, so a later slot's phi precedes an earlier
+    #    slot's.
     frontier = domtree.dominance_frontier()
     slot_phis = [[] for _ in slots]
     block_phis = {}  # id(block) -> [(slot index, phi)]
     for k, var in enumerate(slots):
-        def_blocks = {id(var.parent): var.parent}
+        home = var.parent
+        def_blocks = {id(home): home}
         for use in var.uses:
             if use.user.opcode == "st":
                 def_blocks[id(use.user.parent)] = use.user.parent
@@ -96,6 +103,9 @@ def _promote(slots, domtree):
                 if id(df_block) in placed:
                     continue
                 placed.add(id(df_block))
+                if df_block is home or not domtree.dominates(home,
+                                                             df_block):
+                    continue
                 phi = Instruction("phi", var.type.pointee, (), None,
                                   var.name)
                 df_block.insert(0, phi)

@@ -360,7 +360,8 @@ class ProcessCompiler(UnitCompiler):
         source = self.code.source()
         namespace = dict(self.globals)
         exec(compile(source, f"<blaze:{self.unit.name}>", "exec"), namespace)
-        return CompiledUnit(self.unit, source, namespace[symbol], self)
+        return CompiledUnit(self.unit, source, namespace[symbol],
+                            self.slots, self.callees)
 
     def _emit_block(self, block, block_index):
         code = self.code
@@ -573,7 +574,8 @@ class EntityCompiler(UnitCompiler):
         source = out.source()
         namespace = dict(self.globals)
         exec(compile(source, f"<blaze:{unit.name}>", "exec"), namespace)
-        return CompiledUnit(unit, source, namespace["__bind__"], self)
+        return CompiledUnit(unit, source, namespace["__bind__"],
+                            self.slots, self.callees)
 
     def _probe_flag(self, bind, operand, bound):
         """A bind-time ``type(x) is _Sig`` flag for a bound signal value."""
@@ -615,12 +617,29 @@ class EntityCompiler(UnitCompiler):
 class CompiledUnit:
     """A unit compiled to a Python callable, plus its metadata."""
 
-    def __init__(self, unit, source, fn, compiler):
+    def __init__(self, unit, source, fn, slots, callees):
         self.unit = unit
         self.source = source
         self.fn = fn
-        self.slots = compiler.slots
-        self.callees = tuple(compiler.callees)
+        self.slots = slots
+        self.callees = tuple(callees)
+
+
+def _activate_nothing():
+    """The activation of an entity with nothing to run."""
+
+
+#: What an entity whose body is only ``sig``, ``inst``, ``con`` and pure
+#: ops (a netlist's containers) compiles to: no source, no bindings, and
+#: the one shared no-op activation.  Its elaboration already evaluated
+#: every instruction, so there is nothing to hoist either.
+NOTHING_TO_RUN = CompiledUnit(None, None, lambda *_: _activate_nothing,
+                              {}, ())
+
+
+def _runs_nothing(unit):
+    return all(inst.opcode in EVALUATORS or
+               inst.opcode in ("sig", "inst", "con") for inst in unit.body)
 
 
 class BlazeDesign(Design):
@@ -639,10 +658,12 @@ class BlazeDesign(Design):
     def compiled(self, unit):
         cu = self._compiled.get(id(unit))
         if cu is None:
-            if unit.is_entity:
-                cu = EntityCompiler(unit).compile_entity()
-            else:
+            if not unit.is_entity:
                 cu = ProcessCompiler(unit).compile()
+            elif _runs_nothing(unit):
+                cu = NOTHING_TO_RUN
+            else:
+                cu = EntityCompiler(unit).compile_entity()
             self._compiled[id(unit)] = cu
         return cu
 

@@ -23,6 +23,13 @@ Hot-path structure (this is the inner loop of every simulation):
   resumes into the runnable set first and then the waiters of every net
   that changed, so a process woken by a net replaces a stale timeout of
   its own, and runs each activity once, in ``order`` order;
+* a drive that finds no other pending work on its net is held in the
+  net's ``slot`` (no timeline lookup), and its round matures it with one
+  read.  A later drive from the same driver at or before the held time
+  replaces it; any other second transaction moves the held one onto its
+  driver's timeline, where the net's pending work stays from then on.
+  ``pending`` registers every driver at its first drive, held or not,
+  so same-instant drivers combine in first-drive order either way;
 * per-driver timelines are kept sorted (:class:`DriverTimeline`), so
   transport cancellation is a bisect + truncate instead of rebuilding the
   list on every drive.  Every transaction has a round at its own time on
@@ -47,6 +54,10 @@ from .trace import record
 from .values import SimulationError, extract_path, insert_path
 
 ZERO_TIME = (0, 0, 0)
+
+#: ``SignalInstance.slot`` of a net whose pending work is on its driver
+#: timelines (falsy, unlike a held transaction).
+ON_TIMELINES = ()
 
 
 def _combine_contributions(old, contributions, sig=None, kernel=None):
@@ -201,11 +212,27 @@ class SignalInstance:
     through :meth:`find` so connected signals behave as one.
     ``history`` holds the trace lists every change is recorded into, one
     per name merged into this net, or none when the kernel keeps no trace.
+
+    ``slot`` holds the net's only pending transaction, ``(time,
+    driver_key, path, value)``, or None: :meth:`Kernel.schedule_drive`
+    puts a drive there when the net has no other pending work, and a
+    later drive from the same driver at or before that time replaces it
+    (what transport cancellation would do).  The first time a second
+    transaction arrives (another driver's, or a later one of the same
+    driver) the held one moves onto its driver's :class:`DriverTimeline`
+    and ``slot`` becomes :data:`ON_TIMELINES`, for good.  ``pending``
+    maps each driver key to its timeline and is the net's registry of
+    drivers in first-drive order: a driver is entered at its first drive
+    even when that drive is held, so same-instant contributions combine
+    (resolve, race, or under a sanitizer let the last driver win) in the
+    same order wherever they waited.  The
+    :class:`~repro.sim.cycle.CycleKernel` uses the timelines alone; its
+    nets never hold a slot.
     """
 
-    __slots__ = ("name", "type", "value", "pending", "proc_waiters",
-                 "entity_waiters", "_entity_list", "index", "_rep",
-                 "history")
+    __slots__ = ("name", "type", "value", "pending", "slot",
+                 "proc_waiters", "entity_waiters", "_entity_list", "index",
+                 "_rep", "history")
 
     def __init__(self, name, type, initial, index, history):
         self.name = name
@@ -213,6 +240,8 @@ class SignalInstance:
         self.value = initial
         self.index = index
         self.pending = {}         # driver_key -> DriverTimeline
+        self.slot = None          # the only pending transaction, or
+                                  # ON_TIMELINES
         self.proc_waiters = {}    # activity.order -> process whose last
                                   # wait names this net
         self.entity_waiters = {}  # activity.order -> activity (persistent)
@@ -240,6 +269,13 @@ class SignalInstance:
         if b.index < a.index:
             a, b = b, a
         b._rep = a
+        # Held transactions go onto their timelines first, so the merge
+        # below sees all of both nets' pending work.
+        a.to_timelines()
+        b.to_timelines()
+        if b.slot is ON_TIMELINES:
+            a.slot = ON_TIMELINES
+        b.slot = None
         # Merge pending timelines *per driver*: when both nets already
         # carry transactions from the same driver key, the transactions
         # interleave on the merged net instead of one set clobbering the
@@ -271,6 +307,18 @@ class SignalInstance:
                 f"values ({a.value!r} vs {b.value!r}) on a type without "
                 f"a resolution function")
         return a
+
+    def to_timelines(self):
+        """Move a held transaction onto its driver's timeline (empty while
+        the net held one); the net keeps its pending work there from then
+        on.  A net holding nothing is left as it is."""
+        slot = self.slot
+        if slot:
+            when, key, path, value = slot
+            timeline = self.pending[key]
+            timeline.times.append(when)
+            timeline.entries.append((path, value))
+            self.slot = ON_TIMELINES
 
     def entity_list(self):
         """The precomputed sensitivity list: entities observing this net."""
@@ -368,15 +416,29 @@ class Kernel:
             when = (now[0], now[1], now[2] + delay.epsilon)
         else:
             when = (now[0], now[1] + 1, 0)
-        timeline = signal.pending.get(driver_key)
-        if timeline is None:
-            timeline = signal.pending[driver_key] = DriverTimeline()
-        times = timeline.times
-        if times and times[-1] >= when:
-            timeline.schedule(when, path, value)
+        slot = signal.slot
+        if slot is None:
+            # No other pending work: hold the drive on the net, and enter
+            # a new driver in the registry.
+            pending = signal.pending
+            if driver_key not in pending:
+                pending[driver_key] = DriverTimeline()
+            signal.slot = (when, driver_key, path, value)
+        elif slot and slot[1] == driver_key and when <= slot[0]:
+            # Transport cancellation of the held transaction.
+            signal.slot = (when, driver_key, path, value)
         else:
-            times.append(when)
-            timeline.entries.append((path, value))
+            if slot:
+                signal.to_timelines()
+            timeline = signal.pending.get(driver_key)
+            if timeline is None:
+                timeline = signal.pending[driver_key] = DriverTimeline()
+            times = timeline.times
+            if times and times[-1] >= when:
+                timeline.schedule(when, path, value)
+            else:
+                times.append(when)
+                timeline.entries.append((path, value))
         rnd = self._rounds.get(when)
         if rnd is None:
             self._rounds[when] = ({signal.index: signal}, [])
@@ -499,10 +561,39 @@ class Kernel:
         value changed.
 
         Every transaction has a round at its own time on its own net, and
-        rounds run in time order, so a timeline holds nothing before
-        ``time`` and, its times being strictly increasing, at most one
-        transaction at it: its first.
+        rounds run in time order, so neither the slot nor a timeline holds
+        anything before ``time``, and a timeline, its times being strictly
+        increasing, holds at most one transaction at it: its first.  A
+        held transaction at another time was replaced after this round was
+        scheduled.
         """
+        old = sig.value
+        slot = sig.slot
+        if slot:
+            if slot[0] != time:
+                return False
+            sig.slot = None
+            path = slot[2]
+            new = insert_path(old, path, slot[3]) if path else slot[3]
+        elif slot is None:
+            return False
+        else:
+            new = self._mature_timelines(sig, time, old)
+        if new == old:
+            return False
+        sig.value = new
+        histories = sig.history
+        fs = time[0]
+        if len(histories) == 1 and histories[0][-1][0] != fs:
+            # All that record does here (see its docstring).
+            histories[0].append((fs, new))
+        else:
+            record(histories, fs, new)
+        return True
+
+    def _mature_timelines(self, sig, time, old):
+        """The value of a net on timelines after the transactions due at
+        ``time`` (``old`` when none is)."""
         single = None
         single_key = None
         contributions = None
@@ -521,26 +612,13 @@ class Kernel:
                 contributions = [(single[0], single[1], single_key),
                                  (entry[0], entry[1], key)]
                 single = None
-        old = sig.value
-        if contributions is None:
-            if single is None:
-                return False
-            # Fast path: exactly one driver matured this instant.
-            path, value = single
-            new = insert_path(old, path, value) if path else value
-        else:
-            new = _combine_contributions(old, contributions, sig, self)
-        if new == old:
-            return False
-        sig.value = new
-        histories = sig.history
-        fs = time[0]
-        if len(histories) == 1 and histories[0][-1][0] != fs:
-            # All that record does here (see its docstring).
-            histories[0].append((fs, new))
-        else:
-            record(histories, fs, new)
-        return True
+        if contributions is not None:
+            return _combine_contributions(old, contributions, sig, self)
+        if single is None:
+            return old
+        # Exactly one driver matured this instant.
+        path, value = single
+        return insert_path(old, path, value) if path else value
 
     # -- waiting -----------------------------------------------------------------
 

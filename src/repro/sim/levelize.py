@@ -45,11 +45,13 @@ non-cone entity waiters are bound once, when the cone is built.  A
 listed slot whose value differs from its net's is published once.  A
 slot listed once always differs (the settle and the storage step write
 a slot only when they change it), so the value test runs only when a
-slot can be listed twice: the run took more than one round, the cone
-has cycles, or two storage cells share a root slot.  A net with one
-name whose history ends before this instant gets its entry appended
-directly (all :func:`repro.sim.trace.record` would do
-there), any other goes through ``record``.  The commit is this one
+slot can be listed twice: two rounds of the run wrote (a run whose
+one settle changed some gates takes a second round only to find that
+nothing observes them, and compares nothing), the cone has cycles, or
+two storage cells share a root slot.  A net with one name whose
+history ends before this instant gets its entry appended directly (all
+:func:`repro.sim.trace.record` would do there), any other goes through
+``record``.  The commit is this one
 loop, not per-net code in the cone source, which would grow every
 cone's source and the memory its cold ``compile()`` takes.  The settle
 boxes an ``lN`` gate output only when it changed
@@ -431,7 +433,8 @@ class _Cone:
                     f"levelized cone did not settle at t={kernel.now[0]}fs "
                     f"(oscillating nets: {', '.join(hot[:8])})")
         if wrote:
-            self._commit(wrote, rounds > 0 or self.relists)
+            # Every round but the last wrote: ``rounds`` rounds wrote.
+            self._commit(wrote, rounds > 1 or self.relists)
 
     def _eval_comb(self):
         V = self.V

@@ -270,7 +270,8 @@ exit:
 """
 
 # Each slot's phis sit at the head of their block, a later slot's first.
-# Nothing reads %tmp1, nor the %dead1/%dead pair but each other.
+# Nothing reads the %dead1/%dead pair but each other.  %tmp gets no phi
+# in %loop, where its var re-initialises it.
 _SLOTS_PROMOTED = """\
 func @f (i32 %a, i32 %b) i32 {
 entry:
@@ -278,7 +279,6 @@ entry:
   %one = const i32 1
   br %loop
 loop:
-  %tmp1 = phi i32 [%one, %entry], [%tmp, %join]
   %dead1 = phi i32 [%a, %entry], [%dead, %join]
   %pick1 = phi i32 [%a, %entry], [%pick, %join]
   %last = phi i32 [%b, %entry], [%acc, %join]
@@ -317,6 +317,47 @@ def test_mem2reg_promotes_interacting_slots_in_one_walk():
     verify_module(unit.module)
     assert pm.records["mem2reg"].statistics == {"promoted": 6}
     assert print_module(unit.module) == _SLOTS_PROMOTED
+
+
+def test_mem2reg_places_no_phi_where_the_var_does_not_reach():
+    # %tmp's var sits in the loop header and is initialised from a load
+    # made there.  The header is in the iterated frontier of the store
+    # on one arm of the diamond, but a phi there would take the loop's
+    # entry edge from %iv, which is defined in the header itself.
+    unit = _func("""
+entry:
+  %zero = const i32 0
+  %one = const i32 1
+  %i = var i32 %zero
+  br %head
+head:
+  %iv = ld i32* %i
+  %tmp = var i32 %iv
+  %c = ult i32 %iv, %a
+  br %c, %exit, %body
+body:
+  %odd = and i32 %iv, %one
+  %even = ult i32 %odd, %one
+  br %even, %arm, %join
+arm:
+  st i32* %tmp, %one
+  br %join
+join:
+  %t = ld i32* %tmp
+  %s = add i32 %iv, %t
+  st i32* %i, %s
+  br %head
+exit:
+  ret i32 %iv
+""", sig="(i32 %a) i32")
+    pm = PassManager("mem2reg")
+    assert pm.run(unit)
+    verify_module(unit.module)
+    assert pm.records["mem2reg"].statistics == {"promoted": 2}
+    phis = {b.name: [i.name for i in b.instructions if i.opcode == "phi"]
+            for b in unit.blocks}
+    assert phis == {"entry": [], "head": ["i"], "body": [], "arm": [],
+                    "join": ["tmp"], "exit": []}
 
 
 def test_inline_simple_call():

@@ -15,18 +15,27 @@ Covers:
   to the next trigger;
 * the wait protocol: a process stays registered on the nets of its last
   wait and nowhere else, a halted process on none, and a stale timeout
-  never takes the place of a wake in the same round.
+  never takes the place of a wake in the same round;
+* the net's slot for its only pending transaction: a net whose drives
+  overlap moves onto the timelines with every trace and counter kept,
+  and drivers that waited in the slot still combine in first-drive
+  order.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.designs import ALL_DESIGNS, DESIGNS, compile_design
 from repro.ir import LogicVec, parse_module
 from repro.ir.values import TimeValue
+from repro.moore import compile_sv
+from repro.passes.pipeline import lower_to_structural
 from repro.sim import SimulationError, simulate
 from repro.sim.blaze import BlazeProcessInstance, elaborate_compiled
 from repro.sim.cycle import CycleKernel, elaborate_cycle
-from repro.sim.engine import DriverTimeline, Kernel, SignalRef
+from repro.sim.engine import ON_TIMELINES, DriverTimeline, Kernel, SignalRef
 from repro.sim.interp import ProcessInstance, elaborate
 
 
@@ -262,6 +271,134 @@ def test_two_future_edges_from_one_driver_both_apply():
     assert sig.value == 1
     kernel.run()
     assert sig.value == 0
+
+
+def test_drive_with_no_other_pending_work_is_held_on_the_net():
+    kernel = Kernel()
+    sig = kernel.create_signal("s", None, 0)
+    kernel.schedule_drive("drv", sig, 1, TimeValue(5 * NS))
+    assert sig.slot == ((5 * NS, 0, 0), "drv", (), 1)
+    assert len(sig.pending["drv"]) == 0
+    # The same driver at or before the held time replaces it.
+    kernel.schedule_drive("drv", sig, 2, TimeValue(3 * NS))
+    assert sig.slot == ((3 * NS, 0, 0), "drv", (), 2)
+    kernel.run()
+    assert sig.value == 2 and sig.slot is None
+    # A second transaction moves the held one onto its timeline.
+    kernel.schedule_drive("drv", sig, 3, TimeValue(1 * NS))
+    kernel.schedule_drive("drv", sig, 4, TimeValue(2 * NS))
+    assert sig.slot is ON_TIMELINES
+    assert [v for _t, _p, v in sig.pending["drv"]] == [3, 4]
+    kernel.run()
+    assert sig.value == 4 and sig.slot is ON_TIMELINES
+
+
+def _figure3():
+    examples = Path(__file__).resolve().parents[2] / "examples"
+    sys.path.insert(0, str(examples))
+    try:
+        from accumulator_testbench import FIGURE3
+    finally:
+        sys.path.remove(str(examples))
+    return FIGURE3
+
+
+#: Figure 3's counters: ``(deltas, events, activations)`` per engine,
+#: before and after lowering.  The cycle scheduler counts its events
+#: its own way.
+_FIGURE3_STATS = {
+    (False, "interp"): (125, 221, 157), (False, "blaze"): (125, 221, 157),
+    (False, "cycle"): (125, 187, 157),
+    (True, "interp"): (95, 219, 155), (True, "blaze"): (95, 219, 155),
+    (True, "cycle"): (95, 187, 155),
+}
+
+
+@pytest.mark.parametrize("lowered", [False, True],
+                         ids=["behavioural", "lowered"])
+def test_figure3_overlapping_clock_drives_use_the_timelines(lowered):
+    # `clk <= #1ns 1; clk <= #2ns 0` gives acc_tb.clk two pending
+    # transactions from one driver: the one net of the design that
+    # moves onto the timelines.  Every engine must agree, before and
+    # after lowering, with the counters pinned.
+    source = _figure3()
+    module = compile_sv(source)
+    if lowered:
+        lower_to_structural(module, strict=False)
+    traces = {}
+    for backend in ("interp", "blaze", "cycle"):
+        result = simulate(module, "acc_tb", backend=backend)
+        assert result.ok() and result.output == ["435"]
+        stats = result.stats
+        assert (stats["deltas"], stats["events"], stats["activations"]) \
+            == _FIGURE3_STATS[lowered, backend], backend
+        traces[backend] = result.trace.changes
+        clk = result.design.signal("acc_tb.clk").find()
+        moved = [sig.name for sig in result.kernel.signals
+                 if sig._rep is None and sig.slot is ON_TIMELINES]
+        if backend == "cycle":
+            assert moved == []
+        else:
+            assert moved == [clk.name]
+    assert traces["blaze"] == traces["interp"]
+    assert traces["cycle"] == traces["interp"]
+    behavioural = simulate(compile_sv(source), "acc_tb").trace
+    for name in ("acc_tb.q", "acc_tb.clk", "acc_tb.x", "acc_tb.en"):
+        assert traces["interp"][name] == behavioural.changes[name]
+
+
+# @q drives %s first (at 0ns, for 1ns), @p only at 1ns; at 2ns @p drives
+# first and @q second, both for 3ns: held, then moved onto the timelines.
+_RACE_AFTER_HELD_DRIVES = """
+entity @top () -> () {
+  %z = const i8 0
+  %s = sig i8 %z
+  inst @p () -> (i8$ %s)
+  inst @q () -> (i8$ %s)
+}
+proc @p () -> (i8$ %s) {
+entry:
+  %t1 = const time 1ns
+  %v2 = const i8 2
+  %v3 = const i8 3
+  wait %first for %t1
+first:
+  drv i8$ %s, %v2 after %t1
+  wait %second for %t1
+second:
+  drv i8$ %s, %v3 after %t1
+  halt
+}
+proc @q () -> (i8$ %s) {
+entry:
+  %t1 = const time 1ns
+  %t2 = const time 2ns
+  %v1 = const i8 1
+  %v4 = const i8 4
+  drv i8$ %s, %v1 after %t1
+  wait %second for %t2
+second:
+  drv i8$ %s, %v4 after %t1
+  halt
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["interp", "blaze", "cycle"])
+def test_race_combines_drivers_in_first_drive_order(backend):
+    # @q drove %s first, so the 3ns conflict lists @q's 4 before @p's 3,
+    # and under the sanitizer @p, the last driver, wins: where a drive
+    # waited (slot or timeline) does not reorder the drivers.
+    module = parse_module(_RACE_AFTER_HELD_DRIVES)
+    result = simulate(module, "top", backend=backend, sanitize=True)
+    assert result.trace.history("top.s") == [
+        (0, 0), (1 * NS, 1), (2 * NS, 2), (3 * NS, 3)]
+    [finding] = result.findings
+    assert finding.code == "RACE001" and finding.time_fs == 3 * NS
+    assert "values [4, 3]" in finding.message
+    with pytest.raises(SimulationError, match=r"different values \(4, 3\)"):
+        simulate(parse_module(_RACE_AFTER_HELD_DRIVES), "top",
+                 backend=backend)
 
 
 @pytest.mark.parametrize("backend", ["interp", "blaze"])

@@ -797,6 +797,52 @@ def test_gate_output_that_clocks_its_own_toggle_settles_back(tmp_path):
     assert runs[True] == runs[False] + 1
 
 
+def _spy_on_relisted(monkeypatch):
+    """The ``relisted`` flag of every commit the cone makes."""
+    seen = []
+    commit = levelize._Cone._commit
+
+    def spy(self, wrote, relisted):
+        seen.append(relisted)
+        return commit(self, wrote, relisted)
+    monkeypatch.setattr(levelize._Cone, "_commit", spy)
+    return seen
+
+
+def test_one_round_of_writes_compares_nothing(tmp_path, monkeypatch):
+    # A comb-only cone: each clock edge settles %y and %w once, and the
+    # run's second round only finds that nothing observes them.  A slot
+    # is listed once, so the commit compares nothing.
+    seen = _spy_on_relisted(monkeypatch)
+    res = _run_both(_COMMIT_CELLS + """
+entity @top () -> () {
+  %z1 = const l1 "0"
+  %clk = sig l1 %z1
+  %y = sig l1 %z1
+  %w = sig l1 %z1
+  inst @cell_inv_l1 (l1$ %clk) -> (l1$ %y)
+  inst @cell_buf_l1 (l1$ %y) -> (l1$ %w)
+  inst @clkgen () -> (l1$ %clk)
+}
+""", until_fs=_UNTIL, cache_dir=str(tmp_path))
+    assert res.design.report["gates"] == 2
+    assert res.design.report["seqs"] == 0
+    assert len(res.trace.history("top.w")) == 21
+    assert len(seen) == 21 and not any(seen)
+
+
+def test_two_rounds_of_writes_compare(tmp_path, monkeypatch):
+    # %g = %clk xor %q: at every clock edge one round raises %g and the
+    # next, after the flip-flop toggled %q, drops it again, so %g is
+    # listed twice and must be compared.  The first run writes nothing.
+    seen = _spy_on_relisted(monkeypatch)
+    res = _run_commit(tmp_path, ff_clock="%g", sigs="""
+  %g = sig l1 %z1""", insts="""
+  inst @cell_xor_l1_l1 (l1$ %clk, l1$ %q) -> (l1$ %g)""")
+    assert len(res.trace.history("top.g")) == 1
+    assert seen == [True] * 20
+
+
 def test_con_merged_cone_net_records_under_both_names(tmp_path):
     res = _run_commit(tmp_path, sigs="""
   %e = sig l1 %o1""", insts="""
@@ -1172,6 +1218,46 @@ def test_netlist_engine_report_lists_levelized():
     assert reach["netlist"] and rejections == []
     assert engines == ["interp", "blaze", "cycle", "levelized"]
     assert notes == []
+
+
+#: gray's netlist at N=20: ``(deltas, events, activations)``.
+_GRAY_NETLIST_STATS = {"blaze": (166, 342, 255), "levelized": (81, 121, 61)}
+
+
+@pytest.mark.parametrize("backend", ["blaze", "levelized"])
+def test_netlist_container_compiles_no_source(backend, tmp_path):
+    # A techmapped container holds only sigs, consts and insts: nothing
+    # runs after elaboration, so it compiles to the shared no-op with no
+    # source, and still runs its one activation at time zero.
+    from repro.designs import DESIGNS, compile_design
+    from repro.interop import netlist_design
+    from repro.passes.pipeline import lower_to_structural
+    from repro.sim.blaze import (
+        NOTHING_TO_RUN, BlazeEntityInstance, elaborate_compiled,
+    )
+
+    module = compile_design("gray", 20)
+    lower_to_structural(module, strict=False)
+    linked = netlist_design(module)
+    kernel = Kernel(trace=Trace())
+    if backend == "blaze":
+        design = elaborate_compiled(linked, DESIGNS["gray"].top, kernel)
+    else:
+        design = elaborate_levelized(linked, DESIGNS["gray"].top, kernel,
+                                     cache_dir=str(tmp_path))
+    kernel.run()
+    containers = [act for act in design.activities
+                  if isinstance(act, BlazeEntityInstance)
+                  and design.compiled(act.unit) is NOTHING_TO_RUN]
+    assert [act.path for act in containers] == [
+        "gray_tb", "gray_tb.gray_encode", "gray_tb.gray_decode",
+        "gray_tb.gray_decode.gray_decode_always_comb_1"]
+    assert NOTHING_TO_RUN.source is None and NOTHING_TO_RUN.slots == {}
+    for act in containers:
+        assert act._activate is NOTHING_TO_RUN.fn()
+    stats = kernel.stats
+    assert (stats["deltas"], stats["events"], stats["activations"]) == \
+        _GRAY_NETLIST_STATS[backend]
 
 
 def test_cli_levelized_stats_and_cache(tmp_path, capsys):
